@@ -28,15 +28,11 @@ SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 PIPELINE_JSON = _REPO_ROOT / "BENCH_pipeline.json"
-REFINEMENT_JSON = _REPO_ROOT / "BENCH_refinement.json"
 REACHABILITY_JSON = _REPO_ROOT / "BENCH_reachability.json"
 ONTHEFLY_JSON = _REPO_ROOT / "BENCH_onthefly.json"
 
 #: Named per-bench metric sinks, aggregated at session end.
 _PIPELINE_SINKS = {}
-
-#: Per-case engine-comparison records, aggregated at session end.
-_REFINEMENT_RESULTS = {}
 
 #: Per-case verdict-engine comparison records (quotient vs reachability).
 _REACHABILITY_RESULTS = {}
@@ -79,22 +75,6 @@ def pipeline_stats():
         return _PIPELINE_SINKS.setdefault(name, Stats())
 
     return sink
-
-
-@pytest.fixture(scope="session")
-def refinement_results():
-    """Recorder for sweep-vs-splitter engine comparison records.
-
-    ``refinement_results("hm_list 2x2 branching", {...})`` stores one
-    JSON-serialisable record per case.  At session end the records are
-    merged into ``BENCH_refinement.json`` at the repo root (existing
-    cases from earlier runs are kept unless re-recorded).
-    """
-
-    def record(name: str, payload: dict) -> None:
-        _REFINEMENT_RESULTS[name] = payload
-
-    return record
 
 
 @pytest.fixture(scope="session")
@@ -147,13 +127,6 @@ def pytest_sessionfinish(session, exitstatus):
             "repro.bench-pipeline/v1",
             "benches",
             {name: sink.to_dict() for name, sink in sorted(_PIPELINE_SINKS.items())},
-        )
-    if _REFINEMENT_RESULTS:
-        _merge_json(
-            REFINEMENT_JSON,
-            "repro.bench-refinement/v1",
-            "cases",
-            dict(sorted(_REFINEMENT_RESULTS.items())),
         )
     if _REACHABILITY_RESULTS:
         _merge_json(

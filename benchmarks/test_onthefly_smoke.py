@@ -1,6 +1,7 @@
-"""Bench smoke: on-the-fly fusion vs the full-exploration pipelines.
+"""Bench smoke: the on-the-fly lane vs the full-exploration search.
 
-Two cases, both engines each:
+``lin --on-the-fly`` has one lane, the streaming reachability search.
+Two cases:
 
 * ``hm_list_buggy`` 2x2 -- the seeded shallow-violation instance.  The
   *gate* is verdict agreement (both FALSE) plus the fusion's raison
@@ -9,9 +10,8 @@ Two cases, both engines each:
   around 1-2% (a few hundred of ~36k states), so the gate has a wide
   margin while still catching a fusion that silently degenerates into
   draining the whole stream before looking at the product.
-* ``treiber`` 2x2 -- a TRUE instance: on-the-fly must agree with the
-  full pipeline (the quotient lane falls back to the classic pipeline,
-  the fused product search exhausts the same product).
+* ``treiber`` 2x2 -- a TRUE instance: the fused product search must
+  exhaust the same product and agree with the full pipeline.
 
 Shallow-bug *latency* (wall seconds to FALSE) is published in
 ``BENCH_onthefly.json``, not gated -- CI machines vary too much for
@@ -21,10 +21,8 @@ win.
 
 import time
 
-import pytest
-
 from repro.objects import get
-from repro.verify import check_linearizability, check_linearizability_reachability
+from repro.verify import check_linearizability_reachability
 
 #: The gated fraction: fused FALSE must expand fewer than this share of
 #: the states the full pipeline materializes.
@@ -33,14 +31,9 @@ MAX_EXPANDED_FRACTION = 0.25
 REPS = 3
 
 
-def _run(method, bench, threads, ops, on_the_fly):
-    check = (
-        check_linearizability
-        if method == "quotient"
-        else check_linearizability_reachability
-    )
+def _run(bench, threads, ops, on_the_fly):
     start = time.perf_counter()
-    result = check(
+    result = check_linearizability_reachability(
         bench.build(threads), bench.spec(),
         num_threads=threads, ops_per_thread=ops,
         workload=bench.default_workload(),
@@ -49,18 +42,15 @@ def _run(method, bench, threads, ops, on_the_fly):
     return time.perf_counter() - start, result
 
 
-@pytest.mark.parametrize("method", ["quotient", "reachability"])
-def test_shallow_violation_decides_false_early(
-    method, onthefly_results, bench_out
-):
+def test_shallow_violation_decides_false_early(onthefly_results, bench_out):
     bench = get("hm_list_buggy")
-    _run(method, bench, 2, 2, False)  # warm-up, untimed
+    _run(bench, 2, 2, False)  # warm-up, untimed
 
     full_reps, fused_reps = [], []
     for _ in range(REPS):
-        seconds, full = _run(method, bench, 2, 2, False)
+        seconds, full = _run(bench, 2, 2, False)
         full_reps.append(seconds)
-        seconds, fused = _run(method, bench, 2, 2, True)
+        seconds, fused = _run(bench, 2, 2, True)
         fused_reps.append(seconds)
 
     # gate 1: verdict agreement on the seeded shallow violation
@@ -71,7 +61,7 @@ def test_shallow_violation_decides_false_early(
     assert fused.states_expanded is not None
     fraction = fused.states_expanded / full.impl_states
     assert fraction < MAX_EXPANDED_FRACTION, (
-        f"{method}: fused run expanded {fused.states_expanded} of "
+        f"fused run expanded {fused.states_expanded} of "
         f"{full.impl_states} states ({fraction:.1%}) -- the on-the-fly "
         f"lane no longer exits early"
     )
@@ -79,7 +69,7 @@ def test_shallow_violation_decides_false_early(
     full_s, fused_s = min(full_reps), min(fused_reps)
     speedup = full_s / fused_s if fused_s else float("inf")
     onthefly_results(
-        f"hm_list_buggy 2x2 {method}",
+        "hm_list_buggy 2x2",
         {
             "verdict": fused.verdict,
             "full_impl_states": full.impl_states,
@@ -93,8 +83,8 @@ def test_shallow_violation_decides_false_early(
         },
     )
     bench_out(
-        f"onthefly_smoke_hm_list_buggy_{method}",
-        f"on-the-fly smoke hm_list_buggy 2x2 ({method}): FALSE\n"
+        "onthefly_smoke_hm_list_buggy",
+        f"on-the-fly smoke hm_list_buggy 2x2: FALSE\n"
         f"  expanded {fused.states_expanded} of {full.impl_states} states "
         f"({fraction:.1%})\n"
         f"  full={full_s:.3f}s fused={fused_s:.3f}s "
@@ -102,14 +92,13 @@ def test_shallow_violation_decides_false_early(
     )
 
 
-@pytest.mark.parametrize("method", ["quotient", "reachability"])
-def test_true_instance_agrees(method, onthefly_results):
+def test_true_instance_agrees(onthefly_results):
     bench = get("treiber")
-    seconds_full, full = _run(method, bench, 2, 2, False)
-    seconds_fused, fused = _run(method, bench, 2, 2, True)
+    seconds_full, full = _run(bench, 2, 2, False)
+    seconds_fused, fused = _run(bench, 2, 2, True)
     assert full.verdict == fused.verdict == "TRUE"
     onthefly_results(
-        f"treiber 2x2 {method}",
+        "treiber 2x2",
         {
             "verdict": fused.verdict,
             "full_impl_states": full.impl_states,

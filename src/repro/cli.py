@@ -26,15 +26,13 @@ TRUE/FALSE/UNKNOWN and 130 after a SIGINT -- partial ``--stats`` /
 supports ``--checkpoint PATH`` / ``--resume PATH``, and ``explore`` /
 ``lin`` / ``lockfree`` accept ``--workers N`` to shard exploration
 across worker processes with crash recovery (byte-identical output;
-``--fault-plan`` injects failures on purpose).  ``verify`` / ``lin`` /
-``lockfree`` / ``quotient`` / ``compare`` accept
-``--engine {splitter,sweep}`` to select the refinement engine (the
-splitter queue is the default; the signature sweep is the oracle).
-``lin`` additionally accepts ``--method
-{quotient,reachability,both}`` to pick the verdict engine: the
-Theorem 5.3 quotient pipeline, the independent BEEH
+``--fault-plan`` injects failures on purpose).  ``lin`` accepts
+``--method {quotient,reachability,both}`` to pick the verdict engine:
+the Theorem 5.3 quotient pipeline, the independent BEEH
 reachability backend, or both -- ``both`` cross-checks the verdicts
-and exits 3 (loudly) if the engines disagree.  ``serve`` runs the
+and exits 3 (loudly) if the engines disagree.  ``lin --on-the-fly``
+runs the streaming reachability search whatever the method (it is
+disabled under ``both``).  ``serve`` runs the
 persistent verification daemon (bounded job queue, crash-safe result
 cache, graceful SIGTERM checkpointing) and ``submit`` sends it a
 ``lin`` / ``lockfree`` / ``explore`` request over a TCP or Unix-domain
@@ -53,7 +51,7 @@ Examples::
     python -m repro quotient treiber --out treiber.aut
     python -m repro compare impl.aut spec.aut --relation trace
     python -m repro fuzz --seed 0 --n 200
-    python -m repro fuzz --mutate drop-block-id --expect-bug
+    python -m repro fuzz --mutate skip-divergence-mark --expect-bug
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ import sys
 from typing import Dict, List, Optional
 
 from .core import (
-    ENGINES,
     branching_partition,
     compare_branching,
     compare_strong,
@@ -110,13 +107,6 @@ def _add_bounds(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--values", type=int, default=2,
                         help="size of the data-value domain in the workload")
     parser.add_argument("--max-states", type=int, default=None)
-
-
-def _add_engine(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=ENGINES, default=None,
-                        help="refinement engine: 'splitter' (default) is the "
-                             "splitter-queue core, 'sweep' the signature-"
-                             "sweep oracle; both compute identical partitions")
 
 
 def _add_stats(parser: argparse.ArgumentParser) -> None:
@@ -278,7 +268,6 @@ def cmd_verify(args) -> int:
             num_threads=args.threads, ops_per_thread=args.ops,
             workload=workload, max_states=args.max_states,
             stats=sink("linearizability"), reduce=reduce, budget=budget,
-            engine=args.engine,
         )
         if lin.exhaustion is not None:
             _report_exhaustion("linearizable", lin)
@@ -301,7 +290,6 @@ def cmd_verify(args) -> int:
             num_threads=args.threads, ops_per_thread=args.ops,
             workload=workload, max_states=args.max_states,
             stats=sink("lock-freedom"), reduce=reduce, budget=budget,
-            engine=args.engine,
         )
         if lock.exhaustion is not None:
             _report_exhaustion("lock-free", lock)
@@ -345,13 +333,8 @@ def _print_lin(result, label: str = "linearizable") -> None:
     if result.exhaustion is not None:
         _report_exhaustion(label, result)
         return
-    if getattr(result, "early_exit", False):
-        print(f"on-the-fly early exit: mismatch after expanding "
-              f"{result.states_expanded} states "
-              f"({result.impl_states} interned, no quotient built)")
-    else:
-        print(f"states {result.impl_states} -> quotient "
-              f"{result.impl_quotient_states} ({result.reduction_factor:.1f}x)")
+    print(f"states {result.impl_states} -> quotient "
+          f"{result.impl_quotient_states} ({result.reduction_factor:.1f}x)")
     print(f"{label}: {result.verdict}  ({result.total_seconds:.2f}s)")
     if result.linearizable is False:
         print(result.render_counterexample())
@@ -361,7 +344,7 @@ def _print_reach(result, label: str = "linearizable") -> None:
     if result.exhaustion is not None:
         _report_exhaustion(label, result)
         return
-    if getattr(result, "on_the_fly", False):
+    if result.on_the_fly:
         print(f"on-the-fly: expanded {result.states_expanded} of "
               f"{result.impl_states} interned states")
     print(f"states {result.impl_states} -> product {result.product_states} "
@@ -417,7 +400,12 @@ def cmd_lin(args) -> int:
     bench, _workload, _config = _bench_and_config(args)
     sinks, sink = _make_sinks(args)
     budget = _budget_from(args)
-    print(f"== {bench.title} | linearizability ({args.method}) | "
+    method = args.method
+    on_the_fly = getattr(args, "on_the_fly", False)
+    if on_the_fly and method != "both":
+        # The one on-the-fly lane is the streaming reachability search.
+        method = "reachability"
+    print(f"== {bench.title} | linearizability ({method}) | "
           f"{args.threads} threads x {args.ops} ops ==")
     spec_sink = (
         CheckpointSink(args.spec_checkpoint) if args.spec_checkpoint else None
@@ -425,8 +413,7 @@ def cmd_lin(args) -> int:
     spec_resume = (
         load_checkpoint(args.spec_resume) if args.spec_resume else None
     )
-    on_the_fly = getattr(args, "on_the_fly", False)
-    if on_the_fly and args.method == "both":
+    if on_the_fly and method == "both":
         # The cross-check's whole point is two engines over one shared
         # full exploration; an early-exit lane would leave nothing for
         # the second engine to check against.
@@ -461,8 +448,6 @@ def cmd_lin(args) -> int:
             heartbeat_timeout=args.heartbeat_timeout,
             spec_checkpoint=spec_sink if original else None,
             spec_resume=spec_resume if original else None,
-            engine=args.engine,
-            on_the_fly=on_the_fly,
         )
 
     def attempt_reach(threads: int, ops: int, values: int):
@@ -509,14 +494,13 @@ def cmd_lin(args) -> int:
             heartbeat_timeout=args.heartbeat_timeout,
             spec_checkpoint=spec_sink if original else None,
             spec_resume=spec_resume if original else None,
-            engine=args.engine,
         )
         return _BothResult(quotient, reachability)
 
     def attempt(threads: int, ops: int, values: int, force_reduce: bool):
-        if args.method == "quotient":
+        if method == "quotient":
             return attempt_quotient(threads, ops, values, force_reduce)
-        if args.method == "reachability":
+        if method == "reachability":
             return attempt_reach(threads, ops, values)
         return attempt_both(threads, ops, values, force_reduce)
 
@@ -524,7 +508,7 @@ def cmd_lin(args) -> int:
         "quotient": _print_lin,
         "reachability": _print_reach,
         "both": _print_both,
-    }[args.method]
+    }[method]
 
     with budget.install_sigint():
         result = attempt(args.threads, args.ops, args.values, False)
@@ -600,7 +584,6 @@ def cmd_lockfree(args) -> int:
             remote=args.remote, remote_listen=args.remote_listen,
             transport=args.transport,
             heartbeat_timeout=args.heartbeat_timeout,
-            engine=args.engine,
         )
 
     def printer(result, label: str = "lock-free") -> None:
@@ -674,7 +657,7 @@ def cmd_quotient(args) -> int:
                     system,
                     branching_partition(
                         system, stats=stats, reduce=not args.no_reduce,
-                        budget=budget, engine=args.engine,
+                        budget=budget,
                     ),
                 )
         except BudgetExhausted as exc:
@@ -745,12 +728,10 @@ def _compare_governed(args, left, right, stats, budget) -> int:
     if args.relation == "branching":
         outcome = compare(
             left, right, divergence=args.divergence, stats=stats,
-            reduce=args.reduce, budget=budget, engine=args.engine,
+            reduce=args.reduce, budget=budget,
         )
     else:
-        outcome = compare(
-            left, right, stats=stats, budget=budget, engine=args.engine
-        )
+        outcome = compare(left, right, stats=stats, budget=budget)
     name = args.relation + ("-divergence" if args.divergence else "")
     print(f"{name} bisimilar: {outcome.equivalent}")
     if not outcome.equivalent and args.relation == "branching":
@@ -922,7 +903,6 @@ def cmd_submit(args) -> int:
         "max_states": args.max_states,
         "method": args.method,
         "reduce": not args.no_reduce,
-        "engine": args.engine,
         "deadline": args.deadline,
     }
     print(f"== {args.key} | {args.kind} via {args.socket} | "
@@ -993,7 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stats(verify)
     verify.add_argument("--no-reduce", action="store_true",
                         help="disable the silent-structure reduction pass")
-    _add_engine(verify)
     _add_budget(verify)
 
     for name, help_text in (
@@ -1008,7 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_parallel(sub)
         sub.add_argument("--no-reduce", action="store_true",
                          help="disable the silent-structure reduction pass")
-        _add_engine(sub)
         if name == "lockfree":
             sub.add_argument(
                 "--method", choices=["union", "tau-cycle"], default="union",
@@ -1033,7 +1011,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--on-the-fly",
                 action=argparse.BooleanOptionalAction,
                 default=False,
-                help="fuse the verdict engine with exploration: violations "
+                help="decide with the streaming reachability search fused "
+                     "with exploration, whatever --method says: violations "
                      "are reported after expanding only the states the "
                      "search touched (same verdicts; ignored with "
                      "--method both, degrades --workers to serial)",
@@ -1052,7 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "quotient":
             sub.add_argument("--no-reduce", action="store_true",
                              help="disable the silent-structure reduction pass")
-            _add_engine(sub)
         else:
             _add_parallel(sub)
             sub.add_argument("--checkpoint", metavar="PATH", default=None,
@@ -1074,7 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--reduce", action="store_true",
                          help="compress silent structure before a "
                               "branching comparison")
-    _add_engine(compare)
     _add_stats(compare)
     _add_budget(compare)
 
@@ -1170,7 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "both; lockfree: union/tau-cycle)")
     submit.add_argument("--no-reduce", action="store_true",
                         help="disable the silent-structure reduction pass")
-    submit.add_argument("--engine", choices=ENGINES, default=None)
     submit.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="per-job wall-clock budget enforced daemon-side")

@@ -22,7 +22,6 @@ from .partition import (
     BlockMap,
     RefinementNotConverged,
     RefinementRun,
-    SignatureInterner,
     blocks_of,
     is_refinement,
     normalize,
@@ -34,14 +33,7 @@ from .partition import (
     same_partition,
 )
 from .reduce import ReducedLTS, lift_partition, reduce_lts
-from .splitter import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    branching_splitter,
-    resolve_engine,
-    strong_splitter,
-    weak_splitter,
-)
+from .splitter import branching_splitter, strong_splitter, weak_splitter
 from .branching import (
     Comparison,
     DIVERGENCE_MARK,
@@ -58,7 +50,6 @@ from .divergence import (
     find_divergence_lasso,
     tau_cycle_states,
 )
-from .onthefly import PartialProductChecker
 from .traces import (
     RefinementResult,
     language_partition,
@@ -92,7 +83,6 @@ __all__ = [
     "ReducedLTS",
     "lift_partition",
     "reduce_lts",
-    "SignatureInterner",
     "BlockMap",
     "RefinementNotConverged",
     "RefinementRun",
@@ -105,10 +95,7 @@ __all__ = [
     "refine_to_fixpoint",
     "refine_with_status",
     "same_partition",
-    "DEFAULT_ENGINE",
-    "ENGINES",
     "branching_splitter",
-    "resolve_engine",
     "strong_splitter",
     "weak_splitter",
     "Comparison",
@@ -127,7 +114,6 @@ __all__ = [
     "divergent_states",
     "find_divergence_lasso",
     "tau_cycle_states",
-    "PartialProductChecker",
     "RefinementResult",
     "language_partition",
     "state_tau_closures",

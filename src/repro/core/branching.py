@@ -1,8 +1,9 @@
 """Branching bisimulation, plain and divergence-sensitive (Definitions 4.1, 5.5).
 
-Computed by signature refinement: in each sweep a state's signature is
-the set of non-inert steps it can take after an *inert* silent path
-(silent transitions that stay inside the state's current block):
+The partition is the coarsest one stable under branching signatures: a
+state's signature is the set of non-inert steps it can take after an
+*inert* silent path (silent transitions that stay inside the state's
+current block):
 
     sig(s) = { (a, block(t)) :  s  ==inert==>  s' --a--> t,
                                 a != tau  or  block(t) != block(s) }
@@ -11,24 +12,15 @@ For the divergence-sensitive variant (used to verify lock-freedom,
 Theorems 5.8/5.9) the signature additionally contains a divergence
 marker when the state can reach, via inert steps, a silent cycle inside
 its own block -- this is exactly Definition 5.4's partition-relative
-divergence, re-evaluated on every sweep.
+divergence.
 
-The fixpoint of the sweep is the coarsest stable partition, i.e. the
-partition induced by the largest (divergence-sensitive) branching
-bisimulation.
-
-Two engine-level accelerations live here (both semantics-preserving):
-
-* signatures are *integer-coded* -- a step ``(a, block(t))`` becomes
-  the machine word ``a * num_blocks + block(t)`` and the per-state
-  sorted code tuple is interned to a dense int, so the refinement inner
-  loop hashes ints instead of frozensets of tuples
-  (:func:`_branching_signature_codes`; the frozenset-of-pairs form is
-  kept as :func:`_branching_signatures_ordered` for the diagnostics
-  layer and as an independent reference implementation);
-* the inert-candidate scan uses the frozen form's cached silent-edge
-  arrays instead of re-scanning every transition each sweep -- only
-  silent edges can be inert.
+The coarsest stable partition is the partition induced by the largest
+(divergence-sensitive) branching bisimulation.  It is computed by the
+splitter-queue engine (:func:`repro.core.splitter.branching_splitter`);
+:func:`_branching_signatures_ordered` evaluates one round of the
+signatures above in decoded form for the diagnostics layer
+(:mod:`repro.core.diagnostics`), which inspects individual signature
+elements.
 
 ``reduce=True`` additionally compresses the system with
 :func:`repro.core.reduce.reduce_lts` before refining and lifts the
@@ -45,14 +37,8 @@ from typing import TYPE_CHECKING, List, Optional
 from . import reduce as reduce_mod
 from .graphs import tarjan_scc
 from .lts import TAU_ID, AnyLTS, FrozenLTS, disjoint_union, ensure_frozen
-from .partition import (
-    BlockMap,
-    SignatureInterner,
-    normalize,
-    num_blocks,
-    refine_to_fixpoint,
-)
-from .splitter import branching_splitter, resolve_engine
+from .partition import BlockMap, normalize, num_blocks
+from .splitter import branching_splitter
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
@@ -61,72 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Marker added to the signature of partition-relative divergent states.
 DIVERGENCE_MARK = ("__divergent__",)
 
-#: Integer code of the divergence marker in the coded signature form.
-DIVERGENCE_CODE = -1
-
-
-def _branching_signature_codes(
-    lts: FrozenLTS,
-    block_of: BlockMap,
-    divergence: bool,
-    interner: SignatureInterner,
-) -> List[int]:
-    """One sweep of integer-coded branching signatures, component-ordered.
-
-    A step ``(a, block)`` is coded as ``a * nb + block`` (``nb`` = the
-    current block count); the divergence marker is
-    :data:`DIVERGENCE_CODE`.  Codes are only comparable within one
-    sweep, which is all :func:`repro.core.partition.refine_step` needs.
-    """
-    n = lts.num_states
-    nb = num_blocks(block_of)
-    tau_src, tau_dst = lts.tau_edges()
-    inert: List[List[int]] = [[] for _ in range(n)]
-    for src, dst in zip(tau_src, tau_dst):
-        if block_of[src] == block_of[dst]:
-            inert[src].append(dst)
-
-    comp_of, num_comps = tarjan_scc(n, inert.__getitem__)
-
-    members: List[List[int]] = [[] for _ in range(num_comps)]
-    for state in range(n):
-        members[comp_of[state]].append(state)
-
-    comp_sig: List[set] = [set() for _ in range(num_comps)]
-    for src, aid, dst in lts.transitions():
-        if aid == TAU_ID and block_of[src] == block_of[dst]:
-            continue
-        comp_sig[comp_of[src]].add(aid * nb + block_of[dst])
-
-    if divergence:
-        for comp in range(num_comps):
-            if len(members[comp]) > 1:
-                comp_sig[comp].add(DIVERGENCE_CODE)
-        for src in range(n):
-            for dst in inert[src]:
-                if comp_of[src] == comp_of[dst]:
-                    comp_sig[comp_of[src]].add(DIVERGENCE_CODE)
-
-    # Accumulate in increasing component id: successors are complete first.
-    for comp in range(num_comps):
-        sig = comp_sig[comp]
-        for src in members[comp]:
-            for dst in inert[src]:
-                dst_comp = comp_of[dst]
-                if dst_comp != comp:
-                    sig |= comp_sig[dst_comp]
-
-    interned = [interner.intern(tuple(sorted(sig))) for sig in comp_sig]
-    return [interned[comp_of[state]] for state in range(n)]
-
 
 def _branching_signatures_ordered(lts: AnyLTS, block_of: BlockMap, divergence: bool):
-    """One sweep of branching signatures as frozensets of ``(a, block)``.
+    """One round of branching signatures as frozensets of ``(a, block)``.
 
-    The decoded reference form: independent of the coded fast path (it
-    re-scans all transitions), used by the diagnostics layer -- which
-    inspects individual signature elements -- and by the tests that pin
-    the fast path against it sweep-for-sweep.
+    Used by the diagnostics layer, which inspects individual signature
+    elements to explain why two states are inequivalent.
     """
     n = lts.num_states
     inert: List[List[int]] = [[] for _ in range(n)]
@@ -174,39 +100,22 @@ def _refine(
     initial: Optional[BlockMap],
     stats: Optional["Stats"],
     budget: Optional["RunBudget"],
-    engine: Optional[str],
 ) -> BlockMap:
-    """Run the selected refinement engine inside the refinement stage.
+    """Run the splitter engine inside the refinement stage.
 
     Deliberately does *not* record the ``blocks`` counter:
     :func:`branching_partition` derives it from the partition it
     actually returns, so the ``reduce=True`` path reports the lifted
     block count rather than the inner compressed run's.
     """
-    if resolve_engine(engine) == "splitter":
-        if stats is None:
-            return branching_splitter(
-                frozen, divergence=divergence, initial=initial, budget=budget
-            )
-        with stats.stage("refinement"):
-            return branching_splitter(
-                frozen, divergence=divergence, initial=initial,
-                budget=budget, stats=stats,
-            )
-
-    interner = SignatureInterner()
-
-    def signature_fn(block_of: BlockMap):
-        return _branching_signature_codes(frozen, block_of, divergence, interner)
-
     if stats is None:
-        return refine_to_fixpoint(
-            frozen.num_states, signature_fn, initial=initial, budget=budget
+        return branching_splitter(
+            frozen, divergence=divergence, initial=initial, budget=budget
         )
     with stats.stage("refinement"):
-        return refine_to_fixpoint(
-            frozen.num_states, signature_fn, initial=initial, stats=stats,
-            budget=budget,
+        return branching_splitter(
+            frozen, divergence=divergence, initial=initial,
+            budget=budget, stats=stats,
         )
 
 
@@ -217,7 +126,6 @@ def branching_partition(
     stats: Optional["Stats"] = None,
     reduce: bool = False,
     budget: Optional["RunBudget"] = None,
-    engine: Optional[str] = None,
 ) -> BlockMap:
     """Partition of the states of ``lts`` under branching bisimilarity.
 
@@ -225,14 +133,12 @@ def branching_partition(
     sensitive branching bisimilarity (Definition 5.5).  With
     ``reduce=True`` (and no seed partition) the system is first
     compressed by :func:`repro.core.reduce.reduce_lts` and the
-    partition of the compressed system is lifted back.  ``engine``
-    selects the refinement engine (:data:`repro.core.splitter.ENGINES`;
-    ``None`` means the default).  An optional
+    partition of the compressed system is lifted back.  An optional
     :class:`~repro.util.metrics.Stats` sink times the stages and counts
-    sweeps/splits; without one the code path is unchanged.  The
-    ``blocks`` counter always reflects the partition returned to the
-    caller -- under ``reduce=True`` that is the lifted partition of the
-    original state space, not the compressed inner run.
+    splits; without one the code path is unchanged.  The ``blocks``
+    counter always reflects the partition returned to the caller --
+    under ``reduce=True`` that is the lifted partition of the original
+    state space, not the compressed inner run.
     """
     frozen = ensure_frozen(lts)
     if reduce and initial is None and frozen.num_states:
@@ -240,12 +146,12 @@ def branching_partition(
             frozen, divergence=divergence, stats=stats, budget=budget
         )
         inner = _refine(
-            ensure_frozen(reduced.lts), divergence, None, stats, budget, engine
+            ensure_frozen(reduced.lts), divergence, None, stats, budget
         )
         block_of = normalize(reduce_mod.lift_partition(reduced, inner))
     else:
         block_of = normalize(
-            _refine(frozen, divergence, initial, stats, budget, engine)
+            _refine(frozen, divergence, initial, stats, budget)
         )
     if stats is not None:
         with stats.stage("refinement"):
@@ -283,7 +189,6 @@ def compare_branching(
     stats: Optional["Stats"] = None,
     reduce: bool = False,
     budget: Optional["RunBudget"] = None,
-    engine: Optional[str] = None,
 ) -> Comparison:
     """Decide ``a ~ b`` for (divergence-sensitive) branching bisimilarity.
 
@@ -293,7 +198,7 @@ def compare_branching(
     union, init_a, init_b = disjoint_union(a, b)
     block_of = branching_partition(
         union, divergence=divergence, stats=stats, reduce=reduce,
-        budget=budget, engine=engine,
+        budget=budget,
     )
     return Comparison(
         equivalent=block_of[init_a] == block_of[init_b],

@@ -1,13 +1,15 @@
-"""Generic signature-based partition refinement.
+"""Partitions as block maps, plus generic signature refinement.
 
-All state equivalences in this package (strong, weak and branching
-bisimulation, divergence-sensitive variants, per-level k-trace
-equivalence, DFA minimization) are computed with the same engine: in
-each sweep every state is assigned a *signature* relative to the
-current partition, and blocks are split so that two states stay
-together only if they carry the same signature.  Iterating to a
-fixpoint yields the coarsest partition that is stable under the
-signature function (Blom & Orzan's signature-refinement scheme).
+The bisimulation partitions are computed by the splitter-queue engine
+(:mod:`repro.core.splitter`); this module holds the shared block-map
+helpers and the generic sweep loop still used where the signature is
+not a bisimulation step: DFA minimization in :mod:`repro.core.traces`
+and the per-round history of :mod:`repro.core.diagnostics`.  In each
+sweep every state is assigned a *signature* relative to the current
+partition, and blocks are split so that two states stay together only
+if they carry the same signature.  Iterating to a fixpoint yields the
+coarsest partition that is stable under the signature function (Blom &
+Orzan's signature-refinement scheme).
 """
 
 from __future__ import annotations
@@ -86,33 +88,6 @@ def is_refinement(fine: BlockMap, coarse: BlockMap) -> bool:
         if seen.setdefault(f, c) != c:
             return False
     return True
-
-
-class SignatureInterner:
-    """Intern hashable signatures to dense integers across sweeps.
-
-    The signature engines encode a state's signature as a sorted tuple
-    of integer ``(action, block)`` codes; the interner maps each
-    distinct tuple to a small ``int`` so :func:`refine_step` hashes
-    machine words instead of re-hashing tuples of tuples.  One interner
-    lives per refinement run -- ids are only meaningful within it.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self) -> None:
-        self._table: Dict[Hashable, int] = {}
-
-    def intern(self, signature: Hashable) -> int:
-        table = self._table
-        sid = table.get(signature)
-        if sid is None:
-            sid = len(table)
-            table[signature] = sid
-        return sid
-
-    def __len__(self) -> int:
-        return len(self._table)
 
 
 def refine_step(block_of: BlockMap, signatures: Sequence[Hashable]) -> Tuple[BlockMap, bool]:

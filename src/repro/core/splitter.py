@@ -1,15 +1,13 @@
-"""Splitter-queue partition refinement (the ``"splitter"`` engine).
+"""Splitter-queue partition refinement: the one refinement engine.
 
-The sweep engine (:func:`repro.core.partition.refine_to_fixpoint`)
-recomputes every state's signature in every sweep, so its cost is
-``O(sweeps * m)`` even when a sweep splits a single block.  This module
-is the second refinement engine: work is driven by an explicit queue of
-*splitters*, so after an initial full pass only the states whose
-signatures can actually have changed are ever touched again.  Both
-engines compute the same coarsest stable partition; the sweep engine is
-kept as the differential oracle (``engine="sweep"``) and the two are
-pinned partition-identical on the corpus, the Hypothesis generators and
-the fuzz harness.
+Every bisimulation partition in :mod:`repro.core` (strong, branching
+and weak, with and without divergence) is computed here.  Work is
+driven by an explicit queue of *splitters*, so after an initial full
+pass only the states whose signatures can actually have changed are
+ever touched again.  The independent check is the naive
+greatest-fixed-point oracles of :mod:`repro.testing.oracles`, pinned
+against this module on the corpus, the Hypothesis generators and the
+fuzz harness.
 
 Three per-equivalence front ends share the machinery:
 
@@ -75,12 +73,6 @@ _NUMPY_MIN_EDGES = 512
 #: costs more than the loop it replaces).
 _NUMPY_MIN_GATHER = 256
 
-#: The two refinement engines.  ``"splitter"`` is the default;
-#: ``"sweep"`` is the original Blom-Orzan signature engine, kept as the
-#: differential oracle.
-ENGINES = ("splitter", "sweep")
-DEFAULT_ENGINE = "splitter"
-
 #: Correctness knobs the fuzz harness mutates to prove it has teeth
 #: (see ``repro.testing.differential.MUTATIONS``).  ``_REQUEUE_COMPOUND``
 #: re-queues a coarse block that is still compound after its smaller
@@ -88,23 +80,17 @@ DEFAULT_ENGINE = "splitter"
 #: (``splitter-drop-smaller-half``).  ``_DIRTY_PREDECESSORS`` marks the
 #: blocks with a transition into a freshly split block dirty; dropping
 #: it leaves stale signatures unsplit (``splitter-skip-dirty-preds``).
+#: ``_MARK_DIVERGENCE`` puts the divergence mark into the signatures of
+#: silent-cycle components; dropping it collapses divergence-sensitive
+#: branching bisimilarity into the plain relation
+#: (``skip-divergence-mark``).
 _REQUEUE_COMPOUND = True
 _DIRTY_PREDECESSORS = True
+_MARK_DIVERGENCE = True
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
     from ..util.metrics import Stats
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an engine name (``None`` means the default)."""
-    if engine is None:
-        return DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown refinement engine {engine!r}; choose from {ENGINES}"
-        )
-    return engine
 
 
 def _ragged_arange(np, starts, counts):
@@ -469,7 +455,7 @@ def branching_splitter(
                 if a == TAU_ID and bdst == d:
                     continue  # inert: skipped here, folded in below
                 acc.add(a * stride + bdst)
-            if divergence and marked[c]:
+            if divergence and marked[c] and _MARK_DIVERGENCE:
                 acc.add(_DIV)
             for cdst in tau_out[c]:
                 if block_of[cdst] == d:
@@ -527,8 +513,8 @@ def weak_splitter(
     """(Explicit-divergence) weak-bisimilarity partition via saturation.
 
     Plain weak bisimilarity on ``frozen`` is strong bisimilarity on the
-    saturated relation, which is exactly the per-sweep signature of the
-    sweep engine, so the strong core computes the same fixpoint.  For
+    saturated relation (weak visible steps plus tau-closure silent
+    steps), so the strong core computes the weak fixpoint.  For
     the explicit-divergence variant the partition-relative divergence
     marks (Definition 5.4) cannot be folded into a static edge set, so
     the core and mark-based splitting alternate until both are stable.

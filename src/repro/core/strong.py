@@ -8,42 +8,16 @@ the base case in tests relating the three bisimulations.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .lts import AnyLTS, disjoint_union, ensure_frozen
-from .partition import (
-    BlockMap,
-    SignatureInterner,
-    num_blocks,
-    refine_to_fixpoint,
-)
+from .partition import BlockMap, num_blocks
 from .branching import Comparison
-from .splitter import resolve_engine, strong_splitter
+from .splitter import strong_splitter
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
     from ..util.metrics import Stats
-
-
-def _strong_signatures(lts: AnyLTS, block_of: BlockMap):
-    """Per-state frozensets of ``(action, block)`` (reference form)."""
-    n = lts.num_states
-    sigs: List[set] = [set() for _ in range(n)]
-    for src, aid, dst in lts.transitions():
-        sigs[src].add((aid, block_of[dst]))
-    return [frozenset(sig) for sig in sigs]
-
-
-def _strong_signature_codes(
-    lts: AnyLTS, block_of: BlockMap, interner: SignatureInterner
-) -> List[int]:
-    """Integer-coded strong signatures (``a * nb + block`` words, interned)."""
-    n = lts.num_states
-    nb = num_blocks(block_of)
-    sigs: List[set] = [set() for _ in range(n)]
-    for src, aid, dst in lts.transitions():
-        sigs[src].add(aid * nb + block_of[dst])
-    return [interner.intern(tuple(sorted(sig))) for sig in sigs]
 
 
 def strong_partition(
@@ -51,37 +25,14 @@ def strong_partition(
     initial: Optional[BlockMap] = None,
     stats: Optional["Stats"] = None,
     budget: Optional["RunBudget"] = None,
-    engine: Optional[str] = None,
 ) -> BlockMap:
-    """Partition of the states of ``lts`` under strong bisimilarity.
-
-    ``engine`` selects the refinement engine
-    (:data:`repro.core.splitter.ENGINES`; ``None`` means the default).
-    """
+    """Partition of the states of ``lts`` under strong bisimilarity."""
     frozen = ensure_frozen(lts)
-    if resolve_engine(engine) == "splitter":
-        if stats is None:
-            return strong_splitter(frozen, initial=initial, budget=budget)
-        with stats.stage("refinement"):
-            block_of = strong_splitter(
-                frozen, initial=initial, budget=budget, stats=stats
-            )
-            stats.count("blocks", num_blocks(block_of))
-        return block_of
-
-    interner = SignatureInterner()
-
-    def signature_fn(block_of: BlockMap):
-        return _strong_signature_codes(frozen, block_of, interner)
-
     if stats is None:
-        return refine_to_fixpoint(
-            frozen.num_states, signature_fn, initial=initial, budget=budget
-        )
+        return strong_splitter(frozen, initial=initial, budget=budget)
     with stats.stage("refinement"):
-        block_of = refine_to_fixpoint(
-            frozen.num_states, signature_fn, initial=initial, stats=stats,
-            budget=budget,
+        block_of = strong_splitter(
+            frozen, initial=initial, budget=budget, stats=stats
         )
         stats.count("blocks", num_blocks(block_of))
     return block_of
@@ -92,11 +43,10 @@ def compare_strong(
     b: AnyLTS,
     stats: Optional["Stats"] = None,
     budget: Optional["RunBudget"] = None,
-    engine: Optional[str] = None,
 ) -> Comparison:
     """Decide whether two LTSs are strongly bisimilar."""
     union, init_a, init_b = disjoint_union(a, b)
-    block_of = strong_partition(union, stats=stats, budget=budget, engine=engine)
+    block_of = strong_partition(union, stats=stats, budget=budget)
     return Comparison(
         equivalent=block_of[init_a] == block_of[init_b],
         union=union,

@@ -11,8 +11,8 @@ Signatures are computed over the *saturated* transition relation
     s  =======> u iff   s ==tau*==> u                        (silent)
 
 which is partition-independent, so the tau-closures are computed once
-via SCC condensation and reused across sweeps.  Per-sweep signatures
-are integer-coded and interned like the branching engine's.
+via SCC condensation; the splitter engine
+(:func:`repro.core.splitter.weak_splitter`) refines over it.
 """
 
 from __future__ import annotations
@@ -21,14 +21,9 @@ from typing import TYPE_CHECKING, List, Optional
 
 from .graphs import tarjan_scc
 from .lts import TAU_ID, AnyLTS, FrozenLTS, disjoint_union, ensure_frozen
-from .partition import (
-    BlockMap,
-    SignatureInterner,
-    num_blocks,
-    refine_to_fixpoint,
-)
-from .branching import Comparison, DIVERGENCE_CODE
-from .splitter import resolve_engine, weak_splitter
+from .partition import BlockMap, num_blocks
+from .branching import Comparison
+from .splitter import weak_splitter
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
@@ -124,59 +119,22 @@ def weak_partition(
     initial: Optional[BlockMap] = None,
     stats: Optional["Stats"] = None,
     budget: Optional["RunBudget"] = None,
-    engine: Optional[str] = None,
 ) -> BlockMap:
     """Partition of the states of ``lts`` under weak bisimilarity.
 
     With ``divergence=True`` this is weak bisimulation with explicit
-    divergence (the variant mentioned alongside Table VII).  ``engine``
-    selects the refinement engine
-    (:data:`repro.core.splitter.ENGINES`; ``None`` means the default).
+    divergence (the variant mentioned alongside Table VII).
     """
     frozen = ensure_frozen(lts)
-    if resolve_engine(engine) == "splitter":
-        if stats is None:
-            return weak_splitter(
-                frozen, divergence=divergence, initial=initial, budget=budget
-            )
-        with stats.stage("refinement"):
-            block_of = weak_splitter(
-                frozen, divergence=divergence, initial=initial,
-                budget=budget, stats=stats,
-            )
-            stats.count("blocks", num_blocks(block_of))
-        return block_of
-
-    def run() -> BlockMap:
-        closures = tau_closures(frozen)
-        weak_steps = _weak_step_sets(frozen, closures)
-        n = frozen.num_states
-        interner = SignatureInterner()
-
-        def signatures(block_of: BlockMap):
-            nb = num_blocks(block_of)
-            marks = _divergence_marks(frozen, block_of) if divergence else None
-            sigs = []
-            for state in range(n):
-                acc = {
-                    aid * nb + block_of[target]
-                    for aid, target in weak_steps[state]
-                }
-                for target in closures[state]:
-                    acc.add(TAU_ID * nb + block_of[target])
-                if marks is not None and marks[state]:
-                    acc.add(DIVERGENCE_CODE)
-                sigs.append(interner.intern(tuple(sorted(acc))))
-            return sigs
-
-        return refine_to_fixpoint(
-            n, signatures, initial=initial, stats=stats, budget=budget
-        )
-
     if stats is None:
-        return run()
+        return weak_splitter(
+            frozen, divergence=divergence, initial=initial, budget=budget
+        )
     with stats.stage("refinement"):
-        block_of = run()
+        block_of = weak_splitter(
+            frozen, divergence=divergence, initial=initial,
+            budget=budget, stats=stats,
+        )
         stats.count("blocks", num_blocks(block_of))
     return block_of
 
@@ -187,12 +145,11 @@ def compare_weak(
     divergence: bool = False,
     stats: Optional["Stats"] = None,
     budget: Optional["RunBudget"] = None,
-    engine: Optional[str] = None,
 ) -> Comparison:
     """Decide whether two LTSs are weakly bisimilar."""
     union, init_a, init_b = disjoint_union(a, b)
     block_of = weak_partition(
-        union, divergence=divergence, stats=stats, budget=budget, engine=engine
+        union, divergence=divergence, stats=stats, budget=budget
     )
     return Comparison(
         equivalent=block_of[init_a] == block_of[init_b],

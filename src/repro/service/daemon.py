@@ -711,8 +711,7 @@ class VerificationDaemon:
         quotient = reach = None
         if method in ("quotient", "both"):
             quotient = check_linearizability(
-                program, bench.spec(), reduce=request["reduce"],
-                engine=request["engine"], **common,
+                program, bench.spec(), reduce=request["reduce"], **common,
             )
         if method in ("reachability", "both"):
             reach = check_linearizability_reachability(
@@ -806,7 +805,6 @@ class VerificationDaemon:
             method=request["method"],
             reduce=request["reduce"],
             budget=budget,
-            engine=request["engine"],
             impl_system=impl,
         )
         exhaustion = _exhaustion_dict(res.exhaustion)

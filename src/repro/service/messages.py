@@ -12,7 +12,7 @@ are *the same job* iff they agree on the object program, the client
 bounds/workload, the requested property (``lin`` / ``lockfree`` /
 ``explore``) and the verdict-affecting options (``method``).
 ``max_states`` is excluded for the same reason checkpoints exclude it,
-and engine/reduce toggles are excluded because they are proven
+and the reduce toggle is excluded because it is proven
 verdict-preserving (the differential suite exists to keep it that way)
 -- a cache hit must never depend on how fast the answer was computed.
 """
@@ -59,14 +59,14 @@ def build_request(
     max_states: Optional[int] = None,
     method: Optional[str] = None,
     reduce: bool = True,
-    engine: Optional[str] = None,
     deadline: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Normalize one verification request into its canonical dict.
 
-    Raises ``ValueError`` for unknown kinds/objects -- the daemon calls
-    this on every received request, so a malformed submission is a
-    per-connection error, never a daemon crash.
+    Raises ``ValueError`` for unknown kinds/objects and ``TypeError``
+    for unknown fields -- the daemon calls this on every received
+    request, so a malformed submission is a per-connection error, never
+    a daemon crash.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown request kind {kind!r} (expected {KINDS})")
@@ -93,7 +93,6 @@ def build_request(
         "max_states": max_states,
         "method": method,
         "reduce": bool(reduce),
-        "engine": engine,
         "deadline": deadline,
     }
 
@@ -117,9 +116,9 @@ def service_fingerprint(request: Dict[str, Any]) -> Dict[str, Any]:
 
     Reuses the checkpoint fingerprint for the exploration identity and
     adds the property being checked.  Deliberately excluded: resource
-    caps (``max_states``, ``deadline``), performance toggles
-    (``reduce``, ``engine``) -- none of them can change a *decided*
-    verdict, and only decided verdicts are ever cached.
+    caps (``max_states``, ``deadline``) and the ``reduce`` performance
+    toggle -- none of them can change a *decided* verdict, and only
+    decided verdicts are ever cached.
     """
     _bench, program, config = request_program_config(request)
     return {

@@ -38,7 +38,6 @@ from .differential import (
     FuzzReport,
     MUTATIONS,
     check_budget_governance,
-    check_engine_parity,
     check_equivalences,
     check_instance,
     check_seeded_refinement,
@@ -79,7 +78,6 @@ __all__ = [
     "FuzzReport",
     "MUTATIONS",
     "check_budget_governance",
-    "check_engine_parity",
     "check_equivalences",
     "check_instance",
     "check_seeded_refinement",

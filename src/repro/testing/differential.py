@@ -19,10 +19,10 @@ the specification cannot produce.  Two deterministic canary programs
 run first so the engine mutations below are caught without luck.
 
 ``python -m repro fuzz`` is the CLI front end; the ``--mutate`` option
-re-runs the harness against a deliberately broken engine (e.g. a split
-key that drops the block id, or a monitor that loses linearization
-steps) to prove the harness would catch a real regression -- the CI
-job does exactly that.
+re-runs the harness against a deliberately broken engine (e.g. a
+splitter that forgets a splitter block, or a monitor that loses
+linearization steps) to prove the harness would catch a real
+regression -- the CI job does exactly that.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from ..lang.client import StateExplosion
 from ..util.budget import BudgetExhausted, RunBudget
 from . import generators, laws, oracles
 
-#: Engine partition per relation name.  The branching engines run with
+#: Engine partition per relation name.  The branching entries run with
 #: the silent-structure reduction pass *enabled*, so every fuzz run
 #: oracle-validates the reduced pipeline end to end; the unreduced path
 #: is pinned against it separately by :func:`check_reduction`.
@@ -77,12 +77,10 @@ ORACLE_RELATIONS: Dict[str, Callable[..., oracles.Relation]] = {
 
 #: ``(engine, oracle-or-None)`` pairs additionally checked while
 #: refining from a non-trivial *initial* partition.  Starting from the
-#: trivial partition, signature refinement's approximation sequence is
-#: decreasing, so equal signatures already imply an equal current block
-#: and the block id in the split key is redundant -- a mutation dropping
-#: it is invisible.  Seeded refinement is the code path where the block
-#: id actually carries information, so these checks are what give the
-#: harness teeth against that class of bug.
+#: trivial partition, the current block carries no information; seeded
+#: refinement is the code path where the engine must keep apart states
+#: the seed separates, so these checks give the harness teeth against
+#: bugs that lose the seed.
 #:
 #: Only strong bisimilarity gets the full engine-vs-oracle comparison:
 #: for it, seeded signature refinement provably computes the greatest
@@ -112,76 +110,6 @@ SEEDED_RELATIONS: Dict[
 def parity_seed(lts: LTS) -> BlockMap:
     """A deterministic non-trivial initial partition (state parity)."""
     return [state % 2 for state in range(lts.num_states)]
-
-
-#: Relation variants run through *both* refinement engines by
-#: :func:`check_engine_parity`.  Each entry takes ``(lts, engine,
-#: budget)`` and returns the partition that engine computes; the sweep
-#: engine is the oracle the splitter queue must match partition-for-
-#: partition.  All four equivalences are covered, with and without the
-#: reduction pass, plus the seeded code paths (where the splitter's
-#: seed pre-splitting and the sweep's split keys can diverge).
-ENGINE_PAIR_RELATIONS: Dict[str, Callable[..., BlockMap]] = {
-    "strong": lambda lts, engine, budget=None: strong_partition(
-        lts, engine=engine, budget=budget
-    ),
-    "strong-seeded": lambda lts, engine, budget=None: strong_partition(
-        lts, initial=parity_seed(lts), engine=engine, budget=budget
-    ),
-    "branching": lambda lts, engine, budget=None: branching_partition(
-        lts, engine=engine, budget=budget
-    ),
-    "branching-div": lambda lts, engine, budget=None: branching_partition(
-        lts, divergence=True, engine=engine, budget=budget
-    ),
-    "branching-reduced": lambda lts, engine, budget=None: branching_partition(
-        lts, reduce=True, engine=engine, budget=budget
-    ),
-    "branching-div-reduced": lambda lts, engine, budget=None: (
-        branching_partition(
-            lts, divergence=True, reduce=True, engine=engine, budget=budget
-        )
-    ),
-    "branching-seeded": lambda lts, engine, budget=None: branching_partition(
-        lts, initial=parity_seed(lts), engine=engine, budget=budget
-    ),
-    "weak": lambda lts, engine, budget=None: weak_partition(
-        lts, engine=engine, budget=budget
-    ),
-    "weak-div": lambda lts, engine, budget=None: weak_partition(
-        lts, divergence=True, engine=engine, budget=budget
-    ),
-}
-
-
-def check_engine_parity(
-    lts: LTS,
-    relations: Optional[List[str]] = None,
-    budget: Optional[RunBudget] = None,
-) -> List[Disagreement]:
-    """Splitter-queue engine vs. sweep engine on the same instance.
-
-    The two engines must compute identical partitions
-    (``same_partition``) on every relation variant.  This is also what
-    keeps the sweep-only mutations catchable now that the splitter is
-    the default: a bug injected into either engine breaks the parity.
-    """
-    out: List[Disagreement] = []
-    for name in relations or list(ENGINE_PAIR_RELATIONS):
-        run = ENGINE_PAIR_RELATIONS[name]
-        sweep = run(lts, "sweep", budget=budget)
-        splitter = run(lts, "splitter", budget=budget)
-        if not same_partition(sweep, splitter):
-            out.append(Disagreement(
-                kind="engine",
-                name=name,
-                detail=(
-                    "splitter-queue partition differs from the sweep "
-                    f"engine's: {splitter} vs {sweep}"
-                ),
-                lts=lts,
-            ))
-    return out
 
 
 @dataclass
@@ -452,25 +380,17 @@ def onthefly_disagreements(
     budget: Optional[RunBudget] = None,
     meta: Optional[Dict[str, object]] = None,
 ) -> List[Disagreement]:
-    """Cross-check the fused on-the-fly paths against the classic ones.
+    """Cross-check the fused on-the-fly lane against the classic search.
 
-    Two independent checks, both anchored on the classic full-exploration
-    reachability verdict for the same program and bounds:
-
-    * the *fused product search*
-      (:func:`~repro.verify.reachability.reachability_search_streaming`
-      over a demand-driven :class:`~repro.lang.StreamingExplorer`) must
-      return the identical verdict, and its violation witness must be an
-      implementation trace the specification cannot produce -- this is
-      the cross-check behind the ``onthefly-skip-frontier-check``
-      mutation (caught deterministically by ``canary_mark``);
-    * the *partial-product early-exit lane*
-      (:class:`~repro.core.PartialProductChecker` fed from a drained
-      stream) may stay silent -- it is incomplete for TRUE -- but when
-      it does claim a mismatch the program must really be
-      non-linearizable and its counterexample must be a valid witness.
+    The *fused product search*
+    (:func:`~repro.verify.reachability.reachability_search_streaming`
+    over a demand-driven :class:`~repro.lang.StreamingExplorer`) must
+    return the verdict of the classic full-exploration reachability
+    search for the same program and bounds, and its violation witness
+    must be an implementation trace the specification cannot produce --
+    this is the cross-check behind the ``onthefly-skip-frontier-check``
+    mutation (caught deterministically by ``canary_mark``).
     """
-    from ..core import PartialProductChecker
     from ..lang import StreamingExplorer
     from ..verify.reachability import (
         reachability_search,
@@ -520,50 +440,6 @@ def onthefly_disagreements(
                 lts=impl,
                 meta=meta,
             ))
-
-    drain = StreamingExplorer(program, config, budget=budget)
-    checker = PartialProductChecker(spec_system, budget=budget)
-    checker.start(drain.init_id)
-    while (events := drain.expand_next()) is not None:
-        if checker.feed_events(events):
-            break
-    if checker.mismatched:
-        if classic.holds:
-            out.append(Disagreement(
-                kind="verdict",
-                name="onthefly-early-exit",
-                detail=(
-                    "partial-product early exit claims a trace mismatch "
-                    "on a program the reachability engine proves "
-                    "linearizable"
-                ),
-                lts=impl,
-                meta=meta,
-            ))
-        else:
-            witness = list(checker.counterexample or [])
-            if not oracles.is_trace_of(impl, witness):
-                out.append(Disagreement(
-                    kind="verdict",
-                    name="onthefly-early-exit",
-                    detail=(
-                        f"early-exit witness {witness!r} is not a trace "
-                        "of the implementation"
-                    ),
-                    lts=impl,
-                    meta=meta,
-                ))
-            elif oracles.is_trace_of(spec_system, witness):
-                out.append(Disagreement(
-                    kind="verdict",
-                    name="onthefly-early-exit",
-                    detail=(
-                        f"early-exit witness {witness!r} is a trace of "
-                        "the specification"
-                    ),
-                    lts=impl,
-                    meta=meta,
-                ))
     return out
 
 
@@ -585,7 +461,7 @@ def check_verdict_engines(
     (:func:`verdict_engine_disagreements`).  At equal bounds the engines
     provably agree, so any disagreement is an engine bug -- this is the
     cross-check behind the ``drop-monitor-transition`` and
-    ``skip-violation-state`` mutations.  The fused on-the-fly paths are
+    ``skip-violation-state`` mutations.  The fused on-the-fly lane is
     then cross-checked against the classic verdict on the same instance
     (:func:`onthefly_disagreements`).
     """
@@ -721,7 +597,6 @@ def check_instance(
     out: List[Disagreement] = []
     if lts.num_states <= oracle_state_limit:
         out.extend(check_equivalences(lts, budget=budget))
-    out.extend(check_engine_parity(lts, budget=budget))
     out.extend(check_reduction(lts, budget=budget))
     out.extend(check_seeded_refinement(
         lts, oracle_state_limit=oracle_state_limit, budget=budget
@@ -789,50 +664,19 @@ def shrink_lts(lts: LTS, still_fails: Callable[[LTS], bool]) -> LTS:
 # ----------------------------------------------------------------------
 
 @contextmanager
-def _mutate_drop_block_id() -> Iterator[None]:
-    """Split key loses the current block id: distinct blocks with equal
-    signatures wrongly merge -- the classic refinement bug."""
-    from ..core import partition as P
-
-    original = P.refine_step
-
-    def buggy(block_of, signatures):
-        table: Dict[object, int] = {}
-        new_block_of = [0] * len(block_of)
-        for state in range(len(block_of)):
-            key = signatures[state]  # bug: block id dropped from the key
-            nb = table.get(key)
-            if nb is None:
-                nb = len(table)
-                table[key] = nb
-            new_block_of[state] = nb
-        return new_block_of, len(table) != P.num_blocks(block_of)
-
-    P.refine_step = buggy
-    try:
-        yield
-    finally:
-        P.refine_step = original
-
-
-@contextmanager
 def _mutate_skip_divergence_mark() -> Iterator[None]:
-    """Divergence-sensitive signatures silently lose their divergence
-    marker, collapsing the variant into plain branching bisimulation.
-    Targets the integer-coded fast path the engine actually refines
-    with (the decoded form is diagnostics-only)."""
-    from ..core import branching as B
+    """The branching splitter stops putting the divergence mark into the
+    signatures of silent-cycle components, collapsing the divergence-
+    sensitive variant into plain branching bisimulation.  Caught by the
+    ``branching-div`` oracle relation."""
+    from ..core import splitter as S
 
-    original = B._branching_signature_codes
-
-    def buggy(lts, block_of, divergence, interner):
-        return original(lts, block_of, False, interner)
-
-    B._branching_signature_codes = buggy
+    original = S._MARK_DIVERGENCE
+    S._MARK_DIVERGENCE = False
     try:
         yield
     finally:
-        B._branching_signature_codes = original
+        S._MARK_DIVERGENCE = original
 
 
 @contextmanager
@@ -899,8 +743,9 @@ def _mutate_splitter_drop_smaller_half() -> Iterator[None]:
     compound after its smaller half was carved out -- the classic
     "Hopcroft shortcut applied to a nondeterministic system" bug: later
     constituents are never used as splitters, so blocks that should
-    separate on them stay merged.  Caught by
-    :func:`check_engine_parity` against the sweep oracle."""
+    separate on them stay merged.  Caught by the ``strong`` and
+    ``strong-seeded`` oracle relations and the ``equivalence-order``
+    law."""
     from ..core import splitter as S
 
     original = S._REQUEUE_COMPOUND
@@ -916,7 +761,7 @@ def _mutate_splitter_skip_dirty_preds() -> Iterator[None]:
     """The branching splitter stops marking predecessor blocks dirty
     when a block splits: their members keep stale signatures and blocks
     that should separate on the refined target stay merged.  Caught by
-    :func:`check_engine_parity` against the sweep oracle."""
+    the ``branching-div`` oracle relation."""
     from ..core import splitter as S
 
     original = S._DIRTY_PREDECESSORS
@@ -983,7 +828,6 @@ def _mutate_onthefly_skip_frontier_check() -> Iterator[None]:
 
 
 MUTATIONS: Dict[str, Callable[[], object]] = {
-    "drop-block-id": _mutate_drop_block_id,
     "drop-monitor-transition": _mutate_drop_monitor_transition,
     "skip-violation-state": _mutate_skip_violation_state,
     "onthefly-skip-frontier-check": _mutate_onthefly_skip_frontier_check,
@@ -1083,8 +927,6 @@ def _shrink_disagreement(disagreement: Disagreement) -> LTS:
             return bool(disagreement.replay(candidate))
         if disagreement.kind == "relation":
             return bool(check_equivalences(candidate, [disagreement.name]))
-        if disagreement.kind == "engine":
-            return bool(check_engine_parity(candidate, [disagreement.name]))
         if disagreement.kind == "reduction":
             return bool(check_reduction(candidate, [disagreement.name]))
         if disagreement.kind == "seeded":
@@ -1171,7 +1013,9 @@ def run_fuzz(
             limits.append(instance_deadline)
         if not limits:
             return None
-        return RunBudget(deadline_seconds=max(0.0, min(limits)))
+        # Fuzz instances are small and make few budget checks, so the
+        # clock is read at every one of them rather than every 32nd.
+        return RunBudget(deadline_seconds=max(0.0, min(limits)), check_interval=1)
 
     def handle_found(found: List[Disagreement], case_name: str) -> None:
         report.disagreements.extend(found)
@@ -1245,8 +1089,7 @@ def run_fuzz(
                 report.exhausted += 1
                 continue
             report.checks += (
-                len(ENGINE_PARTITIONS) + len(ENGINE_PAIR_RELATIONS)
-                + len(REDUCTION_RELATIONS)
+                len(ENGINE_PARTITIONS) + len(REDUCTION_RELATIONS)
                 + len(SEEDED_RELATIONS) + len(laws.ALL_LAWS) + 2
             )
             if found:

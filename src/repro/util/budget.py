@@ -112,13 +112,12 @@ ALL_REASONS = (
     REASON_INTERRUPTED,
 )
 
-#: Interleaved phases reported by the fused on-the-fly pipelines, where
+#: Interleaved phase reported by the fused on-the-fly search, where
 #: exploration and checking alternate inside one loop and exhaustion
 #: cannot be pinned on either stage alone.  The streaming explorer still
-#: reports plain ``"explore"`` from its own safe points; these names
-#: cover the *consumer* side of the fused loop (the product search /
-#: partial-product scan driving the stream).
-PHASE_EXPLORE_CHECK = "explore+check"
+#: reports plain ``"explore"`` from its own safe points; this name
+#: covers the *consumer* side of the fused loop (the product search
+#: driving the stream).
 PHASE_EXPLORE_REACHABILITY = "explore+reachability"
 
 
@@ -133,10 +132,9 @@ class Exhaustion:
     phase:
         The pipeline stage that was running (``"explore"``, ``"spec"``,
         ``"reduce"``, ``"refinement"``, ``"check"``, ``"divergence"``,
-        ``"reachability"``; the fused on-the-fly loops report the
-        interleaved phases :data:`PHASE_EXPLORE_CHECK` and
-        :data:`PHASE_EXPLORE_REACHABILITY` because exploration and
-        checking alternate inside one loop there).
+        ``"reachability"``; the fused on-the-fly search reports the
+        interleaved phase :data:`PHASE_EXPLORE_REACHABILITY` because
+        exploration and checking alternate inside one loop there).
     limit:
         Human-readable rendering of the limit (``"deadline=2.00s"``).
     progress:

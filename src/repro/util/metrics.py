@@ -19,7 +19,7 @@ Usage::
 Stages nest: entering ``stage("quotient")`` and then
 ``stage("refinement")`` records time under the path
 ``quotient/refinement``.  Counters recorded while a stage is active are
-namespaced by that stage's path (``quotient/refinement.sweeps``);
+namespaced by that stage's path (``quotient/refinement.splits``);
 counters are monotonically increasing (negative increments are
 rejected), so a sink can be shared across pipeline phases and keeps
 accumulating.

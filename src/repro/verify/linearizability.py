@@ -11,23 +11,11 @@ linearization points are ever identified.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Tuple, Union
 
-from ..core import (
-    AnyLTS,
-    PartialProductChecker,
-    branching_partition,
-    quotient_lts,
-    trace_refines,
-)
-from ..lang import (
-    ClientConfig,
-    ObjectProgram,
-    SpecObject,
-    StreamingExplorer,
-    spec_lts,
-)
+from ..core import AnyLTS, branching_partition, quotient_lts, trace_refines
+from ..lang import ClientConfig, ObjectProgram, SpecObject, spec_lts
 from ..lang.checkpoint import Checkpoint, CheckpointSink
 from ..lang.client import Workload
 from ..parallel import maybe_parallel_explore
@@ -69,15 +57,6 @@ class LinearizabilityResult:
     stats: Optional[Stats] = None
     #: Why the pipeline stopped early (None when it completed).
     exhaustion: Optional[Exhaustion] = None
-    #: Whether the pipeline ran with the streaming early-exit lane.
-    on_the_fly: bool = False
-    #: True when the early-exit lane decided FALSE on the partial
-    #: product before exploration finished; ``impl_states`` then counts
-    #: only the states streamed up to the mismatch and the quotient
-    #: fields are zero (no quotient was ever built).
-    early_exit: bool = False
-    #: States the stream expanded before the verdict (fused runs only).
-    states_expanded: Optional[int] = None
 
     @property
     def verdict(self) -> str:
@@ -124,10 +103,9 @@ def check_linearizability(
     heartbeat_timeout: Optional[float] = None,
     spec_checkpoint: Optional[CheckpointSink] = None,
     spec_resume: Optional[Checkpoint] = None,
-    engine: Optional[str] = None,
     on_the_fly: bool = False,
     impl_system: Optional[AnyLTS] = None,
-) -> LinearizabilityResult:
+) -> Union[LinearizabilityResult, "ReachabilityResult"]:
     """Run the full Theorem 5.3 pipeline for one object.
 
     Generates the object system and the specification system under the
@@ -136,13 +114,10 @@ def check_linearizability(
     ``reduce`` (default on) compresses silent structure with
     :func:`repro.core.reduce.reduce_lts` before each refinement; the
     partitions it yields are identical, only faster to compute.
-    ``engine`` selects the refinement engine
-    (:data:`repro.core.splitter.ENGINES`; ``None`` means the default) --
-    both engines compute the same partitions.
 
     With a :class:`~repro.util.metrics.Stats` sink the pipeline records
     ``explore`` / ``spec`` / ``quotient`` (with nested ``reduce`` /
-    ``refinement``) / ``check`` stages plus state, transition and sweep
+    ``refinement``) / ``check`` stages plus state, transition and split
     counters; the sink is attached to the result as ``result.stats``.
 
     With a :class:`~repro.util.budget.RunBudget` the pipeline is
@@ -156,26 +131,27 @@ def check_linearizability(
     ``spec_resume`` checkpoint the specification-LTS generation so an
     interrupted ``lin`` run does not regenerate it from scratch.
 
-    ``on_the_fly=True`` adds the streaming early-exit lane: the object
-    system is produced by a :class:`~repro.lang.StreamingExplorer` and
-    every streamed transition is fed to an incremental partial-product
-    mismatch check (:class:`~repro.core.PartialProductChecker`) against
-    the specification system.  A detected mismatch is a sound FALSE --
-    the pipeline returns it immediately with a counterexample, having
-    expanded only a prefix of the state space (``early_exit=True``).
-    The check is incomplete in the other direction, so a mismatch-free
-    drain falls back to the unchanged full explore + splitter +
-    refinement pipeline for the TRUE verdict.  Streaming consumes
-    expansions in order, which the sharded supervisor cannot reproduce,
-    so ``workers`` is ignored in this mode (documented serial degrade:
-    :data:`repro.parallel.STREAMING_SERIAL_REASON`; the stats sink
-    counts ``onthefly_serial_degradations``).
+    ``on_the_fly=True`` (with no ``impl_system``) delegates to the one
+    on-the-fly lane, the streaming reachability search
+    (:func:`~repro.verify.reachability.check_linearizability_reachability`
+    with ``on_the_fly=True``), and returns its
+    :class:`~repro.verify.reachability.ReachabilityResult`: the same
+    verdict, decided without building the specification LTS, after
+    expanding only the states the product search touched.
 
     ``impl_system``, when given, is a pre-explored object system to
     check instead of exploring here (the ``lin --method both``
     shared-exploration path -- see :func:`check_linearizability_both`);
     ``on_the_fly`` is ignored with a shared system.
     """
+    if on_the_fly and impl_system is None:
+        from .reachability import check_linearizability_reachability
+
+        return check_linearizability_reachability(
+            program, spec, num_threads, ops_per_thread, workload=workload,
+            max_states=max_states, stats=stats, budget=budget,
+            workers=workers, on_the_fly=True,
+        )
     if workload is None:
         raise ValueError("a workload (method/argument universe) is required")
     config = ClientConfig(
@@ -184,87 +160,41 @@ def check_linearizability(
         workload=workload,
         max_states=max_states,
     )
-    fused = on_the_fly and impl_system is None
-    explorer: Optional[StreamingExplorer] = None
     impl_states = impl_quotient_states = 0
     spec_states = spec_quotient_states = 0
     t0 = t1 = t2 = t3 = time.perf_counter()
     try:
-        if fused:
-            if workers and stats is not None:
-                stats.count("onthefly_serial_degradations", 1)
-            # The mismatch check needs the spec system first.
-            spec_system = spec_lts(
-                spec, num_threads, ops_per_thread, workload,
-                max_states=max_states, stats=stats, budget=budget,
-                checkpoint=spec_checkpoint, resume=spec_resume,
-            )
-            spec_states = spec_system.num_states
-            explorer = StreamingExplorer(program, config, budget=budget)
-            checker = PartialProductChecker(spec_system, budget=budget)
-            checker.start(explorer.init_id)
-            with stage(stats, "explore+check"):
-                while (events := explorer.expand_next()) is not None:
-                    if checker.feed_events(events):
-                        break
-                if stats is not None:
-                    stats.count("states", explorer.num_states)
-                    stats.count("transitions", explorer.num_transitions)
-                    stats.count("macro_states", checker.macro_states)
-            impl_states = explorer.num_states
-            if checker.mismatched:
-                t1 = time.perf_counter()
-                return LinearizabilityResult(
-                    object_name=program.name,
-                    linearizable=False,
-                    counterexample=checker.counterexample,
-                    impl_states=impl_states,
-                    impl_quotient_states=0,
-                    spec_states=spec_states,
-                    spec_quotient_states=0,
-                    num_threads=num_threads,
-                    ops_per_thread=ops_per_thread,
-                    explore_seconds=t1 - t0,
-                    quotient_seconds=0.0,
-                    refinement_seconds=0.0,
-                    stats=stats,
-                    on_the_fly=True,
-                    early_exit=True,
-                    states_expanded=explorer.states_expanded,
-                )
-            impl = explorer.freeze()
+        if impl_system is not None:
+            impl = impl_system
+            if stats is not None:
+                stats.count("shared_impl_states", impl.num_states)
         else:
-            if impl_system is not None:
-                impl = impl_system
-                if stats is not None:
-                    stats.count("shared_impl_states", impl.num_states)
-            else:
-                impl = maybe_parallel_explore(
-                    program, config, workers=workers, fault_plan=fault_plan,
-                    shard_states=shard_states,
-                    remote=remote, remote_listen=remote_listen,
-                    transport=transport,
-                    heartbeat_timeout=heartbeat_timeout, stats=stats, budget=budget,
-                )
-            impl_states = impl.num_states
-            spec_system = spec_lts(
-                spec, num_threads, ops_per_thread, workload,
-                max_states=max_states, stats=stats, budget=budget,
-                checkpoint=spec_checkpoint, resume=spec_resume,
+            impl = maybe_parallel_explore(
+                program, config, workers=workers, fault_plan=fault_plan,
+                shard_states=shard_states,
+                remote=remote, remote_listen=remote_listen,
+                transport=transport,
+                heartbeat_timeout=heartbeat_timeout, stats=stats, budget=budget,
             )
-            spec_states = spec_system.num_states
+        impl_states = impl.num_states
+        spec_system = spec_lts(
+            spec, num_threads, ops_per_thread, workload,
+            max_states=max_states, stats=stats, budget=budget,
+            checkpoint=spec_checkpoint, resume=spec_resume,
+        )
+        spec_states = spec_system.num_states
         t1 = time.perf_counter()
         with stage(stats, "quotient"):
             impl_quotient = quotient_lts(
                 impl,
                 branching_partition(impl, stats=stats, reduce=reduce,
-                                    budget=budget, engine=engine),
+                                    budget=budget),
             )
             impl_quotient_states = impl_quotient.lts.num_states
             spec_quotient = quotient_lts(
                 spec_system,
                 branching_partition(spec_system, stats=stats, reduce=reduce,
-                                    budget=budget, engine=engine),
+                                    budget=budget),
             )
             spec_quotient_states = spec_quotient.lts.num_states
             if stats is not None:
@@ -277,8 +207,6 @@ def check_linearizability(
         t3 = time.perf_counter()
     except BudgetExhausted as exc:
         now = time.perf_counter()
-        if explorer is not None:
-            impl_states = explorer.num_states
         return LinearizabilityResult(
             object_name=program.name,
             linearizable=None,
@@ -294,10 +222,6 @@ def check_linearizability(
             refinement_seconds=0.0,
             stats=stats,
             exhaustion=exc.exhaustion,
-            on_the_fly=fused,
-            states_expanded=(
-                explorer.states_expanded if explorer is not None else None
-            ),
         )
     return LinearizabilityResult(
         object_name=program.name,
@@ -313,10 +237,6 @@ def check_linearizability(
         quotient_seconds=t2 - t1,
         refinement_seconds=t3 - t2,
         stats=stats,
-        on_the_fly=fused,
-        states_expanded=(
-            explorer.states_expanded if explorer is not None else None
-        ),
     )
 
 
@@ -340,7 +260,6 @@ def check_linearizability_both(
     heartbeat_timeout: Optional[float] = None,
     spec_checkpoint: Optional[CheckpointSink] = None,
     spec_resume: Optional[Checkpoint] = None,
-    engine: Optional[str] = None,
 ) -> Tuple[LinearizabilityResult, "ReachabilityResult"]:
     """Run both verdict engines over one shared exploration.
 
@@ -414,7 +333,7 @@ def check_linearizability_both(
         program, spec, num_threads, ops_per_thread, workload=workload,
         max_states=max_states, stats=stats_quotient, reduce=reduce,
         budget=budget, spec_checkpoint=spec_checkpoint,
-        spec_resume=spec_resume, engine=engine, impl_system=impl,
+        spec_resume=spec_resume, impl_system=impl,
     )
     reachability_result = check_linearizability_reachability(
         program, spec, num_threads, ops_per_thread, workload=workload,

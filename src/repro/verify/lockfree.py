@@ -84,7 +84,6 @@ def check_lock_freedom_auto(
     remote_listen: Optional[str] = None,
     transport: Optional[str] = None,
     heartbeat_timeout: Optional[float] = None,
-    engine: Optional[str] = None,
     impl_system=None,
 ) -> LockFreedomResult:
     """Theorem 5.9: fully automatic lock-freedom check.
@@ -107,9 +106,7 @@ def check_lock_freedom_auto(
       test-suite checks both methods agree on every benchmark.
 
     ``reduce`` (default on) compresses silent structure before each
-    refinement; it changes timings only, never verdicts.  ``engine``
-    selects the refinement engine
-    (:data:`repro.core.splitter.ENGINES`; ``None`` means the default).
+    refinement; it changes timings only, never verdicts.
 
     With a :class:`~repro.util.budget.RunBudget` the check is governed
     end to end: exhaustion yields ``lock_free=None`` (``UNKNOWN``) with
@@ -153,7 +150,7 @@ def check_lock_freedom_auto(
             quotient = quotient_lts(
                 impl,
                 branching_partition(impl, stats=stats, reduce=reduce,
-                                    budget=budget, engine=engine),
+                                    budget=budget),
             )
             quotient_states = quotient.lts.num_states
             if stats is not None:
@@ -162,7 +159,7 @@ def check_lock_freedom_auto(
             if method == "union":
                 comparison = compare_branching(
                     impl, quotient.lts, divergence=True, stats=stats,
-                    reduce=reduce, budget=budget, engine=engine,
+                    reduce=reduce, budget=budget,
                 )
                 lock_free = comparison.equivalent
             else:
@@ -244,7 +241,6 @@ def check_lock_freedom_abstract(
     stats: Optional[Stats] = None,
     reduce: bool = True,
     budget: Optional[RunBudget] = None,
-    engine: Optional[str] = None,
 ) -> AbstractLockFreedomResult:
     """Theorem 5.8: prove ``concrete ~div abstract``, check the abstract.
 
@@ -269,7 +265,7 @@ def check_lock_freedom_abstract(
         with stage(stats, "check"):
             comparison = compare_branching(
                 concrete, abstract_system, divergence=True, stats=stats,
-                reduce=reduce, budget=budget, engine=engine,
+                reduce=reduce, budget=budget,
             )
             abstract_lock_free: Optional[bool] = None
             if comparison.equivalent:

@@ -1,4 +1,4 @@
-"""Unit tests for the signature-refinement engine."""
+"""Unit tests for block maps and the generic signature-refinement loop."""
 
 import pytest
 

@@ -163,6 +163,22 @@ def test_malformed_submissions_rejected_without_harm(tmp_path):
         _stop(daemon)
 
 
+def test_engine_field_rejected_up_front(tmp_path):
+    # There is one refinement engine, so a submission naming one is
+    # refused at the door and counted, never queued to fail inside a
+    # worker thread.
+    daemon, endpoint = _start(_config(tmp_path))
+    try:
+        with ServiceClient.connect(endpoint) as client:
+            with pytest.raises(SubmissionRejected, match="engine"):
+                client.submit(_request(**{"engine": "sweep"}))
+            assert client.ping()
+        assert daemon.counters["jobs_rejected"] == 1
+        assert daemon.counters["jobs_accepted"] == 0
+    finally:
+        _stop(daemon)
+
+
 def test_protocol_garbage_poisons_only_that_connection(tmp_path):
     daemon, endpoint = _start(_config(tmp_path))
     try:

@@ -48,6 +48,13 @@ def test_method_defaults_per_kind():
     assert _request(kind="explore")["method"] is None
 
 
+def test_unknown_field_rejected():
+    # There is one refinement engine, so a request naming one is
+    # malformed -- rejected here instead of failing later in a worker.
+    with pytest.raises(TypeError, match="engine"):
+        _request(**{"engine": "sweep"})
+
+
 def test_bad_method_for_kind_rejected():
     with pytest.raises(ValueError, match="lin method"):
         _request(method="union")
@@ -68,12 +75,11 @@ def test_cache_key_is_deterministic():
 def test_cache_key_ignores_resource_caps_and_perf_toggles():
     base = request_cache_key(_request())
     # None of these can change a *decided* verdict, so none may change
-    # the key: max_states / deadline are caps, reduce / engine are
-    # proven verdict-preserving.
+    # the key: max_states / deadline are caps, reduce is proven
+    # verdict-preserving.
     assert request_cache_key(_request(max_states=5000)) == base
     assert request_cache_key(_request(deadline=1.5)) == base
     assert request_cache_key(_request(reduce=False)) == base
-    assert request_cache_key(_request(engine="baseline")) == base
 
 
 @pytest.mark.parametrize("override", [

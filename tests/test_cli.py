@@ -98,8 +98,7 @@ def test_verify_stats_table(capsys):
     assert "-- obstruction-freedom --" in out
     for stage_name in ("explore", "quotient", "refinement", "check", "total"):
         assert stage_name in out
-    # "splits" is recorded by both refinement engines ("sweeps" would
-    # pin the sweep engine, which is no longer the default).
+    # "splits" is the refinement counter of the splitter engine.
     assert "states=" in out and "splits=" in out and "peak_rss_kb=" in out
 
 
@@ -379,21 +378,82 @@ def test_lin_onthefly_reachability_false_expands_fraction(capsys):
 
 
 def test_lin_onthefly_quotient_early_exit(capsys):
+    # --on-the-fly runs the streaming reachability search whatever
+    # --method says, and the header names the method that ran.
     code = main(["lin", "hm_list_buggy", "--threads", "2", "--ops", "2",
                  "--method", "quotient", "--on-the-fly"])
     out = capsys.readouterr().out
     assert code == 1
+    assert "linearizability (reachability)" in out
     assert "linearizable: FALSE" in out
-    assert "on-the-fly early exit" in out
+    assert "on-the-fly: expanded" in out
 
 
-def test_lin_onthefly_true_falls_back_to_full_pipeline(capsys):
-    code = main(["lin", "newcas", "--threads", "2", "--ops", "1",
-                 "--on-the-fly"])
+def _weak_trace_of_stream(explorer, labels):
+    """Whether the rendered ``labels`` form a weak trace of the stream,
+    walking only the states the trace reaches (demand expansion)."""
+    from repro.core import TAU
+
+    def closure(states):
+        seen, stack = set(states), list(states)
+        while stack:
+            for _aid, label, dst in explorer.successors_of(stack.pop()):
+                if label == TAU and dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        return seen
+
+    current = closure({explorer.init_id})
+    for rendered in labels:
+        current = closure({
+            dst
+            for state in current
+            for _aid, label, dst in explorer.successors_of(state)
+            if str(label) == rendered
+        })
+        if not current:
+            return False
+    return True
+
+
+def test_lin_onthefly_never_builds_the_spec(tmp_path, capsys):
+    import json
+    import re
+
+    from repro.lang import ClientConfig, StreamingExplorer, spec_lts
+    from repro.objects import get
+    from repro.testing.oracles import is_trace_of
+
+    path = tmp_path / "stats.json"
+    code = main(["lin", "hm_list_buggy", "--on-the-fly", "--threads", "3",
+                 "--ops", "2", "--json", str(path)])
     out = capsys.readouterr().out
-    assert code == 0
-    assert "linearizable: TRUE" in out
-    assert "early exit" not in out
+    assert code == 1
+    assert "linearizable: FALSE" in out
+    witness = re.findall(r'^  "(.*)"$', out, flags=re.MULTILINE)
+    assert witness
+
+    # No stage of the run generated the specification LTS.
+    payload = json.loads(path.read_text())
+    stages = {
+        entry["stage"]
+        for pipeline in payload["pipelines"].values()
+        for entry in pipeline["stages"]
+    }
+    assert stages and not any(s.split("/")[0] == "spec" for s in stages)
+
+    # The witness is an implementation trace (walked on demand: the full
+    # 3x2 system has over a million states) the spec cannot produce.
+    bench = get("hm_list_buggy")
+    workload = bench.default_workload()
+    explorer = StreamingExplorer(
+        bench.build(3), ClientConfig(3, 2, workload), cache_edges=True,
+    )
+    assert _weak_trace_of_stream(explorer, witness)
+    spec_system = spec_lts(bench.spec(), 3, 2, workload)
+    by_name = {str(label): label for label in spec_system.action_labels}
+    assert all(rendered in by_name for rendered in witness)
+    assert not is_trace_of(spec_system, [by_name[r] for r in witness])
 
 
 def test_lin_onthefly_with_both_prints_disable_note(capsys):

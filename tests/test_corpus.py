@@ -15,12 +15,6 @@ import os
 import pytest
 
 from repro.core.aut import read_aut
-from repro.core.branching import (
-    _branching_signature_codes,
-    _branching_signatures_ordered,
-)
-from repro.core.lts import ensure_frozen
-from repro.core.partition import SignatureInterner, refine_with_status, same_partition
 from repro.lang import queue_spec, register_spec, set_spec, spec_lts, stack_spec
 from repro.testing import check_instance, quotient_refinement_verdict
 from repro.testing.differential import ENGINE_PARTITIONS
@@ -112,33 +106,3 @@ def test_corpus_verdict_cases_replay_on_both_engines(path):
         f"{os.path.basename(path)}: expected {verdict['expect']}, "
         f"reachability says {reach}, quotient says {quotient}"
     )
-
-
-@pytest.mark.parametrize("divergence", [False, True], ids=["plain", "div"])
-@pytest.mark.parametrize(
-    "path", CASES, ids=[os.path.basename(p) for p in CASES]
-)
-def test_corpus_coded_signatures_match_reference_sweeps(path, divergence):
-    """The integer-coded fast path must be sweep-for-sweep identical to
-    the decoded reference signatures: same fixpoint partition *and* the
-    same number of refinement sweeps (the cached-tau-adjacency rework
-    must not change which states split when)."""
-    lts, _ = _load(path)
-    frozen = ensure_frozen(lts)
-    interner = SignatureInterner()
-
-    coded = refine_with_status(
-        frozen.num_states,
-        lambda block_of: _branching_signature_codes(
-            frozen, block_of, divergence, interner
-        ),
-    )
-    reference = refine_with_status(
-        frozen.num_states,
-        lambda block_of: _branching_signatures_ordered(
-            frozen, block_of, divergence
-        ),
-    )
-    assert coded.converged and reference.converged
-    assert coded.sweeps == reference.sweeps
-    assert same_partition(coded.block_of, reference.block_of)

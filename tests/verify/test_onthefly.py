@@ -1,13 +1,14 @@
-"""On-the-fly verification: streaming explorer + fused verdict engines.
+"""On-the-fly verification: streaming explorer + the fused reachability lane.
 
 Three layers of coverage for the streaming refactor:
 
 * unit contracts of :class:`repro.lang.StreamingExplorer` (drain
   equality with the classic explorer, demand expansion, freeze
   semantics);
-* registry-wide parity: for every object in the registry, both verdict
-  engines with ``on_the_fly=True`` must return exactly the verdict
-  their full-exploration counterparts return;
+* registry-wide parity: for every object in the registry, the
+  on-the-fly lane must return exactly the verdict of the full
+  reachability search and of the full quotient pipeline (which
+  ``check_linearizability(on_the_fly=True)`` delegates to the lane);
 * witness validity: every early-exit FALSE counterexample must replay
   as an implementation trace the specification cannot produce
   (deterministically on the buggy registry objects, and property-based
@@ -189,17 +190,14 @@ def test_onthefly_quotient_matches_full(key, threads, ops):
         num_threads=threads, ops_per_thread=ops, workload=workload,
         on_the_fly=True,
     )
-    assert fused.on_the_fly
+    # the quotient entry point delegates on-the-fly runs to the one
+    # streaming lane, which must agree with the full quotient pipeline
+    assert fused.method == "reachability" and fused.on_the_fly
     assert fused.verdict == full.verdict, (
         f"{key} at {threads}x{ops}: on-the-fly says {fused.verdict}, "
         f"full pipeline says {full.verdict}"
     )
-    # the early-exit lane only ever fires on FALSE; TRUE verdicts must
-    # have fallen back to the full pipeline
-    if fused.early_exit:
-        assert fused.verdict == "FALSE"
-    else:
-        assert fused.impl_states == full.impl_states
+    assert fused.states_expanded <= full.impl_states
 
 
 # ----------------------------------------------------------------------
@@ -220,14 +218,14 @@ def _assert_valid_witness(program, spec, threads, ops, workload, witness):
 def test_early_exit_fires_on_hm_list_buggy_with_valid_witness():
     bench = get("hm_list_buggy")
     workload = bench.default_workload()
-    result = check_linearizability(
+    result = check_linearizability_reachability(
         bench.build(2), bench.spec(),
         num_threads=2, ops_per_thread=2, workload=workload,
         on_the_fly=True,
     )
     assert result.verdict == "FALSE"
-    assert result.early_exit
-    assert result.states_expanded is not None
+    # the search stopped at the violation, long before the stream drained
+    assert result.states_expanded < result.impl_states
     _assert_valid_witness(
         bench.build(2), bench.spec(), 2, 2, workload, result.counterexample
     )
@@ -238,16 +236,15 @@ def test_random_early_exit_witnesses_are_valid(drawn):
     program, workload = drawn
     spec = atomic_spec(program)
     try:
-        result = check_linearizability(
+        result = check_linearizability_reachability(
             program, spec,
             num_threads=2, ops_per_thread=1, workload=workload,
             max_states=2000, on_the_fly=True,
         )
     except BudgetExhausted:
         return
-    if not result.early_exit:
+    if result.verdict != "FALSE":
         return
-    assert result.verdict == "FALSE"
     _assert_valid_witness(
         program, spec, 2, 1, workload, result.counterexample
     )

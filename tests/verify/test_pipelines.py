@@ -160,7 +160,7 @@ def test_linearizability_stats_populated():
     assert stats.counters["quotient.impl_states"] == result.impl_quotient_states
     assert stats.counters["quotient.spec_states"] == result.spec_quotient_states
     assert stats.counters["check.visited_pairs"] > 0
-    # "splits" is recorded by both refinement engines; "sweeps" only by the sweep engine.
+    # "splits" is the splitter engine's refinement counter.
     assert stats.counters["quotient/refinement.splits"] > 0
     assert stats.peak_rss_kb > 0
 
