@@ -20,8 +20,6 @@ from .lts import (
 )
 from .partition import (
     BlockMap,
-    RefinementNotConverged,
-    RefinementRun,
     blocks_of,
     is_refinement,
     normalize,
@@ -29,7 +27,6 @@ from .partition import (
     partition_from_key,
     refine_step,
     refine_to_fixpoint,
-    refine_with_status,
     same_partition,
 )
 from .reduce import ReducedLTS, lift_partition, reduce_lts
@@ -84,8 +81,6 @@ __all__ = [
     "lift_partition",
     "reduce_lts",
     "BlockMap",
-    "RefinementNotConverged",
-    "RefinementRun",
     "blocks_of",
     "is_refinement",
     "normalize",
@@ -93,7 +88,6 @@ __all__ = [
     "partition_from_key",
     "refine_step",
     "refine_to_fixpoint",
-    "refine_with_status",
     "same_partition",
     "branching_splitter",
     "strong_splitter",

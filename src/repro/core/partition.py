@@ -2,23 +2,23 @@
 
 The bisimulation partitions are computed by the splitter-queue engine
 (:mod:`repro.core.splitter`); this module holds the shared block-map
-helpers and the generic sweep loop still used where the signature is
-not a bisimulation step: DFA minimization in :mod:`repro.core.traces`
-and the per-round history of :mod:`repro.core.diagnostics`.  In each
-sweep every state is assigned a *signature* relative to the current
-partition, and blocks are split so that two states stay together only
-if they carry the same signature.  Iterating to a fixpoint yields the
-coarsest partition that is stable under the signature function (Blom &
-Orzan's signature-refinement scheme).
+helpers and the generic sweep for signatures that are not a
+bisimulation step: :func:`refine_step` records the per-round history of
+:mod:`repro.core.diagnostics`, and :func:`refine_to_fixpoint` minimizes
+the DFA of :mod:`repro.core.traces`.  In each sweep every state is
+assigned a *signature* relative to the current partition, and blocks
+are split so that two states stay together only if they carry the same
+signature.  Iterating to a fixpoint yields the coarsest partition that
+is stable under the signature function (Blom & Orzan's
+signature-refinement scheme).  Budgets are not checked here; the
+refinement budget checks live in the splitter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..util.budget import RunBudget
     from ..util.metrics import Stats
 
 #: A partition is represented as a dense block index per state.
@@ -104,108 +104,35 @@ def refine_step(block_of: BlockMap, signatures: Sequence[Hashable]) -> Tuple[Blo
     return new_block_of, len(table) != num_blocks(block_of)
 
 
-@dataclass
-class RefinementRun:
-    """Outcome of a (possibly sweep-capped) refinement run.
-
-    ``converged`` is ``True`` only when a sweep produced no split, i.e.
-    ``block_of`` is provably stable under the signature function; a run
-    stopped by ``max_sweeps`` while still splitting reports ``False``
-    and its partition is an intermediate (too coarse) approximation.
-    """
-
-    block_of: BlockMap
-    converged: bool
-    sweeps: int
-
-
-class RefinementNotConverged(RuntimeError):
-    """Raised when ``max_sweeps`` cut refinement off before the fixpoint.
-
-    Carries the interrupted :class:`RefinementRun` so callers that can
-    use a partial (coarser-than-stable) partition may still recover it.
-    """
-
-    def __init__(self, run: RefinementRun):
-        super().__init__(
-            f"partition refinement stopped after {run.sweeps} sweeps "
-            "while blocks were still splitting"
-        )
-        self.run = run
-
-
-def refine_with_status(
+def refine_to_fixpoint(
     n: int,
     signature_fn: SignatureFn,
     initial: Optional[BlockMap] = None,
-    max_sweeps: Optional[int] = None,
     stats: Optional["Stats"] = None,
-    budget: Optional["RunBudget"] = None,
-    phase: str = "refinement",
-) -> RefinementRun:
-    """Iterate :func:`refine_step` until stable or ``max_sweeps`` is hit.
+) -> BlockMap:
+    """Iterate :func:`refine_step` until the partition is stable.
 
     ``signature_fn`` receives the current partition and must return one
-    hashable signature per state.  On convergence the partition is the
-    coarsest refinement of ``initial`` in which equal blocks carry equal
-    signatures; either way the returned :class:`RefinementRun` says
-    explicitly whether the fixpoint was reached.
+    hashable signature per state.  The result is the coarsest refinement
+    of ``initial`` in which equal blocks carry equal signatures.
 
     ``stats``, when given, receives the ``sweeps``/``splits``/``states``
     counters once the run ends; the refinement loop itself is identical
-    either way.  ``budget``, when given, is checked at the top of every
-    sweep under ``phase`` and raises
-    :class:`~repro.util.budget.BudgetExhausted` when a limit is hit.
+    either way.
     """
     if n == 0:
-        return RefinementRun(block_of=[], converged=True, sweeps=0)
+        return []
     block_of = normalize(initial) if initial is not None else [0] * n
     if len(block_of) != n:
         raise ValueError("initial partition has wrong length")
     start_blocks = num_blocks(block_of)
     sweeps = 0
-    converged = False
-    while True:
-        if budget is not None:
-            budget.check(
-                phase, states=n, sweeps=sweeps, blocks=num_blocks(block_of)
-            )
-        signatures = signature_fn(block_of)
-        block_of, changed = refine_step(block_of, signatures)
+    changed = True
+    while changed:
+        block_of, changed = refine_step(block_of, signature_fn(block_of))
         sweeps += 1
-        if not changed:
-            converged = True
-            break
-        if max_sweeps is not None and sweeps >= max_sweeps:
-            break
     if stats is not None:
         stats.count("states", n)
         stats.count("sweeps", sweeps)
         stats.count("splits", num_blocks(block_of) - start_blocks)
-    return RefinementRun(block_of=block_of, converged=converged, sweeps=sweeps)
-
-
-def refine_to_fixpoint(
-    n: int,
-    signature_fn: SignatureFn,
-    initial: Optional[BlockMap] = None,
-    max_sweeps: Optional[int] = None,
-    stats: Optional["Stats"] = None,
-    budget: Optional["RunBudget"] = None,
-    phase: str = "refinement",
-) -> BlockMap:
-    """Iterate :func:`refine_step` until the partition is stable.
-
-    Like :func:`refine_with_status` but returns the bare partition, so
-    the result is always a genuine fixpoint: if ``max_sweeps`` cuts the
-    run off while blocks are still splitting, the unstable intermediate
-    partition is *not* returned -- :class:`RefinementNotConverged` is
-    raised instead (carrying the partial run for callers that want it).
-    """
-    run = refine_with_status(
-        n, signature_fn, initial=initial, max_sweeps=max_sweeps, stats=stats,
-        budget=budget, phase=phase,
-    )
-    if not run.converged:
-        raise RefinementNotConverged(run)
-    return run.block_of
+    return block_of

@@ -29,7 +29,8 @@ refinement runs, in two layers.
     for the divergence self-loop of the cycle-marked system, so marks
     only ever flow onto states that carry them too.  ``T`` is computed
     by iterated deletion (a greatest fixpoint), starting from all
-    condensed silent edges.
+    condensed silent edges; each round re-checks every candidate's
+    diamonds at once in NumPy array operations.
 
     A ``T``-edge is inert -- its endpoints are branching bisimilar (in
     divergence mode: divergence-sensitively, because marks propagate) --
@@ -51,20 +52,11 @@ it only when no initial partition is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from .graphs import tarjan_scc
 from .lts import LTS, TAU_ID, AnyLTS, FrozenLTS, ensure_frozen
 from .partition import BlockMap
-
-try:  # optional accelerator -- vectorizes the confluence fixpoint
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is not a hard dependency
-    _np = None
-
-#: Below this many transitions the pure-Python path wins (array setup
-#: overhead dominates); both paths compute the same greatest fixpoint.
-_NUMPY_MIN_EDGES = 512
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
@@ -124,182 +116,6 @@ def reduce_lts(
     return reduced
 
 
-def _reduce(
-    frozen: FrozenLTS,
-    divergence: bool,
-    budget: Optional["RunBudget"] = None,
-) -> ReducedLTS:
-    if _np is not None and frozen.num_transitions >= _NUMPY_MIN_EDGES:
-        return _reduce_np(frozen, divergence, budget)
-    return _reduce_py(frozen, divergence, budget)
-
-
-def _reduce_py(
-    frozen: FrozenLTS,
-    divergence: bool,
-    budget: Optional["RunBudget"] = None,
-) -> ReducedLTS:
-    n = frozen.num_states
-    if n == 0:
-        empty = LTS()
-        for label in frozen.action_labels[1:]:
-            empty.action_id(label)
-        return ReducedLTS(empty.freeze(), [], [], [], 0, 0)
-
-    # -- layer 1: condense inert tau-SCCs ------------------------------
-    tau_adj = frozen.tau_adjacency()
-    comp_of, num_comps = tarjan_scc(n, lambda s: tau_adj[s])
-
-    comp_size = [0] * num_comps
-    for state in range(n):
-        comp_size[comp_of[state]] += 1
-
-    marked = [size > 1 for size in comp_size]
-    tau_src, tau_dst = frozen.tau_edges()
-    for src, dst in zip(tau_src, tau_dst):
-        if comp_of[src] == comp_of[dst]:
-            marked[comp_of[src]] = True
-
-    # Condensed edges are packed into single ints -- with ``A`` actions
-    # and ``C`` components, ``(csrc, aid, cdst)`` becomes
-    # ``csrc*A*C + aid*C + cdst``.  Since ``TAU_ID == 0``, the tau edges
-    # of a component are exactly the codes whose per-source remainder is
-    # below ``C``, and the remainder itself doubles as the
-    # ``aid*C + cdst`` co-edge code.  Int sets make the fixpoint's
-    # membership tests several times cheaper than tuple sets.
-    A = len(frozen.action_labels)
-    C = num_comps
-    AC = A * C
-    edges: Set[int] = set()
-    add_edge = edges.add
-    for src, aid, dst in zip(*frozen.edge_arrays()):
-        csrc, cdst = comp_of[src], comp_of[dst]
-        if aid == TAU_ID and csrc == cdst:
-            continue
-        add_edge(csrc * AC + aid * C + cdst)
-
-    sorted_edges = sorted(edges)
-    csucc: List[List[int]] = [[] for _ in range(C)]  # aid*C + cdst codes
-    succ_by_act: List[Dict[int, List[int]]] = [{} for _ in range(C)]
-    candidates: List[Tuple[int, int]] = []  # condensed tau edges, sorted
-    confluent: Set[int] = set()  # s*C + t codes
-    for code in sorted_edges:
-        csrc, rem = divmod(code, AC)
-        aid, cdst = divmod(rem, C)
-        csucc[csrc].append(rem)
-        succ_by_act[csrc].setdefault(aid, []).append(cdst)
-        if aid == TAU_ID and (
-            not divergence or not marked[csrc] or marked[cdst]
-        ):
-            candidates.append((csrc, cdst))
-            confluent.add(csrc * C + cdst)
-
-    # -- layer 2: greatest confluent set T over the condensed tau DAG --
-    # Worklist greatest fixpoint: verify each candidate once, recording
-    # which still-confluent edges its diamonds relied on; when an edge
-    # is deleted only its recorded dependents are re-verified, instead
-    # of re-scanning every candidate until a full pass stays quiet.
-    # Candidates are sorted and Tarjan numbers successors first, so the
-    # initial sweep resolves most diamonds bottom-up.
-    has_edge = edges.__contains__
-    in_t = confluent.__contains__
-    dependents: Dict[int, List[Tuple[int, int]]] = {}
-    queue = list(candidates)
-    head = 0
-    while head < len(queue):
-        if budget is not None:
-            budget.check("reduce", states=n, worklist=len(queue) - head)
-        s, t = queue[head]
-        head += 1
-        st = s * C + t
-        if st not in confluent:
-            continue
-        by_act_t = succ_by_act[t]
-        t_base = t * AC
-        used: List[int] = []
-        closes = True
-        for rem in csucc[s]:
-            b, u = divmod(rem, C)
-            if b == TAU_ID and u == t:
-                continue
-            if has_edge(t_base + rem):  # t --b--> u
-                continue
-            if b == TAU_ID and in_t(u * C + t):
-                used.append(u * C + t)
-                continue
-            u_base = u * C
-            for v in by_act_t.get(b, ()):
-                if in_t(u_base + v):
-                    used.append(u_base + v)
-                    break
-            else:
-                closes = False
-                break
-        if closes:
-            for code in used:
-                dependents.setdefault(code, []).append((s, t))
-        else:
-            confluent.discard(st)
-            queue.extend(dependents.pop(st, ()))
-
-    # Deterministic replacement: follow the smallest confluent successor
-    # until a T-terminal component is reached (the T-graph is acyclic).
-    # ``candidates`` is sorted, so the first surviving edge per source
-    # has the smallest target.
-    step: Dict[int, int] = {}
-    for s, t in candidates:
-        if s not in step and (s * C + t) in confluent:
-            step[s] = t
-    rep = list(range(num_comps))
-    for comp in range(num_comps):  # increasing id = successors resolved first
-        nxt = step.get(comp)
-        if nxt is not None:
-            rep[comp] = rep[nxt]
-
-    # -- build the reduced system --------------------------------------
-    terminals = sorted({rep[comp] for comp in range(num_comps)})
-    new_id = {comp: index for index, comp in enumerate(terminals)}
-
-    out = LTS()
-    for label in frozen.action_labels[1:]:
-        out.action_id(label)
-    out.add_states(len(terminals))
-    out.init = new_id[rep[comp_of[frozen.init]]]
-    emitted: Set[Tuple[int, int, int]] = set()
-    for comp in terminals:
-        src = new_id[comp]
-        for rem in csucc[comp]:
-            aid, cdst = divmod(rem, C)
-            edge = (src, aid, new_id[rep[cdst]])
-            if edge not in emitted:
-                emitted.add(edge)
-                out.add_transition_by_id(*edge)
-        if divergence and marked[comp]:
-            loop = (src, TAU_ID, src)
-            if loop not in emitted:
-                emitted.add(loop)
-                out.add_transition_by_id(*loop)
-
-    reduced = out.freeze()
-
-    state_of = [new_id[rep[comp_of[state]]] for state in range(n)]
-    representative = [-1] * len(terminals)
-    for state in range(n):
-        comp = comp_of[state]
-        if comp in new_id and representative[new_id[comp]] < 0:
-            representative[new_id[comp]] = state
-    divergent = [marked[comp] for comp in terminals]
-
-    return ReducedLTS(
-        lts=reduced,
-        state_of=state_of,
-        representative=representative,
-        divergent=divergent,
-        states_removed=n - reduced.num_states,
-        transitions_removed=frozen.num_transitions - reduced.num_transitions,
-    )
-
-
 def _ragged_arange(np, starts, counts):
     """Concatenation of ``arange(starts[i], starts[i]+counts[i])``."""
     total = int(counts.sum())
@@ -311,20 +127,26 @@ def _ragged_arange(np, starts, counts):
     )
 
 
-def _reduce_np(
+def _reduce(
     frozen: FrozenLTS,
     divergence: bool,
     budget: Optional["RunBudget"] = None,
 ) -> ReducedLTS:
-    """Vectorized :func:`_reduce_py` -- the same two layers and the same
-    greatest fixpoint (which is unique, so the two paths agree edge for
-    edge), with the per-candidate diamond checks batched into array
-    operations.  Static facts (a co-edge closed by an existing
+    """Both layers of the pass (module docstring), with the per-candidate
+    diamond checks batched into array operations.  Static facts (a co-edge closed by an existing
     ``t --b--> u`` edge) are resolved once; only the diamonds that
     depend on the evolving confluent set ``T`` are re-evaluated per
     Jacobi sweep."""
-    np = _np
+    # Imported here, not at module level: commands that never reduce
+    # (list, explore, lin --on-the-fly) skip NumPy's import cost.
+    import numpy as np
+
     n = frozen.num_states
+    if n == 0:
+        empty = LTS()
+        for label in frozen.action_labels[1:]:
+            empty.action_id(label)
+        return ReducedLTS(empty.freeze(), [], [], [], 0, 0)
 
     # -- layer 1: condense inert tau-SCCs ------------------------------
     tau_adj = frozen.tau_adjacency()

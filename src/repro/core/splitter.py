@@ -44,10 +44,10 @@ Three per-equivalence front ends share the machinery:
   variant alternates the strong core with partition-relative divergence
   splits until both are stable.
 
-The splitter-count inner loop is NumPy-vectorized (ragged CSR gather +
-``np.unique`` group-by) behind a pure-Python fallback, following the
-``repro.core.reduce`` idiom; both paths are exact and split-for-split
-identical.
+The branching front end deduplicates its condensed edges with
+``np.unique``.  The splitter loops stay plain Python: a per-splitter
+NumPy gather measured slower than the dictionary loop even on the
+largest registry systems.
 """
 
 from __future__ import annotations
@@ -58,20 +58,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from .graphs import tarjan_scc
 from .lts import TAU_ID, FrozenLTS
 from .partition import BlockMap, normalize, num_blocks, partition_from_key
-
-try:  # optional accelerator -- vectorizes the splitter-count gather
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is not a hard dependency
-    _np = None
-
-#: Below this many transitions the pure-Python path wins (array setup
-#: overhead dominates); both paths perform the identical splits.
-_NUMPY_MIN_EDGES = 512
-
-#: Below this many gathered predecessor edges a single splitter is
-#: processed with plain lists even in NumPy mode (``np.unique`` setup
-#: costs more than the loop it replaces).
-_NUMPY_MIN_GATHER = 256
 
 #: Correctness knobs the fuzz harness mutates to prove it has teeth
 #: (see ``repro.testing.differential.MUTATIONS``).  ``_REQUEUE_COMPOUND``
@@ -91,17 +77,6 @@ _MARK_DIVERGENCE = True
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
     from ..util.metrics import Stats
-
-
-def _ragged_arange(np, starts, counts):
-    """Concatenation of ``arange(starts[i], starts[i]+counts[i])``."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    group_start = np.cumsum(counts) - counts
-    return np.repeat(starts, counts) + (
-        np.arange(total, dtype=np.int64) - np.repeat(group_start, counts)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -142,18 +117,6 @@ def _pt_refine(
         s, a, t = esrc[i], eact[i], edst[i]
         pred[t].append((a, s))
         enabled[s].add(a)
-
-    use_np = _np is not None and m >= _NUMPY_MIN_EDGES
-    if use_np:
-        np = _np
-        src_a = np.asarray(esrc, dtype=np.int64)
-        act_a = np.asarray(eact, dtype=np.int64)
-        dst_a = np.asarray(edst, dtype=np.int64)
-        order = np.argsort(dst_a, kind="stable")
-        psrc_a = src_a[order]
-        pact_a = act_a[order]
-        pptr_a = np.searchsorted(dst_a[order], np.arange(n + 1, dtype=np.int64))
-        num_actions = int(act_a.max()) + 1 if m else 1
 
     # Fine partition P, pre-split by (seed block, enabled actions) so
     # every block is stable w.r.t. the universe splitter.
@@ -215,24 +178,10 @@ def _pt_refine(
         # count(s, a, B) over the predecessors of B's states.
         members = blocks[b_id]
         count_b: Dict[Tuple[int, int], int] = {}
-        if use_np:
-            marr = np.asarray(members, dtype=np.int64)
-            starts = pptr_a[marr]
-            cnts = pptr_a[marr + 1] - starts
-            total = int(cnts.sum())
-        else:
-            total = 0
-        if use_np and total >= _NUMPY_MIN_GATHER:
-            idx = _ragged_arange(np, starts, cnts)
-            codes = psrc_a[idx] * num_actions + pact_a[idx]
-            uniq, ucounts = np.unique(codes, return_counts=True)
-            for code, c in zip(uniq.tolist(), ucounts.tolist()):
-                count_b[divmod(code, num_actions)] = c
-        else:
-            for t in members:
-                for a, s in pred[t]:
-                    key = (s, a)
-                    count_b[key] = count_b.get(key, 0) + 1
+        for t in members:
+            for a, s in pred[t]:
+                key = (s, a)
+                count_b[key] = count_b.get(key, 0) + 1
 
         # Update the count tables and classify every touched (s, a):
         # does s step into B only, or into both B and C - B?
@@ -333,6 +282,10 @@ def branching_splitter(
     SCC *inside a seed block* receive equal signatures w.r.t. every
     partition the refinement can reach, so no run ever separates them.
     """
+    # Imported here, not at module level: commands that never refine
+    # (list, explore, lin --on-the-fly) skip NumPy's import cost.
+    import numpy as np
+
     n = frozen.num_states
     if n == 0:
         return []
@@ -375,30 +328,15 @@ def branching_splitter(
     C = num_comps
     AC = A * C
     esrc, eact, edst = frozen.edge_arrays()
-    m = frozen.num_transitions
-    if _np is not None and m >= _NUMPY_MIN_EDGES:
-        np = _np
-        src_a = np.frombuffer(esrc, dtype=np.int64) if m else np.zeros(0, np.int64)
-        act_a = np.frombuffer(eact, dtype=np.int64) if m else np.zeros(0, np.int64)
-        dst_a = np.frombuffer(edst, dtype=np.int64) if m else np.zeros(0, np.int64)
-        comp_a = np.asarray(comp_of, dtype=np.int64)
-        csrc_a = comp_a[src_a]
-        cdst_a = comp_a[dst_a]
-        keep = ~((act_a == TAU_ID) & (csrc_a == cdst_a))
-        codes = sorted(
-            np.unique(
-                csrc_a[keep] * AC + act_a[keep] * C + cdst_a[keep]
-            ).tolist()
-        )
-    else:
-        code_set = set()
-        for i in range(m):
-            csrc, cdst = comp_of[esrc[i]], comp_of[edst[i]]
-            a = eact[i]
-            if a == TAU_ID and csrc == cdst:
-                continue
-            code_set.add(csrc * AC + a * C + cdst)
-        codes = sorted(code_set)
+    act_a = np.frombuffer(eact, dtype=np.int64)
+    comp_a = np.asarray(comp_of, dtype=np.int64)
+    csrc_a = comp_a[np.frombuffer(esrc, dtype=np.int64)]
+    cdst_a = comp_a[np.frombuffer(edst, dtype=np.int64)]
+    keep = ~((act_a == TAU_ID) & (csrc_a == cdst_a))
+    # np.unique returns the codes sorted, i.e. source-major.
+    codes = np.unique(
+        csrc_a[keep] * AC + act_a[keep] * C + cdst_a[keep]
+    ).tolist()
 
     seed_of_comp = [0] * C
     for state in range(n):

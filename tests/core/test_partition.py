@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    RefinementNotConverged,
     blocks_of,
     is_refinement,
     normalize,
@@ -11,7 +10,6 @@ from repro.core import (
     partition_from_key,
     refine_step,
     refine_to_fixpoint,
-    refine_with_status,
     same_partition,
 )
 
@@ -95,72 +93,3 @@ def test_refine_to_fixpoint_rejects_bad_initial():
 
 def test_refine_to_fixpoint_empty():
     assert refine_to_fixpoint(0, lambda b: []) == []
-
-
-def _distance_signature_fn(n, succ):
-    """Chain signature (successor's block): needs ~n sweeps to stabilize.
-
-    Starting from an initial partition separating the sink, each sweep
-    peels off the states one step closer to it, so small ``max_sweeps``
-    caps genuinely interrupt the run mid-refinement.
-    """
-
-    def signature_fn(block_of):
-        return [block_of[succ[s]] for s in range(n)]
-
-    return signature_fn
-
-
-#: Separates the chain's sink so refinement has a cascade to propagate.
-_CHAIN_INITIAL = [0, 0, 0, 0, 0, 1]
-
-
-def test_refine_to_fixpoint_max_sweeps_raises_when_unstable():
-    # Chain 0 -> 1 -> ... -> 5 -> 5: one sweep is not enough, and an
-    # unstable partition must never be returned as if it were a fixpoint.
-    succ = {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 5}
-    signature_fn = _distance_signature_fn(6, succ)
-    with pytest.raises(RefinementNotConverged) as excinfo:
-        refine_to_fixpoint(
-            6, signature_fn, initial=_CHAIN_INITIAL, max_sweeps=1
-        )
-    partial = excinfo.value.run
-    assert not partial.converged
-    assert partial.sweeps == 1
-    # The carried partial partition is a genuine intermediate: coarser
-    # than the true fixpoint but already split at least once.
-    assert 1 < num_blocks(partial.block_of) < 6
-
-
-def test_refine_to_fixpoint_max_sweeps_ok_when_converged_within_cap():
-    # A generous cap that the fixpoint fits under must not raise.
-    result = refine_to_fixpoint(3, lambda b: [0, 1, 2], max_sweeps=5)
-    assert num_blocks(result) == 3
-
-
-def test_refine_with_status_reports_convergence():
-    run = refine_with_status(3, lambda b: [0, 1, 2])
-    assert run.converged
-    # One sweep splits into singletons, a second proves stability.
-    assert run.sweeps == 2
-    assert num_blocks(run.block_of) == 3
-
-
-def test_refine_with_status_reports_cutoff():
-    succ = {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 5}
-    signature_fn = _distance_signature_fn(6, succ)
-    capped = refine_with_status(
-        6, signature_fn, initial=_CHAIN_INITIAL, max_sweeps=2
-    )
-    assert not capped.converged
-    assert capped.sweeps == 2
-    full = refine_with_status(6, signature_fn, initial=_CHAIN_INITIAL)
-    assert full.converged
-    assert is_refinement(full.block_of, capped.block_of)
-
-
-def test_refine_with_status_empty_is_converged():
-    run = refine_with_status(0, lambda b: [])
-    assert run.converged
-    assert run.sweeps == 0
-    assert run.block_of == []

@@ -22,6 +22,8 @@ from repro.core import (
     reduce_lts,
     same_partition,
 )
+from repro.lang import ClientConfig, explore
+from repro.objects import get
 from repro.testing.generators import lts_strategy, tau_heavy_lts_strategy
 from repro.util.metrics import Stats
 
@@ -211,6 +213,17 @@ def test_reduced_partition_matches_unreduced_generic(lts):
     for divergence in (False, True):
         plain = branching_partition(lts, divergence=divergence)
         reduced = branching_partition(lts, divergence=divergence, reduce=True)
+        assert same_partition(plain, reduced)
+
+
+def test_reduced_partition_matches_unreduced_on_explored_treiber():
+    # The generators stay small; this pins the same contract on a real
+    # object system (treiber 2x2: 10,505 states, 20,188 transitions).
+    bench = get("treiber")
+    system = explore(bench.build(2), ClientConfig(2, 2, bench.default_workload()))
+    for divergence in (False, True):
+        plain = branching_partition(system, divergence=divergence)
+        reduced = branching_partition(system, divergence=divergence, reduce=True)
         assert same_partition(plain, reduced)
 
 

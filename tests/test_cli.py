@@ -1,7 +1,12 @@
 """CLI tests (argument parsing + end-to-end subcommands)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -541,3 +546,24 @@ def test_fuzz_drop_budget_checks_mutation_is_caught(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "budget:governance" in out
+
+
+def test_commands_that_never_reduce_do_not_import_numpy(tmp_path):
+    # list, explore and lin --on-the-fly never reduce or refine, so they
+    # must not pay NumPy's import; only a fresh interpreter shows that.
+    out = str(tmp_path / "newcas.aut")
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "codes = [main(['list']),\n"
+        f"         main(['explore', 'newcas', '--ops', '1', '--out', {out!r}]),\n"
+        "         main(['lin', 'hm_list_buggy', '--on-the-fly'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 1] False"

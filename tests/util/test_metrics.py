@@ -1,5 +1,6 @@
 """Unit tests for the metrics sink + the pay-for-what-you-use guard."""
 
+import statistics
 import time
 
 import pytest
@@ -135,9 +136,10 @@ def test_explore_records_and_matches_uninstrumented():
 def test_disabled_stats_overhead_within_tolerance():
     """stats=None must take the same code path as the uninstrumented body.
 
-    Min-of-N wall times of the public wrapper with ``stats=None`` vs the
-    private body; ISSUE bound is 5%, plus a small epsilon for timer
-    jitter at these millisecond scales.
+    Wall times of the public wrapper with ``stats=None`` and the private
+    body, in alternated pairs: in the median pair the wrapper is at most
+    5% slower, plus a small epsilon for timer jitter at these
+    millisecond scales.
     """
     bench = get("ms_queue")
     config = ClientConfig(2, 1, bench.default_workload())
@@ -149,13 +151,14 @@ def test_disabled_stats_overhead_within_tolerance():
         return _explore(bench.build(2), config)
 
     run_public(), run_body()  # warm up
-    best_public = min(
-        _timed(run_public) for _ in range(5)
-    )
-    best_body = min(
-        _timed(run_body) for _ in range(5)
-    )
-    assert best_public <= best_body * 1.05 + 0.005
+    # Alternate the arms so drift in machine speed hits both equally, and
+    # judge the median pair so one lucky fast sample decides nothing.
+    excess = []
+    for _ in range(5):
+        public = _timed(run_public)
+        body = _timed(run_body)
+        excess.append(public - body * 1.05)
+    assert statistics.median(excess) <= 0.005
 
 
 def _timed(fn):
