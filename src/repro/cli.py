@@ -143,19 +143,6 @@ def _add_parallel(parser: argparse.ArgumentParser) -> None:
                              "'kill:1@40,stall:*@10,corrupt:0@5'")
     parser.add_argument("--shard-states", type=int, default=None, metavar="K",
                         help="frontier states per work shard (default 128)")
-    parser.add_argument("--remote", default=None, metavar="ADDRS",
-                        help="comma-separated remote worker addresses "
-                             "(HOST:PORT or Unix socket paths) running "
-                             "'repro worker --listen'; shards are dispatched "
-                             "over RPX1 sockets, output stays byte-identical")
-    parser.add_argument("--remote-listen", default=None, metavar="ADDR",
-                        help="accept agent-mode workers ('repro worker "
-                             "--connect') dialing in on this address")
-    parser.add_argument("--transport", default=None,
-                        choices=("auto", "local", "remote", "mixed"),
-                        help="worker provisioning: local forks, remote "
-                             "sockets, or a mixed pool (default: auto -- "
-                             "remote iff --remote/--remote-listen given)")
     parser.add_argument("--heartbeat-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="silence window before a busy worker is "
@@ -443,8 +430,6 @@ def cmd_lin(args) -> int:
             budget=budget,
             workers=args.workers, fault_plan=args.fault_plan,
             shard_states=args.shard_states,
-            remote=args.remote, remote_listen=args.remote_listen,
-            transport=args.transport,
             heartbeat_timeout=args.heartbeat_timeout,
             spec_checkpoint=spec_sink if original else None,
             spec_resume=spec_resume if original else None,
@@ -460,8 +445,6 @@ def cmd_lin(args) -> int:
             budget=budget,
             workers=args.workers, fault_plan=args.fault_plan,
             shard_states=args.shard_states,
-            remote=args.remote, remote_listen=args.remote_listen,
-            transport=args.transport,
             heartbeat_timeout=args.heartbeat_timeout,
             on_the_fly=on_the_fly,
         )
@@ -489,8 +472,6 @@ def cmd_lin(args) -> int:
             budget=budget,
             workers=args.workers, fault_plan=args.fault_plan,
             shard_states=args.shard_states,
-            remote=args.remote, remote_listen=args.remote_listen,
-            transport=args.transport,
             heartbeat_timeout=args.heartbeat_timeout,
             spec_checkpoint=spec_sink if original else None,
             spec_resume=spec_resume if original else None,
@@ -581,8 +562,6 @@ def cmd_lockfree(args) -> int:
             budget=budget,
             workers=args.workers, fault_plan=args.fault_plan,
             shard_states=args.shard_states,
-            remote=args.remote, remote_listen=args.remote_listen,
-            transport=args.transport,
             heartbeat_timeout=args.heartbeat_timeout,
         )
 
@@ -617,8 +596,6 @@ def cmd_explore(args) -> int:
                 bench.build(args.threads), config,
                 workers=args.workers, fault_plan=args.fault_plan,
                 shard_states=args.shard_states,
-                remote=args.remote, remote_listen=args.remote_listen,
-                transport=args.transport,
                 heartbeat_timeout=args.heartbeat_timeout, stats=stats,
                 budget=budget, checkpoint=sink, resume=resume,
             )
@@ -806,34 +783,6 @@ def cmd_serve(args) -> int:
           flush=True)
     daemon.run_forever()
     print("daemon stopped")
-    return 0
-
-
-def cmd_worker(args) -> int:
-    """Run one remote exploration worker (listen or agent mode)."""
-    # Lazy import: the remote runtime pulls in the service package.
-    from .parallel.faults import FaultPlan
-    from .parallel.remote import WorkerRuntime
-
-    runtime = WorkerRuntime(
-        listen=args.listen,
-        connect=args.connect,
-        fault_plan=FaultPlan.parse(args.fault_plan),
-        max_sessions=args.max_sessions,
-    )
-    if args.listen is not None:
-        # Port 0 resolves to the kernel-assigned port; scripts parse
-        # this line to learn the address, so keep its shape stable.
-        address = runtime.bind()
-        print(f"worker listening on {address}", flush=True)
-    else:
-        print(f"worker dialing supervisor at {args.connect}", flush=True)
-    try:
-        served = runtime.serve_forever()
-    except KeyboardInterrupt:
-        runtime.stop()
-        served = runtime.sessions_served
-    print(f"worker stopped after {served} session(s)")
     return 0
 
 
@@ -1114,27 +1063,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default per-job wall-clock budget (a request's "
                             "own deadline overrides it)")
 
-    worker = commands.add_parser(
-        "worker", help="run a remote exploration worker for --remote pools",
-    )
-    worker_mode = worker.add_mutually_exclusive_group(required=True)
-    worker_mode.add_argument("--listen", default=None,
-                             metavar="PATH|HOST:PORT",
-                             help="serve supervisors that dial this address "
-                                  "(HOST:0 picks a free TCP port and prints "
-                                  "it)")
-    worker_mode.add_argument("--connect", default=None,
-                             metavar="PATH|HOST:PORT",
-                             help="agent mode: dial a supervisor's "
-                                  "--remote-listen endpoint (re-dials with "
-                                  "decorrelated backoff between sessions)")
-    worker.add_argument("--fault-plan", default=None, metavar="SPEC",
-                        help="inject failures locally, overriding the plan "
-                             "shipped by the supervisor (testing/CI)")
-    worker.add_argument("--max-sessions", type=int, default=None, metavar="N",
-                        help="exit after serving N supervisor sessions "
-                             "(default: run until killed)")
-
     submit = commands.add_parser(
         "submit", help="submit one job to a running verification daemon",
     )
@@ -1182,7 +1110,6 @@ HANDLERS = {
     "bugs": cmd_bugs,
     "fuzz": cmd_fuzz,
     "serve": cmd_serve,
-    "worker": cmd_worker,
     "submit": cmd_submit,
 }
 

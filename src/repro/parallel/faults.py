@@ -20,34 +20,13 @@ Each fault is ``kind:worker@states`` (``kind@states`` is shorthand for
     *after* the checksum is computed, so the supervisor's CRC check
     rejects it (recovered like a crash).
 
-Four *network* kinds extend the plan to remote workers
-(:mod:`repro.parallel.remote`); on a forked pipe worker each maps to
-its nearest process-level analogue, so one spec drives both transports:
-
-    ``drop-conn``     -- the remote session abruptly closes its socket
-    mid-shard (EOF at the supervisor, shard requeued, endpoint
-    redialed); pipe workers treat it as ``exit``.
-    ``stall-socket``  -- the connection stays open but goes silent
-    (no heartbeats, no result; recovered by the heartbeat grace
-    window); pipe workers treat it as ``stall``.
-    ``corrupt-frame`` -- bytes of the next result frame are flipped in
-    flight, after the CRC is computed (rejected at the supervisor
-    exactly like ``corrupt``).
-    ``partition``     -- fires *supervisor-side* at a wave boundary:
-    every remote connection is severed at once and the remote pool is
-    written off, forcing the degradation ladder (salvage checkpoint,
-    then local forks, then in-process serial).  The threshold counts
-    **waves**, not states: ``partition@2`` severs the network when
-    wave 2 begins.  Ignored by workers.
-
 ``worker``
     A worker index, or ``*`` for any worker.
 
 ``states``
     Trigger threshold: the fault fires once the worker has expanded at
     least this many states cumulatively (across shards).  Each fault
-    fires at most once.  (For ``partition`` the same field counts
-    supervisor waves instead.)
+    fires at most once.
 
 Plans are parsed in the supervisor but *triggered* in the worker: the
 plan is part of the supervisor state inherited through ``os.fork``, so
@@ -63,16 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-KINDS = (
-    "kill", "exit", "stall", "corrupt",
-    # network kinds (remote transports; see module docstring)
-    "drop-conn", "stall-socket", "corrupt-frame", "partition",
-)
-
-#: Kinds matched by the *supervisor* (at wave boundaries), never
-#: delivered to a worker: :meth:`FaultPlan.next_for` and
-#: :meth:`FaultPlan.mark_fired` skip them.
-SUPERVISOR_KINDS = frozenset({"partition"})
+KINDS = ("kill", "exit", "stall", "corrupt")
 
 #: How long a ``stall`` fault sleeps, in seconds.  Far longer than any
 #: heartbeat timeout used in tests, but bounded so an un-reaped worker
@@ -124,9 +94,7 @@ class FaultPlan:
                     kind, rest = part.split(":", 1)
                     who, threshold = rest.split("@", 1)
                 else:
-                    # kind@states shorthand == kind:*@states (the
-                    # natural spelling for supervisor-side kinds like
-                    # partition@2, which have no worker to name).
+                    # kind@states shorthand == kind:*@states
                     kind, threshold = part.split("@", 1)
                     who = "*"
             except ValueError:
@@ -170,26 +138,10 @@ class FaultPlan:
 
         Called inside the worker after each state expansion; the caller
         marks the returned fault fired (in its private forked copy) and
-        acts on it.  Supervisor-side kinds (``partition``) never match
-        here.
+        acts on it.
         """
         for fault in self.faults:
-            if fault.kind in SUPERVISOR_KINDS:
-                continue
             if fault.matches(worker_index, states_expanded):
-                return fault
-        return None
-
-    def next_supervisor_fault(self, wave: int) -> Optional[Fault]:
-        """The first unfired supervisor-side fault due at ``wave``.
-
-        The caller (the supervisor's wave loop) marks the returned
-        fault fired and acts on it, exactly mirroring the worker-side
-        :meth:`next_for` contract.
-        """
-        for fault in self.faults:
-            if fault.kind in SUPERVISOR_KINDS and not fault.fired \
-                    and wave >= fault.after_states:
                 return fault
         return None
 
@@ -204,13 +156,9 @@ class FaultPlan:
         fault addressed to that worker (or any wildcard), mirroring the
         worker-side rule that each shard death fires a single fault.
         With several faults aimed at the same index, each death retires
-        the next one in plan order.  Supervisor-side kinds are never
-        retired by a worker death -- a partition is not attributable to
-        any one worker.
+        the next one in plan order.
         """
         for fault in self.faults:
-            if fault.kind in SUPERVISOR_KINDS:
-                continue
             if not fault.fired and (fault.worker is None or fault.worker == worker_index):
                 fault.fired = True
                 return

@@ -198,23 +198,12 @@ class FrameDecoder:
 # message constructors (tuples keyed by a kind tag)
 # ----------------------------------------------------------------------
 # supervisor -> worker
-MSG_INIT = "init"          # (MSG_INIT, worker_index, program, config,
-#                             heartbeat_seconds, fault_plan) -- remote
-#                             sessions only; forked workers inherit the
-#                             context through process memory instead.
 MSG_SHARD = "shard"        # (MSG_SHARD, shard_id, keys, ChildAllowance)
 MSG_STOP = "stop"          # (MSG_STOP,)
 
 # worker -> supervisor
 MSG_HELLO = "hello"        # (MSG_HELLO, worker_index, pid)
-MSG_ACK = "ack"            # (MSG_ACK, worker_index, shard_id) -- remote
-#                             sessions confirm shard receipt so the
-#                             supervisor can tell "never arrived" from
-#                             "died mid-shard" on connection loss.
 MSG_PROGRESS = "progress"  # (MSG_PROGRESS, worker_index, shard_id, done)
-MSG_HEARTBEAT = "heartbeat"  # (MSG_HEARTBEAT, worker_index) -- idle beat
-#                             from a remote session so silence always
-#                             means trouble, never mere idleness.
 MSG_RESULT = "result"      # (MSG_RESULT, worker_index, shard_id,
 #                             [(key, edges), ...], busy_us)
 MSG_EXHAUSTED = "exhausted"  # (MSG_EXHAUSTED, worker_index, shard_id, dict)

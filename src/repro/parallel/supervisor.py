@@ -45,24 +45,6 @@ state with no recorded expansion (exactly a serial safe point, so a
 *serial* ``--resume`` works unchanged) and the not-yet-replayed
 expansions ride along in ``Checkpoint.expansions`` so a *parallel*
 resume loses no finished work either.
-
-Workers are *provisioned* through a pluggable transport: the default
-:class:`LocalForkTransport` forks children over pipes (the original PR
-5 behavior), while :class:`repro.parallel.remote.RemoteTransport`
-dials ``repro worker`` processes over TCP/Unix sockets (optionally
-mixing in local forks).  Both produce endpoints with the same
-``fileno``/``send_frame``/``read_chunk`` surface, so dispatch, acks,
-hang detection and the whole failure model above are shared verbatim.
-The network adds its own failure kinds on top -- connection loss
-(redialed under a decorrelated-jitter backoff with a retry budget),
-silent sockets (the existing heartbeat grace window), corrupted frames
-(the existing CRC rejection), and wave-boundary *partitions* that sever
-every remote at once -- and one extra degradation rung: when the whole
-remote pool is written off, the supervisor salvages a checkpoint and
-falls back to local forks before the final in-process-serial rung.
-``remote`` is imported lazily (only when a remote transport is
-configured): it pulls in :mod:`repro.service.channel`, whose package
-``__init__`` imports the daemon, which imports this module back.
 """
 
 from __future__ import annotations
@@ -73,6 +55,7 @@ import selectors
 import signal
 import time
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -89,19 +72,17 @@ from ..util.metrics import Stats
 from ..util.retry import BackoffPolicy
 from .faults import FaultPlan
 from .protocol import (
-    MSG_ACK,
     MSG_ERROR,
     MSG_EXHAUSTED,
-    MSG_HEARTBEAT,
     MSG_HELLO,
     MSG_PROGRESS,
     MSG_RESULT,
     MSG_SHARD,
     FrameDecoder,
     ProtocolError,
-    encode_frame,
+    write_frame,
 )
-from .worker import worker_main
+from .worker import HEARTBEAT_SECONDS, worker_main
 
 #: Upper bound on one ``select`` wait, so SIGINT tokens, backoff expiry
 #: and hang deadlines are observed promptly.
@@ -143,9 +124,12 @@ class ParallelConfig:
     #: Frontier keys per shard message.
     shard_states: int = 128
     #: Seconds without any frame from a busy worker before it is
-    #: declared hung, killed, and its shard requeued.  Workers heartbeat
-    #: *between* state expansions, so this must exceed the slowest
-    #: single ``expand()`` call -- a state that legitimately takes
+    #: declared hung, killed, and its shard requeued.  It must exceed
+    #: the workers' heartbeat interval
+    #: (:data:`repro.parallel.worker.HEARTBEAT_SECONDS`; the supervisor
+    #: refuses a smaller value).  Workers heartbeat *between* state
+    #: expansions, so it must also exceed the slowest single
+    #: ``expand()`` call -- a state that legitimately takes
     #: longer is indistinguishable from a stall by silence alone and
     #: would be killed (and requeued, and killed again) on every retry
     #: until the pool degrades to serial.  When ``shard_deadline`` is
@@ -167,62 +151,18 @@ class ParallelConfig:
     #: herd to de-synchronize and determinism matters more).
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    #: Seconds between a busy worker's progress heartbeats.  Heartbeats
-    #: are emitted *between* state expansions (no timer thread in the
-    #: child), so this is a lower bound on heartbeat spacing, and it
-    #: must stay well below ``heartbeat_timeout`` (the supervisor-side
-    #: grace) or every slow shard would be shot as hung -- the
-    #: supervisor validates ``heartbeat_seconds < heartbeat_timeout``.
-    #: Service daemons on loaded hosts raise both together.
-    heartbeat_seconds: float = 0.25
     #: Injected failures (``kill:1@40,stall:*@10`` ...); see
     #: :mod:`repro.parallel.faults`.
     fault_plan: Optional[FaultPlan] = None
-    #: Remote worker addresses (``host:port`` or Unix socket paths).
-    #: Address ``i`` owns the stable worker index ``i`` across redials,
-    #: so fault plans can target a specific machine.
-    remote: Tuple[str, ...] = ()
-    #: Accept *agent-mode* workers (``repro worker --connect``) dialing
-    #: in on this address; adopted agents join the pool with indices
-    #: above the ``remote`` slot range.
-    remote_listen: Optional[str] = None
-    #: ``auto`` (remote iff ``remote``/``remote_listen`` configured),
-    #: ``local`` (fork only), ``remote`` (sockets, forks only after the
-    #: whole remote pool is written off), or ``mixed`` (sockets plus
-    #: forks as first-class pool members from the start).
-    transport: str = "auto"
-    #: Consecutive failed redials of one remote address before that
-    #: slot is written off.
-    remote_redial_budget: int = 3
-    #: Per-connect (dial + init/hello handshake) deadline, seconds.
-    remote_connect_timeout: float = 5.0
-    #: Bound on one blocking frame send to a remote worker, seconds;
-    #: past it the connection is treated as lost.
-    remote_send_timeout: float = 30.0
 
     def backoff_policy(self) -> BackoffPolicy:
         """The requeue delay schedule as a shared policy object."""
         return BackoffPolicy(base=self.backoff_base, cap=self.backoff_cap)
 
-    def redial_policy(self) -> BackoffPolicy:
-        """Remote-redial schedule: same base/cap as shard requeues but
-        with *decorrelated jitter* -- several slots (or several
-        supervisors) redialing one recovered host must not stampede it
-        in lockstep."""
-        return BackoffPolicy(
-            base=self.backoff_base, cap=self.backoff_cap, decorrelated=True
-        )
-
 
 @dataclass
 class _Worker:
-    """A forked pipe worker, presenting the shared endpoint surface.
-
-    :class:`repro.parallel.remote.RemoteEndpoint` duck-types the same
-    ``fileno``/``send_frame``/``read_chunk``/``close`` methods over a
-    socket, which is what lets the supervisor's event loop treat forked
-    and remote workers identically.
-    """
+    """A forked worker and the parent's ends of its two pipes."""
 
     index: int
     pid: int
@@ -231,26 +171,13 @@ class _Worker:
     decoder: FrameDecoder = field(default_factory=FrameDecoder)
     shard: Optional[Tuple[int, List[Any]]] = None
     last_frame: float = 0.0
-    acked: bool = False          # pipe workers never ack; stays False
 
-    is_remote = False            # class attr, not a dataclass field
-
-    def fileno(self) -> int:
-        return self.res_fd
-
-    def send_frame(self, data: bytes) -> None:
-        self.cmd.write(data)
-        self.cmd.flush()
-
-    def read_chunk(self) -> bytes:
-        return os.read(self.res_fd, 1 << 16)
-
-    def close(self, kill: bool = True) -> None:
-        if kill:
-            try:
-                os.kill(self.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+    def close(self) -> None:
+        """Kill the child, close both pipe ends and reap the process."""
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         try:
             self.cmd.close()
         except Exception:
@@ -264,53 +191,6 @@ class _Worker:
         except ChildProcessError:
             pass
 
-    def close_in_child(self) -> None:
-        """Drop a forked child's inherited copies of this worker's fds."""
-        try:
-            self.cmd.close()
-        except Exception:
-            pass
-        try:
-            os.close(self.res_fd)
-        except Exception:
-            pass
-
-    def describe(self) -> str:
-        return f"forked worker {self.index} (pid {self.pid})"
-
-
-class LocalForkTransport:
-    """Default provisioning: fork a pipe worker per provision call."""
-
-    name = "local"
-
-    def start(self, sup: "Supervisor") -> None:
-        pass
-
-    def provision(self, sup: "Supervisor") -> Optional[_Worker]:
-        return sup._spawn()
-
-    def maintain(self, sup: "Supervisor") -> None:
-        pass
-
-    def on_lost(self, sup: "Supervisor", endpoint: Any, kind: str) -> None:
-        pass
-
-    def partition(self, sup: "Supervisor") -> None:
-        pass  # no network to sever
-
-    def capacity_wait(self, sup: "Supervisor") -> Optional[float]:
-        return None
-
-    def close_in_child(self) -> None:
-        pass
-
-    def shutdown(self, sup: "Supervisor") -> None:
-        pass
-
-    def describe(self) -> str:
-        return "local-fork"
-
 
 class Supervisor:
     """One parallel exploration run (see module docstring)."""
@@ -323,32 +203,17 @@ class Supervisor:
         budget: Optional[RunBudget] = None,
         stats: Optional[Stats] = None,
     ) -> None:
-        transport_kind = parallel.transport or "auto"
-        wants_remote = bool(parallel.remote) or parallel.remote_listen is not None
-        if transport_kind == "auto":
-            transport_kind = "remote" if wants_remote else "local"
-        if transport_kind not in ("local", "remote", "mixed"):
-            raise ValueError(
-                f"ParallelConfig.transport must be auto/local/remote/mixed, "
-                f"not {parallel.transport!r}"
-            )
-        if transport_kind != "local" and not wants_remote:
-            raise ValueError(
-                f"transport {transport_kind!r} needs remote addresses or a "
-                "remote_listen endpoint"
-            )
-        if parallel.workers < 1 and not wants_remote:
+        if parallel.workers < 1:
             raise ValueError("ParallelConfig.workers must be >= 1")
-        if parallel.heartbeat_seconds <= 0:
-            raise ValueError("ParallelConfig.heartbeat_seconds must be > 0")
-        if parallel.heartbeat_seconds >= parallel.heartbeat_timeout:
-            # A heartbeat interval at (or past) the hang deadline would
-            # make every busy worker look stalled; refuse the config
-            # instead of silently kill-looping (see docs/ROBUSTNESS.md).
+        if parallel.heartbeat_timeout <= HEARTBEAT_SECONDS:
+            # A hang deadline at (or below) the workers' heartbeat
+            # interval would make every busy worker look stalled; refuse
+            # the config instead of silently kill-looping (see
+            # docs/ROBUSTNESS.md).
             raise ValueError(
-                "ParallelConfig.heartbeat_seconds "
-                f"({parallel.heartbeat_seconds}) must be smaller than "
-                f"heartbeat_timeout ({parallel.heartbeat_timeout})"
+                "ParallelConfig.heartbeat_timeout "
+                f"({parallel.heartbeat_timeout}) must be larger than the "
+                f"worker heartbeat interval ({HEARTBEAT_SECONDS}s)"
             )
         self.backoff_policy = parallel.backoff_policy()
         self.program = program
@@ -370,36 +235,14 @@ class Supervisor:
         self.trans_count = 0
 
         # scheduling state
-        self.target = max(parallel.workers, len(parallel.remote), 1)
-        self.workers: Dict[int, Any] = {}       # index -> endpoint
+        self.target = parallel.workers
+        self.workers: Dict[int, _Worker] = {}
         self.selector = selectors.DefaultSelector()
         self.pending: deque = deque()           # (shard_id, keys)
         self.backoff: List[Tuple[float, int, List[Any]]] = []  # heap
         self.retries: Dict[int, int] = {}
         self.next_shard_id = 0
-        # Remote address slots own the stable indices 0..R-1; forked and
-        # adopted-agent workers allocate above them, so a redialed slot
-        # never collides with a fork's index.
-        self.next_worker_index = len(parallel.remote)
-        self.wave = 0
-        self._checkpoint_sink: Optional[CheckpointSink] = None
-        if transport_kind == "local":
-            self.transport: Any = LocalForkTransport()
-        else:
-            # Lazy import: remote pulls in repro.service.channel, whose
-            # package __init__ imports the daemon, which imports this
-            # module back (see module docstring).
-            from .remote import RemoteTransport
-
-            self.transport = RemoteTransport(
-                addresses=tuple(parallel.remote),
-                mixed=(transport_kind == "mixed"),
-                listen=parallel.remote_listen,
-                redial_policy=parallel.redial_policy(),
-                redial_budget=parallel.remote_redial_budget,
-                connect_timeout=parallel.remote_connect_timeout,
-                send_timeout=parallel.remote_send_timeout,
-            )
+        self.next_worker_index = 0
 
     # ------------------------------------------------------------------
     # counters (None-safe)
@@ -427,22 +270,17 @@ class Supervisor:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 os.close(cmd_w)
                 os.close(res_r)
-                # Close the parent-side fds (pipes and remote sockets)
-                # of every sibling inherited through fork, or their
-                # EOFs would be delayed until this child exits too.
+                # Close the parent-side pipe ends of every sibling
+                # inherited through fork, or their EOFs would be delayed
+                # until this child exits too.
                 for sibling in self.workers.values():
-                    try:
-                        sibling.close_in_child()
-                    except Exception:
-                        pass
-                try:
-                    self.transport.close_in_child()
-                except Exception:
-                    pass
+                    with suppress(Exception):
+                        sibling.cmd.close()
+                    with suppress(OSError):
+                        os.close(sibling.res_fd)
                 worker_main(
                     index, self.context, cmd_r, res_w,
                     fault_plan=self.parallel.fault_plan,
-                    heartbeat_seconds=self.parallel.heartbeat_seconds,
                 )
             finally:
                 os._exit(1)
@@ -454,68 +292,40 @@ class Supervisor:
             res_fd=res_r, last_frame=time.monotonic(),
         )
         self.next_worker_index += 1
-        return self._register(worker)
-
-    def _register(self, worker: Any) -> Any:
-        """Adopt an endpoint (forked or remote) into the event loop."""
-        self.workers[worker.index] = worker
-        self.selector.register(worker.fileno(), selectors.EVENT_READ, worker)
-        # A remote handshake may have decoded frames beyond hello
-        # (heartbeats from an eager worker); feed them through now so
-        # last_frame bookkeeping starts correct.
-        pop = getattr(worker, "pop_initial_frames", None)
-        if pop is not None:
-            for frame in pop():
-                self._handle_frame(worker, frame)
+        self.workers[index] = worker
+        self.selector.register(res_r, selectors.EVENT_READ, worker)
         return worker
 
-    def _reap(self, worker: Any, kill: bool = True) -> None:
-        """Tear one endpoint down (kill/close, unregister, wait)."""
+    def _reap(self, worker: _Worker) -> None:
+        """Tear one worker down (kill, unregister, close, wait)."""
         self.workers.pop(worker.index, None)
         try:
-            self.selector.unregister(worker.fileno())
+            self.selector.unregister(worker.res_fd)
         except (KeyError, ValueError, OSError):
             pass
-        worker.close(kill=kill)
+        worker.close()
 
     _FAIL_COUNTERS = {
         "crash": "worker_crashes",
         "hang": "worker_hangs",
         "corrupt": "corrupt_frames",
-        "partition": "partition_drops",
     }
 
-    def _fail_worker(self, worker: Any, kind: str) -> None:
-        """Recover from a crashed / hung / corrupting / severed worker."""
+    def _fail_worker(self, worker: _Worker, kind: str) -> None:
+        """Recover from a crashed / hung / corrupting worker."""
         self._count(self._FAIL_COUNTERS[kind])
-        if getattr(worker, "is_remote", False) and kind != "partition":
-            self._count("remote_disconnects")
         self._reap(worker)
-        if kind != "partition" and self.parallel.fault_plan is not None:
+        if self.parallel.fault_plan is not None:
             # A fired injected fault must not re-arm in the respawned
-            # replacement (forked from this, the supervisor's, copy --
-            # or redialed with the current plan shipped in init).  A
-            # partition is supervisor-side and not attributable to any
-            # one worker, so it retires nothing here.
+            # replacement (forked from this, the supervisor's, copy).
             self.parallel.fault_plan.mark_fired(worker.index)
-        self.transport.on_lost(self, worker, kind)
         if worker.shard is not None:
-            if getattr(worker, "is_remote", False) and not worker.acked:
-                # The shard frame never reached the worker (no ack):
-                # this is a delivery failure, not a shard that keeps
-                # killing its host -- replay it immediately without
-                # charging a retry.  The redial backoff already paces
-                # reconnection, so this cannot hot-loop.
-                self._count("unacked_requeues")
-                self.pending.appendleft(worker.shard)
-            else:
-                self._requeue(worker.shard)
+            self._requeue(worker.shard)
             worker.shard = None
 
     def _shutdown(self) -> None:
         for worker in list(self.workers.values()):
             self._reap(worker)
-        self.transport.shutdown(self)
 
     # ------------------------------------------------------------------
     # shard scheduling
@@ -561,7 +371,7 @@ class Supervisor:
             if worker is None:
                 if len(self.workers) >= self.target:
                     return
-                worker = self.transport.provision(self)
+                worker = self._spawn()
                 if worker is None:
                     return
             shard = self.pending.popleft()
@@ -569,22 +379,21 @@ class Supervisor:
                 self.budget, self.parallel.shard_deadline
             )
             try:
-                worker.send_frame(
-                    encode_frame((MSG_SHARD, shard[0], shard[1], allowance))
+                write_frame(
+                    worker.cmd, (MSG_SHARD, shard[0], shard[1], allowance)
                 )
             except (BrokenPipeError, OSError):
                 self.pending.appendleft(shard)
                 self._fail_worker(worker, "crash")
                 continue
             worker.shard = shard
-            worker.acked = False
             worker.last_frame = time.monotonic()
 
     # ------------------------------------------------------------------
     # event handling
     # ------------------------------------------------------------------
     def _record_result(
-        self, worker: Any, shard_id: int, pairs: List[Tuple[Any, List[Any]]]
+        self, worker: _Worker, shard_id: int, pairs: List[Tuple[Any, List[Any]]]
     ) -> None:
         if worker.shard is None or worker.shard[0] != shard_id:
             # Stale frame from a reassigned shard (e.g. a worker that
@@ -600,18 +409,10 @@ class Supervisor:
                 self.trans_count += len(edges)
         worker.shard = None
 
-    def _handle_frame(self, worker: Any, frame: Tuple[Any, ...]) -> None:
+    def _handle_frame(self, worker: _Worker, frame: Tuple[Any, ...]) -> None:
         worker.last_frame = time.monotonic()
         kind = frame[0]
-        if kind in (MSG_HELLO, MSG_PROGRESS, MSG_HEARTBEAT):
-            return
-        if kind == MSG_ACK:
-            # Remote shard receipt: on a later connection loss this is
-            # how "died mid-shard" (retry charged) is told apart from
-            # "shard never arrived" (requeued for free).
-            if worker.shard is not None and worker.shard[0] == frame[2]:
-                worker.acked = True
-                self._count("shard_acks")
+        if kind in (MSG_HELLO, MSG_PROGRESS):
             return
         if kind == MSG_RESULT:
             _k, _idx, shard_id, pairs, busy_us = frame
@@ -638,10 +439,10 @@ class Supervisor:
 
     def _poll(self, timeout: float) -> None:
         for key, _events in self.selector.select(timeout):
-            worker: Any = key.data
+            worker: _Worker = key.data
             while True:  # drain until EAGAIN so big results land fast
                 try:
-                    data = worker.read_chunk()
+                    data = os.read(worker.res_fd, 1 << 16)
                 except (BlockingIOError, InterruptedError):
                     break
                 except OSError:
@@ -862,13 +663,11 @@ class Supervisor:
         """
         if checkpoint is not None or resume is not None:
             self.run_id = fingerprint(self.program, self.config)
-        self._checkpoint_sink = checkpoint
         if resume is not None:
             frontier = self._load_resume(resume)
         else:
             frontier = [self.init_key]
             self.known = {self.init_key}
-        self.transport.start(self)
         try:
             try:
                 self._run_waves(frontier, checkpoint)
@@ -881,49 +680,11 @@ class Supervisor:
         builder, _stack, _consumed = self._replay(stop_on_missing=False)
         return builder.lts.freeze()
 
-    def _force_partition(self) -> None:
-        """Sever every remote connection at once (injected ``partition``).
-
-        The transport writes its whole remote pool off, which triggers
-        the outage path below -- exactly what a real network partition
-        at a wave boundary would do, minus the waiting.
-        """
-        self._count("partitions")
-        for worker in [
-            w for w in self.workers.values()
-            if getattr(w, "is_remote", False)
-        ]:
-            self._fail_worker(worker, "partition")
-        self.transport.partition(self)
-
-    def _on_remote_outage(self) -> None:
-        """Every remote slot is dead: salvage before degrading locally.
-
-        Called (once) by the transport.  The run continues -- provision
-        falls back to local forks, and failing that to in-process
-        serial -- but the checkpoint guarantees no completed expansion
-        is lost even if the degraded continuation is later killed.
-        """
-        self._count("remote_outages")
-        sink = self._checkpoint_sink
-        if sink is not None:
-            try:
-                sink.save(self._salvage_checkpoint())
-            except Exception:
-                pass  # salvage here is best-effort; exhaustion re-saves
-
     def _run_waves(
         self, frontier: List[Any], checkpoint: Optional[CheckpointSink]
     ) -> None:
         wave = list(frontier)
         while True:
-            self.wave += 1
-            plan = self.parallel.fault_plan
-            if plan is not None:
-                fault = plan.next_supervisor_fault(self.wave)
-                if fault is not None:
-                    fault.fired = True
-                    self._force_partition()
             if wave:
                 self._make_shards(wave)
             # drain the current wave
@@ -940,7 +701,6 @@ class Supervisor:
                 if self.target == 0:
                     self._drain_serial()
                     continue
-                self.transport.maintain(self)
                 self._dispatch()
                 busy = any(
                     w.shard is not None for w in self.workers.values()
@@ -961,16 +721,6 @@ class Supervisor:
                             max(0.0, self.backoff[0][0] - time.monotonic()),
                         )
                     )
-                elif self.pending:
-                    # Shards are queued but no capacity exists *yet*:
-                    # remote slots are between redial attempts, or an
-                    # agent has not dialed in.  Wait out the shorter of
-                    # one poll tick and the next due redial.
-                    wait = _POLL_SECONDS
-                    due = self.transport.capacity_wait(self)
-                    if due is not None:
-                        wait = min(wait, max(0.01, due))
-                    time.sleep(wait)
             # wave complete: next frontier from this wave's expansions,
             # in deterministic (wave order x edge order) sequence
             next_wave: List[Any] = []
@@ -1021,9 +771,6 @@ def maybe_parallel_explore(
     workers: int = 0,
     fault_plan: Any = None,
     shard_states: Optional[int] = None,
-    remote: Any = None,
-    remote_listen: Optional[str] = None,
-    transport: Optional[str] = None,
     heartbeat_timeout: Optional[float] = None,
     stats: Optional[Stats] = None,
     budget: Optional[RunBudget] = None,
@@ -1036,25 +783,8 @@ def maybe_parallel_explore(
     string or a :class:`FaultPlan`); ``workers == 0`` is plain in-process
     :func:`repro.lang.client.explore`.  The verification pipelines call
     this so ``--workers`` reaches ``lin`` / ``lockfree`` unchanged.
-
-    ``remote`` (a comma-separated spec string or a sequence of
-    addresses), ``remote_listen`` and ``transport`` configure the
-    remote worker pool; any of them implies a parallel run even with
-    ``workers == 0``, in which case the worker target defaults to the
-    number of remote addresses.
     """
-    if isinstance(remote, str):
-        remote_addrs: Tuple[str, ...] = tuple(
-            part.strip() for part in remote.split(",") if part.strip()
-        )
-    else:
-        remote_addrs = tuple(remote or ())
-    wants_remote = (
-        bool(remote_addrs)
-        or remote_listen is not None
-        or transport in ("remote", "mixed")
-    )
-    if (not workers or workers < 1) and not wants_remote:
+    if not workers or workers < 1:
         from ..lang.client import explore
 
         return explore(
@@ -1063,13 +793,7 @@ def maybe_parallel_explore(
         )
     if isinstance(fault_plan, str):
         fault_plan = FaultPlan.parse(fault_plan)
-    parallel = ParallelConfig(
-        workers=max(workers or 0, 0),
-        fault_plan=fault_plan,
-        remote=remote_addrs,
-        remote_listen=remote_listen,
-        transport=transport or "auto",
-    )
+    parallel = ParallelConfig(workers=workers, fault_plan=fault_plan)
     if shard_states is not None:
         parallel.shard_states = shard_states
     if heartbeat_timeout is not None:

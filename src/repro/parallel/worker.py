@@ -9,12 +9,6 @@ compute raw ``(key, edges)`` pairs, and the supervisor replays them in
 serial DFS order at merge time, which is what makes the merged system
 bit-identical to a serial run.
 
-The shard-expansion core itself (:func:`run_shard`) is
-transport-agnostic: it reports through a ``send(message)`` callable
-and delegates fault injection to an ``apply_fault`` callback, so the
-same loop drives a forked pipe worker here and a remote socket session
-in :mod:`repro.parallel.remote`.
-
 Failure discipline: anything that goes wrong inside a shard is reported
 as an ``error`` frame (with the traceback) so the supervisor can log it
 and requeue; a budget exhaustion is reported as an ``exhausted`` frame
@@ -24,10 +18,6 @@ of the deadline" from a genuine crash.  Injected faults from a
 :class:`repro.parallel.faults.FaultPlan` trigger between state
 expansions -- ``kill`` raises SIGKILL against the worker itself, which
 is exactly the signature of an OOM-killed or externally killed child.
-Network fault kinds delivered to a *pipe* worker map to their nearest
-process-level analogue (``drop-conn`` -> ``exit``, ``stall-socket`` ->
-``stall``, ``corrupt-frame`` -> ``corrupt``) so one plan drives both
-transports.
 """
 
 from __future__ import annotations
@@ -36,11 +26,11 @@ import os
 import signal
 import time
 import traceback
-from typing import Any, Callable, List, Optional, Tuple, Type
+from typing import Any, BinaryIO, List, Optional, Tuple
 
 from ..lang.client import ExpansionContext
 from ..util.budget import BudgetExhausted, ChildAllowance
-from .faults import FaultPlan, STALL_SECONDS
+from .faults import Fault, FaultPlan, STALL_SECONDS
 from .protocol import (
     MSG_ERROR,
     MSG_EXHAUSTED,
@@ -53,32 +43,29 @@ from .protocol import (
     write_frame,
 )
 
-#: Default spacing of progress heartbeats while inside a shard
-#: (overridable per run via ``ParallelConfig.heartbeat_seconds`` -- a
-#: service daemon on a loaded host runs with slower heartbeats and a
-#: matching larger ``heartbeat_timeout``).  Heartbeats are emitted
-#: *between* state expansions (there is no timer thread or SIGALRM in
-#: the child), so a single ``expand()`` call longer than the
+#: Spacing of progress heartbeats while inside a shard.  Heartbeats are
+#: emitted *between* state expansions (there is no timer thread or
+#: SIGALRM in the child), so a single ``expand()`` call longer than the
 #: supervisor's ``heartbeat_timeout`` looks like a stall; see
 #: ``ParallelConfig.heartbeat_timeout`` for the supervisor-side slack.
 HEARTBEAT_SECONDS = 0.25
 
 
-def _apply_fault(fault, out) -> bool:
-    """Act on an injected fault in a *pipe* worker; returns ``True`` if
-    the next result frame should be corrupted (the ``corrupt`` kinds).
+def _apply_fault(fault: Fault, out: BinaryIO) -> bool:
+    """Act on an injected fault; returns ``True`` if the next result
+    frame should be corrupted (the ``corrupt`` kind).
     """
     fault.fired = True
     kind = fault.kind
     if kind == "kill":
         out.flush()
         os.kill(os.getpid(), signal.SIGKILL)
-    elif kind in ("exit", "drop-conn"):
+    elif kind == "exit":
         out.flush()
         os._exit(0)
-    elif kind in ("stall", "stall-socket"):
+    elif kind == "stall":
         time.sleep(STALL_SECONDS)
-    elif kind in ("corrupt", "corrupt-frame"):
+    elif kind == "corrupt":
         return True
     return False
 
@@ -89,7 +76,6 @@ def worker_main(
     command_fd: int,
     result_fd: int,
     fault_plan: Optional[FaultPlan] = None,
-    heartbeat_seconds: float = HEARTBEAT_SECONDS,
 ) -> None:
     """Run the worker loop; never returns (ends in ``os._exit``).
 
@@ -102,13 +88,6 @@ def worker_main(
     plan = fault_plan if fault_plan else None
     states_expanded = 0
     corrupt_next = False
-
-    def send(message: Any, corrupt: bool = False) -> None:
-        write_frame(out, message, corrupt=corrupt)
-
-    def apply_fault(fault) -> bool:
-        return _apply_fault(fault, out)
-
     try:
         write_frame(out, (MSG_HELLO, worker_index, os.getpid()))
         while True:
@@ -119,10 +98,8 @@ def worker_main(
                 raise RuntimeError(f"unexpected command {message[0]!r}")
             _, shard_id, keys, allowance = message
             corrupt_next = run_shard(
-                send, apply_fault, worker_index, context, shard_id, keys,
-                allowance, plan, corrupt_next,
-                states_counter=states_expanded,
-                heartbeat_seconds=heartbeat_seconds,
+                out, worker_index, context, shard_id, keys, allowance,
+                plan, corrupt_next, states_counter=states_expanded,
             )
             states_expanded += len(keys)
     except BrokenPipeError:
@@ -142,8 +119,7 @@ def worker_main(
 
 
 def run_shard(
-    send: Callable[..., None],
-    apply_fault: Callable[[Any], bool],
+    out: BinaryIO,
     worker_index: int,
     context: ExpansionContext,
     shard_id: int,
@@ -152,17 +128,11 @@ def run_shard(
     plan: Optional[FaultPlan],
     corrupt_next: bool,
     states_counter: int,
-    heartbeat_seconds: float = HEARTBEAT_SECONDS,
-    passthrough: Tuple[Type[BaseException], ...] = (BrokenPipeError,),
 ) -> bool:
     """Expand one shard and send the result (or exhaustion/error) frame.
 
-    Transport-agnostic: frames go through ``send(message,
-    corrupt=...)`` and injected faults through ``apply_fault(fault) ->
-    corrupt_next``.  Exceptions whose type is in ``passthrough``
-    (transport failures, injected connection drops) propagate to the
-    caller instead of being reported as shard errors -- there is no
-    healthy channel left to report on.  Returns the updated
+    A broken pipe propagates to :func:`worker_main`: there is no
+    supervisor left to report a shard error to.  Returns the updated
     corrupt-next-frame flag.
     """
     budget = allowance.to_budget() if allowance is not None else None
@@ -177,23 +147,25 @@ def run_shard(
             if plan is not None:
                 fault = plan.next_for(worker_index, states_counter + done + 1)
                 if fault is not None:
-                    corrupt_next = apply_fault(fault) or corrupt_next
+                    corrupt_next = _apply_fault(fault, out) or corrupt_next
             now = time.monotonic()
-            if now - last_beat >= heartbeat_seconds:
-                send((MSG_PROGRESS, worker_index, shard_id, done + 1))
+            if now - last_beat >= HEARTBEAT_SECONDS:
+                write_frame(out, (MSG_PROGRESS, worker_index, shard_id,
+                                  done + 1))
                 last_beat = now
     except BudgetExhausted as exc:
-        send((MSG_EXHAUSTED, worker_index, shard_id,
-              exc.exhaustion.to_dict()))
+        write_frame(out, (MSG_EXHAUSTED, worker_index, shard_id,
+                          exc.exhaustion.to_dict()))
         return corrupt_next
-    except passthrough:
+    except BrokenPipeError:
         raise
     except Exception:
-        send((MSG_ERROR, worker_index, shard_id, traceback.format_exc()))
+        write_frame(out, (MSG_ERROR, worker_index, shard_id,
+                          traceback.format_exc()))
         return corrupt_next
     busy_us = int((time.monotonic() - started) * 1_000_000)
-    send(
-        (MSG_RESULT, worker_index, shard_id, expansions, busy_us),
+    write_frame(
+        out, (MSG_RESULT, worker_index, shard_id, expansions, busy_us),
         corrupt=corrupt_next,
     )
     return False

@@ -178,16 +178,10 @@ class SocketFrameChannel:
         self.close()
 
     # -- I/O -----------------------------------------------------------
-    def send(self, message: Any, corrupt: bool = False) -> None:
-        """Write one frame (blocking; service frames are small).
-
-        ``corrupt=True`` flips payload bytes after the checksum is
-        computed (the ``corrupt-frame`` fault-injection hook); the
-        receiver's CRC check rejects the frame and treats the
-        connection as compromised.
-        """
+    def send(self, message: Any) -> None:
+        """Write one frame (blocking; service frames are small)."""
         try:
-            self.sock.sendall(encode_frame(message, corrupt=corrupt))
+            self.sock.sendall(encode_frame(message))
         except socket.timeout as exc:
             raise ServiceTimeout("send timed out") from exc
         except OSError as exc:

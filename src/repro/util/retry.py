@@ -14,17 +14,6 @@ The supervisor's historical formula was
 ``BackoffPolicy(base, cap).delay(attempt)``, and a regression test pins
 the equivalence so extracting the policy cannot have changed scheduling
 behavior.
-
-Two jitter modes exist because two herd shapes exist.  Relative
-``jitter`` spreads one schedule's retriers a little; *decorrelated*
-jitter (``decorrelated=True``, off by default) draws each delay
-uniformly from ``[base, 3 * previous_delay]`` (capped), which breaks
-the lockstep entirely -- the right choice when many supervisors redial
-the same remote worker after a network blip.  Decorrelated delays are
-inherently stateful (each depends on the last), so they live on a
-:class:`BackoffSchedule` obtained from :meth:`BackoffPolicy.session`;
-the stateless :meth:`BackoffPolicy.delay` is untouched by the flag,
-keeping the pinned supervisor formula byte-for-byte identical.
 """
 
 from __future__ import annotations
@@ -53,12 +42,6 @@ class BackoffPolicy:
     multiplier: float = 2.0
     #: Relative jitter fraction in ``[0, 1]``; ``0`` is deterministic.
     jitter: float = 0.0
-    #: Decorrelated-jitter mode (AWS-style ``sleep = min(cap,
-    #: uniform(base, prev * 3))``).  Only :class:`BackoffSchedule`
-    #: honours it -- the stateless :meth:`delay` keeps the plain capped
-    #: exponential so existing callers (and the pinned supervisor
-    #: formula) are unaffected.
-    decorrelated: bool = False
 
     def __post_init__(self) -> None:
         if self.base < 0 or self.cap < 0:
@@ -86,58 +69,6 @@ class BackoffPolicy:
         """The first ``attempts`` delays of the schedule."""
         for attempt in range(1, attempts + 1):
             yield self.delay(attempt, rng=rng)
-
-    def session(
-        self, rng: Optional[random.Random] = None
-    ) -> "BackoffSchedule":
-        """A fresh stateful schedule over this policy.
-
-        For plain policies this just counts attempts and defers to
-        :meth:`delay`; with ``decorrelated=True`` it carries the
-        previous delay the decorrelated draw depends on.  One session
-        per retry *episode* -- reset by creating a new one once the
-        peer answers again.
-        """
-        return BackoffSchedule(self, rng=rng)
-
-
-class BackoffSchedule:
-    """Stateful delay iterator over one :class:`BackoffPolicy`.
-
-    ``next_delay()`` yields the wait before the next retry.  Without
-    ``decorrelated`` it reproduces ``policy.delay(1), policy.delay(2),
-    ...`` exactly; with it each delay is drawn uniformly from
-    ``[base, 3 * previous]`` and capped, so concurrent retriers against
-    one endpoint spread out instead of pulsing in sync.
-    """
-
-    __slots__ = ("policy", "_rng", "_attempt", "_prev")
-
-    def __init__(
-        self, policy: BackoffPolicy, rng: Optional[random.Random] = None
-    ) -> None:
-        self.policy = policy
-        self._rng = rng
-        self._attempt = 0
-        self._prev = policy.base
-
-    @property
-    def attempt(self) -> int:
-        """Retries drawn from this session so far."""
-        return self._attempt
-
-    def next_delay(self) -> float:
-        self._attempt += 1
-        policy = self.policy
-        if not policy.decorrelated:
-            return policy.delay(self._attempt, rng=self._rng)
-        rng = self._rng or random
-        delay = min(
-            policy.cap,
-            rng.uniform(policy.base, max(policy.base, self._prev * 3.0)),
-        )
-        self._prev = delay
-        return delay
 
 
 class RetriesExhausted(Exception):
@@ -173,7 +104,6 @@ def retry_call(
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
-    schedule = policy.session(rng=rng)
     last: Optional[BaseException] = None
     for attempt in range(1, attempts + 1):
         try:
@@ -181,6 +111,6 @@ def retry_call(
         except retry_on as exc:
             last = exc
             if attempt < attempts:
-                sleep(schedule.next_delay())
+                sleep(policy.delay(attempt, rng=rng))
     assert last is not None
     raise RetriesExhausted(attempts, last)

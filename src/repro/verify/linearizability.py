@@ -97,9 +97,6 @@ def check_linearizability(
     workers: int = 0,
     fault_plan: Optional[Any] = None,
     shard_states: Optional[int] = None,
-    remote: Optional[Any] = None,
-    remote_listen: Optional[str] = None,
-    transport: Optional[str] = None,
     heartbeat_timeout: Optional[float] = None,
     spec_checkpoint: Optional[CheckpointSink] = None,
     spec_resume: Optional[Checkpoint] = None,
@@ -172,8 +169,6 @@ def check_linearizability(
             impl = maybe_parallel_explore(
                 program, config, workers=workers, fault_plan=fault_plan,
                 shard_states=shard_states,
-                remote=remote, remote_listen=remote_listen,
-                transport=transport,
                 heartbeat_timeout=heartbeat_timeout, stats=stats, budget=budget,
             )
         impl_states = impl.num_states
@@ -254,9 +249,6 @@ def check_linearizability_both(
     workers: int = 0,
     fault_plan: Optional[Any] = None,
     shard_states: Optional[int] = None,
-    remote: Optional[Any] = None,
-    remote_listen: Optional[str] = None,
-    transport: Optional[str] = None,
     heartbeat_timeout: Optional[float] = None,
     spec_checkpoint: Optional[CheckpointSink] = None,
     spec_resume: Optional[Checkpoint] = None,
@@ -291,8 +283,7 @@ def check_linearizability_both(
         impl = maybe_parallel_explore(
             program, config, workers=workers, fault_plan=fault_plan,
             shard_states=shard_states,
-            remote=remote, remote_listen=remote_listen,
-            transport=transport, heartbeat_timeout=heartbeat_timeout,
+            heartbeat_timeout=heartbeat_timeout,
             stats=stats_quotient, budget=budget,
         )
     except BudgetExhausted as exc:

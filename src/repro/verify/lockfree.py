@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from ..core import (
     Lasso,
@@ -80,9 +80,6 @@ def check_lock_freedom_auto(
     workers: int = 0,
     fault_plan=None,
     shard_states: Optional[int] = None,
-    remote: Optional[Any] = None,
-    remote_listen: Optional[str] = None,
-    transport: Optional[str] = None,
     heartbeat_timeout: Optional[float] = None,
     impl_system=None,
 ) -> LockFreedomResult:
@@ -141,8 +138,7 @@ def check_lock_freedom_auto(
             impl = maybe_parallel_explore(
                 program, config, workers=workers, fault_plan=fault_plan,
                 shard_states=shard_states,
-                remote=remote, remote_listen=remote_listen,
-                transport=transport, heartbeat_timeout=heartbeat_timeout,
+                heartbeat_timeout=heartbeat_timeout,
                 stats=stats, budget=budget,
             )
         impl_states = impl.num_states

@@ -515,9 +515,6 @@ def check_linearizability_reachability(
     workers: int = 0,
     fault_plan: Optional[Any] = None,
     shard_states: Optional[int] = None,
-    remote: Optional[Any] = None,
-    remote_listen: Optional[str] = None,
-    transport: Optional[str] = None,
     heartbeat_timeout: Optional[float] = None,
     on_the_fly: bool = False,
     impl_system: Optional[AnyLTS] = None,
@@ -591,8 +588,6 @@ def check_linearizability_reachability(
                 impl = maybe_parallel_explore(
                     program, config, workers=workers, fault_plan=fault_plan,
                     shard_states=shard_states,
-                    remote=remote, remote_listen=remote_listen,
-                    transport=transport,
                     heartbeat_timeout=heartbeat_timeout, stats=stats, budget=budget,
                 )
             impl_states = impl.num_states

@@ -67,40 +67,28 @@ def test_mark_fired_skips_other_workers():
 
 
 # ----------------------------------------------------------------------
-# network fault kinds (remote worker pool)
+# kind@states shorthand; only the four process-level kinds parse
 # ----------------------------------------------------------------------
-
-def test_parse_network_kinds():
-    plan = FaultPlan.parse("drop-conn:1@50,stall-socket:*@10,corrupt-frame:0@5")
-    assert [f.kind for f in plan.faults] == [
-        "drop-conn", "stall-socket", "corrupt-frame"
-    ]
-
 
 def test_parse_worker_shorthand_defaults_to_wildcard():
     # "kind@states" is shorthand for "kind:*@states".
-    plan = FaultPlan.parse("drop-conn@50")
+    plan = FaultPlan.parse("kill@50")
     fault = plan.faults[0]
-    assert fault.kind == "drop-conn"
+    assert fault.kind == "kill"
     assert fault.worker is None
     assert fault.after_states == 50
     assert fault.matches(7, 50)
 
 
-def test_partition_is_supervisor_side():
-    plan = FaultPlan.parse("partition@2,drop-conn:0@5")
-    # Worker-side scheduling never sees the partition fault...
-    assert plan.next_for(0, 10**9) is plan.faults[1]
-    # ...the supervisor's per-wave hook does, exactly once.
-    assert plan.next_supervisor_fault(1) is None
-    fault = plan.next_supervisor_fault(2)
-    assert fault is plan.faults[0]
-    fault.fired = True
-    assert plan.next_supervisor_fault(2) is None
-
-
-def test_mark_fired_never_retires_partition():
-    # A worker death must not consume the supervisor-side fault.
-    plan = FaultPlan.parse("partition@1,kill:*@1")
-    plan.mark_fired(0)
-    assert [f.fired for f in plan.faults] == [False, True]
+@pytest.mark.parametrize("spec", [
+    # parse() lower-cases kinds, so these are the old network kinds.
+    "DROP-CONN:1@50",
+    "STALL-SOCKET:*@10",
+    "CORRUPT-FRAME:0@5",
+    "partition@2",
+])
+def test_parse_rejects_network_kinds(spec):
+    # There is no socket transport: a network kind must be refused, not
+    # mapped onto a process-level fault or silently ignored.
+    with pytest.raises(FaultPlanError, match="unknown fault kind"):
+        FaultPlan.parse(spec)

@@ -53,37 +53,6 @@ def test_jitter_stays_within_relative_bounds():
             assert 0.5 * nominal <= delay <= 1.5 * nominal
 
 
-def test_decorrelated_schedule_stays_within_envelope():
-    # AWS-style decorrelated jitter: each delay is uniform in
-    # [base, prev * 3], clamped to cap.  Never below base, never above
-    # cap, and not deterministic.
-    policy = BackoffPolicy(base=0.05, cap=2.0, decorrelated=True)
-    schedule = policy.session(random.Random(7))
-    prev = policy.base
-    for _ in range(100):
-        delay = schedule.next_delay()
-        assert policy.base <= delay <= policy.cap
-        assert delay <= max(policy.base, min(policy.cap, prev * 3.0))
-        prev = delay
-
-
-def test_decorrelated_sessions_are_independent_streams():
-    policy = BackoffPolicy(base=0.05, cap=2.0, decorrelated=True)
-    a = [policy.session(random.Random(1)).next_delay() for _ in range(5)]
-    b = [policy.session(random.Random(2)).next_delay() for _ in range(5)]
-    assert a != b  # different rngs decorrelate endpoints
-
-
-def test_decorrelated_off_by_default_schedule_matches_delay():
-    # Without the flag, session schedules reproduce the exponential
-    # formula exactly -- the pinned supervisor regression above must
-    # keep holding for schedule users too.
-    policy = BackoffPolicy(base=0.1, cap=1.0)
-    schedule = policy.session()
-    for attempt in range(1, 8):
-        assert schedule.next_delay() == policy.delay(attempt)
-
-
 def test_invalid_policies_rejected():
     with pytest.raises(ValueError):
         BackoffPolicy(base=-0.1)
