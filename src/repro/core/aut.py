@@ -36,7 +36,7 @@ from __future__ import annotations
 import ast
 import io
 import re
-from typing import Any, Hashable, List, TextIO, Tuple, Union
+from typing import Any, Dict, Hashable, List, TextIO, Tuple, Union
 
 from .lts import LTS, TAU, AnyLTS
 
@@ -187,6 +187,8 @@ def read_aut(source: Union[str, TextIO]) -> LTS:
     lts = LTS()
     lts.add_states(num_states)
     lts.init = init
+    # A file has few distinct labels: parse each raw label field once.
+    action_ids: Dict[str, int] = {}
     for lineno, line in lines[1:]:
         edge = _EDGE.match(line)
         if not edge:
@@ -198,9 +200,13 @@ def read_aut(source: Union[str, TextIO]) -> LTS:
                 f"line {lineno}: AUT transition endpoint out of range "
                 f"(declared {num_states} states): {line!r}"
             )
-        if label_text.startswith('"') and label_text.endswith('"') and len(label_text) >= 2:
-            label_text = _unescape(label_text[1:-1])
-        lts.add_transition_by_id(src, lts.action_id(parse_label(label_text)), dst)
+        aid = action_ids.get(label_text)
+        if aid is None:
+            text = label_text
+            if text.startswith('"') and text.endswith('"') and len(text) >= 2:
+                text = _unescape(text[1:-1])
+            aid = action_ids[label_text] = lts.action_id(parse_label(text))
+        lts.add_transition_by_id(src, aid, dst)
     if lts.num_transitions != num_transitions:
         raise ValueError(
             f"AUT header promises {num_transitions} transitions, "

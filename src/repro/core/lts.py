@@ -623,35 +623,27 @@ class LTSBuilder:
         self._state_ids: Dict[Hashable, int] = {}
         self.state_keys: List[Hashable] = []
 
-    def state(self, key: Hashable) -> int:
-        """Intern ``key`` and return its state id."""
-        sid = self._state_ids.get(key)
-        if sid is None:
-            sid = self.lts.add_state()
-            self._state_ids[key] = sid
-            self.state_keys.append(key)
-        return sid
+    def intern(self, key: Hashable) -> Tuple[int, bool]:
+        """Intern ``key`` with one hash; return ``(state_id, is_new)``.
+
+        Explorers drive their work-list from ``is_new`` and add edges
+        with :meth:`LTS.add_transition` by id, so no key is hashed
+        twice.
+        """
+        fresh = len(self.state_keys)
+        sid = self._state_ids.setdefault(key, fresh)
+        if sid != fresh:
+            return sid, False
+        self.state_keys.append(key)
+        self.lts.add_state()
+        return sid, True
 
     def known(self, key: Hashable) -> bool:
         """Return whether ``key`` has already been interned."""
         return key in self._state_ids
 
-    def transition(
-        self, src_key: Hashable, label: Hashable, dst_key: Hashable, annotation: Any = None
-    ) -> Tuple[int, bool]:
-        """Add a transition between (possibly new) keyed states.
-
-        Returns ``(dst_id, dst_is_new)`` so explorers can drive their
-        work-list from the builder.
-        """
-        src = self.state(src_key)
-        new = dst_key not in self._state_ids
-        dst = self.state(dst_key)
-        self.lts.add_transition(src, label, dst, annotation)
-        return dst, new
-
     def set_init(self, key: Hashable) -> None:
-        self.lts.init = self.state(key)
+        self.lts.init = self.intern(key)[0]
 
 
 def make_lts(

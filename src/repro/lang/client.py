@@ -34,7 +34,15 @@ if TYPE_CHECKING:  # pragma: no cover
 from .checkpoint import Checkpoint, CheckpointSink, fingerprint
 from .program import Method, ObjectProgram
 from .semantics import execute
-from .state import ModelError, StateKey, canonicalize
+from .state import (
+    ModelError,
+    Scans,
+    StateKey,
+    _same_content,
+    canonicalize,
+    canonicalize_successor,
+    root_counts,
+)
 
 #: Maximum chain of fused local steps (guards against local infinite
 #: loops, which then surface as explicit tau-cycles instead).
@@ -146,6 +154,12 @@ def _check_pc(method: Method, pc: int) -> None:
         )
 
 
+#: One thread step in delta form: ``(label, globals, heap, record,
+#: annotation)``, where ``None`` globals or heap mean "unchanged: take
+#: them from the state being expanded".
+Step = Tuple[Any, Optional[Tuple[Any, ...]], Any, Tuple[Any, ...], Optional[str]]
+
+
 class ExpansionContext:
     """Per-state successor generation, shared by the serial exploration
     loop and the :mod:`repro.parallel` workers.
@@ -155,9 +169,25 @@ class ExpansionContext:
     produces -- without touching any interning table, so the same
     expansion can run in a worker process and be replayed
     deterministically by the supervisor's merge.
+
+    Two per-run caches make an expansion pay only for what a step
+    changed; neither changes a single edge:
+
+    * each thread's steps are a pure function of ``(tid, globals, heap,
+      record)``, so they are computed once per distinct input and kept
+      in delta form (:data:`Step`);
+    * globals, heaps and thread records are hash-consed, type-exactly
+      (:func:`~repro.lang.state._same_content`): an ``==``-twin that
+      differs only in ``False``/``0`` flavour is never served the
+      other's steps (``Lock`` tests ``is not False``) -- it is expanded
+      without the cache.  Shared parts keep successors built from the
+      same objects, which :func:`~repro.lang.state.canonicalize_successor`
+      recognizes by identity.
     """
 
-    __slots__ = ("program", "config", "canon", "settle")
+    __slots__ = (
+        "program", "config", "settle", "_reps", "_rep_ids", "_steps", "_scans",
+    )
 
     def __init__(self, program: ObjectProgram, config: ClientConfig) -> None:
         if not config.workload:
@@ -167,12 +197,6 @@ class ExpansionContext:
             if not isinstance(args, tuple):
                 raise ModelError(f"workload args for {mname!r} must be a tuple")
 
-        if config.canonicalize_heap:
-            canon = canonicalize
-        else:
-            def canon(g, heap, threads):
-                return (g, heap, threads)
-
         if config.fuse_local_steps:
             settle = _settle
         else:
@@ -181,83 +205,148 @@ class ExpansionContext:
 
         self.program = program
         self.config = config
-        self.canon = canon
         self.settle = settle
+        #: ``==``-class -> its first-seen (representative) object, and
+        #: the ids of those representatives (kept alive by ``_reps``).
+        self._reps: Dict[Any, Any] = {}
+        self._rep_ids: set = set()
+        #: ``(tid, id(globals), id(heap), id(record))`` of representatives
+        #: -> that thread's steps.
+        self._steps: Dict[Tuple[int, int, int, int], List[Step]] = {}
+        self._scans: Scans = {}
 
     def initial_key(self) -> StateKey:
         init_threads = tuple(
             IDLE + (budget_,) for budget_ in self.config.budgets()
         )
-        return self.canon(
-            self.program.initial_globals(), self.program.initial_heap,
-            init_threads,
-        )
+        key = (self.program.initial_globals(), self.program.initial_heap,
+               init_threads)
+        return canonicalize(*key) if self.config.canonicalize_heap else key
+
+    def _share(self, value: Any) -> Any:
+        """The hash-consed representative of ``value``.
+
+        A type twin of an earlier value (``==`` to it, not
+        :func:`~repro.lang.state._same_content`) stays itself and never
+        becomes a representative, so it never keys the step cache.
+        """
+        rep_ids = self._rep_ids
+        if id(value) in rep_ids:
+            return value
+        rep = self._reps.setdefault(value, value)
+        if rep is value:
+            rep_ids.add(id(value))
+            return value
+        return rep if _same_content(rep, value) else value
+
+    def _thread_steps(
+        self, tid: int, g: Tuple[Any, ...], heap: Any, record: Tuple[Any, ...]
+    ) -> List[Step]:
+        """Delta-form steps of thread ``tid`` in ``(g, heap)``, in edge order."""
+        program, settle, share = self.program, self.settle, self._share
+        mi, pc, packed, ops_budget = record
+        if pc == PENDING_RETURN:
+            label = ("ret", tid + 1, program.methods[mi].name, packed[0])
+            return [(label, None, None, share(IDLE + (ops_budget,)), None)]
+        steps: List[Step] = []
+        if mi < 0:
+            if ops_budget <= 0:
+                return steps
+            for mname, args in self.config.workload:
+                method = program.method(mname)
+                env = method.initial_env(tid, args)
+                env, entry = settle(program, method, g, heap, env, 0)
+                _check_pc(method, entry)
+                new_record = (
+                    program.method_index[mname],
+                    entry,
+                    method.pack_env(env),
+                    ops_budget - 1,
+                )
+                steps.append(
+                    (("call", tid + 1, mname, args), None, None,
+                     share(new_record), None)
+                )
+            return steps
+
+        method = program.methods[mi]
+        op = method.ops[pc]
+        env = method.unpack_env(packed)
+        annotation = f"t{tid + 1}.{op.line}" if op.line else None
+        for outcome in execute(program, op, g, heap, env):
+            if outcome[0] == "ret":
+                _kind, ng, nheap, value = outcome
+                label = ("ret", tid + 1, method.name, value)
+                new_record = IDLE + (ops_budget,)
+                note = None
+            elif outcome[0] == "retpend":
+                # Return decided inside an atomic block: the visible
+                # return action follows as a separate step.
+                _kind, ng, nheap, value = outcome
+                label = TAU
+                new_record = (mi, PENDING_RETURN, (value,), ops_budget)
+                note = annotation
+            else:
+                _kind, ng, nheap, nenv, target = outcome
+                npc = pc + 1 if target < 0 else target
+                nenv, npc = settle(program, method, ng, nheap, nenv, npc)
+                _check_pc(method, npc)
+                label = TAU
+                new_record = (mi, npc, method.pack_env(nenv), ops_budget)
+                note = annotation
+            ng, nheap = share(ng), share(nheap)
+            steps.append((
+                label,
+                None if ng is g else ng,
+                None if nheap is heap else nheap,
+                share(new_record),
+                note,
+            ))
+        return steps
 
     def expand(self, key: StateKey) -> List[Edge]:
-        """Ordered successor edges of ``key`` (see class docstring)."""
-        program, config = self.program, self.config
-        canon, settle = self.canon, self.settle
-        edges: List[Edge] = []
-        g, heap, threads = key
-        for tid, record in enumerate(threads):
-            mi, pc, packed = record[0], record[1], record[2]
-            ops_budget = record[3]
-            if pc == PENDING_RETURN:
-                method = program.methods[mi]
-                new_record = IDLE + (ops_budget,)
-                new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                dst = canon(g, heap, new_threads)
-                edges.append((("ret", tid + 1, method.name, packed[0]), dst, None))
-                continue
-            if mi < 0:
-                if ops_budget <= 0:
-                    continue
-                for mname, args in config.workload:
-                    method = program.method(mname)
-                    env = method.initial_env(tid, args)
-                    env, entry = settle(program, method, g, heap, env, 0)
-                    _check_pc(method, entry)
-                    new_record = (
-                        program.method_index[mname],
-                        entry,
-                        method.pack_env(env),
-                        ops_budget - 1,
-                    )
-                    new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    dst = canon(g, heap, new_threads)
-                    edges.append((("call", tid + 1, mname, args), dst, None))
-                continue
+        """Ordered successor edges of ``key`` (see class docstring).
 
-            method = program.methods[mi]
-            op = method.ops[pc]
-            env = method.unpack_env(packed)
-            annotation = f"t{tid + 1}.{op.line}" if op.line else None
-            for outcome in execute(program, op, g, heap, env):
-                if outcome[0] == "ret":
-                    _kind, ng, nheap, value = outcome
-                    new_record = IDLE + (ops_budget,)
-                    new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    dst = canon(ng, nheap, new_threads)
-                    edges.append(
-                        (("ret", tid + 1, method.name, value), dst, None)
+        ``key`` must be a state of this run (:meth:`initial_key` or a
+        destination of an earlier expansion), hence canonical when the
+        heap is canonicalized.
+        """
+        share, rep_ids = self._share, self._rep_ids
+        g, heap, threads = key
+        g, heap = share(g), share(heap)
+        for record in threads:
+            if id(record) not in rep_ids:
+                threads = tuple([share(part) for part in threads])
+                break
+        cached = id(g) in rep_ids and id(heap) in rep_ids
+        canonical = self.config.canonicalize_heap
+        source = (g, heap, threads)
+        scans = self._scans
+        counts = root_counts(source, scans) if canonical else ()
+        steps_of = self._steps
+        edges: List[Edge] = []
+        for tid, record in enumerate(threads):
+            if cached and id(record) in rep_ids:
+                step_key = (tid, id(g), id(heap), id(record))
+                steps = steps_of.get(step_key)
+                if steps is None:
+                    steps = steps_of[step_key] = self._thread_steps(
+                        tid, g, heap, record
                     )
-                elif outcome[0] == "retpend":
-                    # Return decided inside an atomic block: the visible
-                    # return action follows as a separate step.
-                    _kind, ng, nheap, value = outcome
-                    new_record = (mi, PENDING_RETURN, (value,), ops_budget)
-                    new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    dst = canon(ng, nheap, new_threads)
-                    edges.append((TAU, dst, annotation))
+            else:
+                steps = self._thread_steps(tid, g, heap, record)
+            head, tail = threads[:tid], threads[tid + 1:]
+            for label, ng, nheap, new_record, annotation in steps:
+                ng = g if ng is None else ng
+                nheap = heap if nheap is None else nheap
+                new_threads = head + (new_record,) + tail
+                if canonical:
+                    dst = canonicalize_successor(
+                        source, counts, ng, nheap, new_threads, scans
+                    )
                 else:
-                    _kind, ng, nheap, nenv, target = outcome
-                    npc = pc + 1 if target < 0 else target
-                    nenv, npc = settle(program, method, ng, nheap, nenv, npc)
-                    _check_pc(method, npc)
-                    new_record = (mi, npc, method.pack_env(nenv), ops_budget)
-                    new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    dst = canon(ng, nheap, new_threads)
-                    edges.append((TAU, dst, annotation))
+                    dst = (ng, nheap, new_threads)
+                edges.append((label, dst, annotation))
         return edges
 
 
@@ -325,7 +414,8 @@ class StreamingExplorer:
         if resume is not None:
             resume.validate(self._run_id)
             self.builder = resume.builder
-            self._stack: List[StateKey] = resume.frontier_keys()
+            #: Frontier as interned state ids, bottom of the DFS first.
+            self._stack: List[int] = list(resume.frontier)
             # Everything interned but not on the frontier is expanded.
             frontier_ids = set(resume.frontier)
             self._expanded = {
@@ -335,9 +425,8 @@ class StreamingExplorer:
             }
         else:
             self.builder = LTSBuilder()
-            init_key = self.context.initial_key()
-            self.builder.set_init(init_key)
-            self._stack = [init_key]
+            self.builder.set_init(self.context.initial_key())
+            self._stack = [self.builder.lts.init]
             self._expanded: set = set()
 
         #: States whose successors this explorer computed (resumed runs
@@ -364,9 +453,7 @@ class StreamingExplorer:
     @property
     def done(self) -> bool:
         """No unexpanded frontier remains (the stream is drained)."""
-        return all(
-            self.builder.state(key) in self._expanded for key in self._stack
-        )
+        return all(sid in self._expanded for sid in self._stack)
 
     def is_expanded(self, sid: int) -> bool:
         """Whether ``sid``'s successors have already been streamed."""
@@ -379,7 +466,7 @@ class StreamingExplorer:
         return Checkpoint(
             fingerprint=self._run_id,
             builder=self.builder,
-            frontier=[self.builder.state(k) for k in self._stack],
+            frontier=list(self._stack),
         )
 
     def freeze(self) -> LTS:
@@ -419,15 +506,17 @@ class StreamingExplorer:
 
     def _expand(self, sid: int, key: StateKey) -> List[Event]:
         builder = self.builder
+        intern, add = builder.intern, builder.lts.add_transition
         stack = self._stack
         cache: Optional[List[Tuple[int, Any, int]]] = (
             [] if self._edges is not None else None
         )
         events: List[Event] = []
         for label, dst_key, annotation in self.context.expand(key):
-            dst, is_new = builder.transition(key, label, dst_key, annotation)
+            dst, is_new = intern(dst_key)
+            add(sid, label, dst, annotation)
             if is_new:
-                stack.append(dst_key)
+                stack.append(dst)
             events.append((sid, label, dst))
             if cache is not None:
                 cache.append((builder.lts.lookup_action(label), label, dst))
@@ -444,15 +533,14 @@ class StreamingExplorer:
         state expansion -- exactly the edges (and order) the classic
         loop body would have added for that state.
         """
-        builder, stack = self.builder, self._stack
+        keys, stack = self.builder.state_keys, self._stack
         while stack:
             self._safe_point()
-            key = stack.pop()
-            sid = builder.state(key)
+            sid = stack.pop()
             if sid in self._expanded:
                 # Already expanded on demand via successors_of.
                 continue
-            return self._expand(sid, key)
+            return self._expand(sid, keys[sid])
         return None
 
     def successors_of(self, sid: int) -> List[Tuple[int, Any, int]]:

@@ -119,7 +119,7 @@ def _spec_lts(
     if resume is not None:
         resume.validate(run_id)
         builder = resume.builder
-        stack: List[Any] = resume.frontier_keys()
+        stack: List[int] = list(resume.frontier)
     else:
         builder = LTSBuilder()
         init_key = (
@@ -127,13 +127,13 @@ def _spec_lts(
             tuple((_IDLE, None, None, None, budget) for budget in budgets),
         )
         builder.set_init(init_key)
-        stack = [init_key]
+        stack = [builder.lts.init]
 
     def snapshot() -> Checkpoint:
         return Checkpoint(
             fingerprint=run_id,
             builder=builder,
-            frontier=[builder.state(k) for k in stack],
+            frontier=list(stack),
         )
 
     try:
@@ -151,12 +151,13 @@ def _spec_loop(
     spec: SpecObject,
     workload: Workload,
     builder: LTSBuilder,
-    stack: List[Any],
+    stack: List[int],
     max_states: Optional[int],
     budget: Optional["RunBudget"],
     checkpoint: Optional[CheckpointSink],
     snapshot,
 ) -> LTS:
+    keys, intern, add = builder.state_keys, builder.intern, builder.lts.add_transition
     while stack:
         # Top of the loop is the one safe point (every interned state is
         # fully expanded or still on the stack), as in client._explore.
@@ -176,8 +177,8 @@ def _spec_loop(
             )
         if checkpoint is not None and checkpoint.due():
             checkpoint.save(snapshot())
-        key = stack.pop()
-        abstract, threads = key
+        sid = stack.pop()
+        abstract, threads = keys[sid]
         for tid, record in enumerate(threads):
             phase, mname, args, ret, ops_budget = record
             if phase == _IDLE:
@@ -186,27 +187,23 @@ def _spec_loop(
                 for wm, wargs in workload:
                     new_record = (_PENDING, wm, wargs, None, ops_budget - 1)
                     new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    label = ("call", tid + 1, wm, wargs)
-                    dst = (abstract, new_threads)
-                    _, is_new = builder.transition(key, label, dst)
+                    dst, is_new = intern((abstract, new_threads))
+                    add(sid, ("call", tid + 1, wm, wargs), dst)
                     if is_new:
                         stack.append(dst)
             elif phase == _PENDING:
                 for new_abstract, value in spec.method(mname)(abstract, args):
                     new_record = (_DONE, mname, args, value, ops_budget)
                     new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    dst = (new_abstract, new_threads)
-                    _, is_new = builder.transition(
-                        key, TAU, dst, f"t{tid + 1}.atomic"
-                    )
+                    dst, is_new = intern((new_abstract, new_threads))
+                    add(sid, TAU, dst, f"t{tid + 1}.atomic")
                     if is_new:
                         stack.append(dst)
             else:
                 new_record = (_IDLE, None, None, None, ops_budget)
                 new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                label = ("ret", tid + 1, mname, ret)
-                dst = (abstract, new_threads)
-                _, is_new = builder.transition(key, label, dst)
+                dst, is_new = intern((abstract, new_threads))
+                add(sid, ("ret", tid + 1, mname, ret), dst)
                 if is_new:
                     stack.append(dst)
     return builder.lts

@@ -19,6 +19,14 @@ candidates for reallocation, keeping ABA scenarios observable.
 Values inside globals, locals and node fields may be nested tuples
 (e.g. a pointer-with-mark-bit word, or an array of slots); references
 are located and rewritten at any nesting depth.
+
+Exploration canonicalizes every successor of a state it expands, and
+most steps leave the heap's canonical numbering as it was.
+:func:`canonicalize_successor` uses that: it replays only the parts of
+the traversal a step changed, against counts :func:`root_counts`
+recorded once for the (already canonical) source, and falls back to
+:func:`canonicalize` -- the one full renaming -- as soon as the
+successor's numbering departs from the identity.
 """
 
 from __future__ import annotations
@@ -110,6 +118,138 @@ def canonicalize(
         for (mi, pc, locals_, budget) in threads
     )
     return (new_globals, new_heap, new_threads)
+
+
+def _same_content(a: Any, b: Any) -> bool:
+    """``==`` plus exact types, recursively through the key tuples.
+
+    State keys are nested tuples of scalars, and Python's numeric tower
+    makes ``False == 0 == 0.0`` -- so two states whose values differ
+    only in bool/int/float flavor collide in any ``==``-keyed table,
+    although they neither behave nor render alike (``Lock`` tests
+    ``is not False``; a returned ``False`` prints differently from
+    ``0``).  This is the one type-exact comparison of state parts.
+    """
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        if len(a) != len(b):
+            return False
+        for x, y in zip(a, b):
+            if x is not y and not _same_content(x, y):
+                return False
+        return True
+    return a == b
+
+
+def _scan_in_order(values: Tuple[Any, ...], count: int) -> int:
+    """:func:`_scan` over ``values`` with nodes ``0..count-1`` visited.
+
+    Returns the new count while every first visit is the next index in
+    order, and ``-1`` at the first visit that is out of order.
+    """
+    for value in values:
+        kind = type(value)
+        if kind is Ref:
+            index = value[1]
+            if index >= count:
+                if index != count:
+                    return -1
+                count += 1
+        elif kind is tuple:
+            count = _scan_in_order(value, count)
+            if count < 0:
+                return -1
+    return count
+
+
+#: Per-run memo of root-segment scans: ``(id(part), count entered with)
+#: -> (part, count after part)``.  Holding ``part`` keeps its id from
+#: being reused, so a hit is always the same object.
+Scans = Dict[Tuple[int, int], Tuple[Tuple[Any, ...], int]]
+
+
+def _scan_root(part: Tuple[Any, ...], count: int, scans: Scans) -> int:
+    """:func:`_scan_in_order` of one root segment, memoized in ``scans``."""
+    memo_key = (id(part), count)
+    hit = scans.get(memo_key)
+    if hit is None:
+        hit = scans[memo_key] = (part, _scan_in_order(part, count))
+    return hit[1]
+
+
+def root_counts(key: StateKey, scans: Scans) -> Tuple[int, ...]:
+    """Nodes first visited after the globals and after each thread's locals.
+
+    ``key`` must be canonical (``canonicalize(*key)`` returns it
+    unchanged), so its roots visit the nodes in index order and each
+    count is the number of nodes visited so far.  Entry ``0`` is the
+    count after the globals, entry ``i + 1`` the count after thread
+    ``i``'s locals.
+    """
+    globals_, _heap, threads = key
+    count = _scan_root(globals_, 0, scans)
+    counts = [count]
+    for record in threads:
+        count = _scan_root(record[2], count, scans)
+        counts.append(count)
+    if count < 0:
+        raise ValueError("root_counts needs a canonical state key")
+    return tuple(counts)
+
+
+def canonicalize_successor(
+    source: StateKey,
+    counts: Tuple[int, ...],
+    globals_: Tuple[Any, ...],
+    heap: Heap,
+    threads: Tuple[ThreadRecord, ...],
+    scans: Scans,
+) -> StateKey:
+    """``canonicalize(globals_, heap, threads)`` for a successor of ``source``.
+
+    ``source`` is a canonical key and ``counts`` its :func:`root_counts`.
+    The traversal is replayed against the source's: a root segment
+    (the globals, or one thread's locals) that is the same object as
+    the source's and is entered with the source's count visits exactly
+    the source's nodes, so it is skipped.  When the roots end at the
+    source's count over the source's heap object, the rest of the
+    traversal is the source's too and the successor is returned as-is.
+    Otherwise the scan continues in index order; the first visit out of
+    order, or a node no root reaches, hands the successor to
+    :func:`canonicalize`.  Every path returns what ``canonicalize``
+    returns.
+    """
+    src_globals, src_heap, src_threads = source
+    if globals_ is src_globals:
+        count = counts[0]
+    else:
+        count = _scan_root(globals_, 0, scans)
+        if count < 0:
+            return canonicalize(globals_, heap, threads)
+    for index, record in enumerate(threads):
+        locals_ = record[2]
+        if locals_ is src_threads[index][2] and count == counts[index]:
+            count = counts[index + 1]
+            continue
+        if type(locals_) is not tuple:
+            return canonicalize(globals_, heap, threads)
+        count = _scan_root(locals_, count, scans)
+        if count < 0:
+            return canonicalize(globals_, heap, threads)
+    if heap is src_heap and count == counts[-1]:
+        return (globals_, heap, threads)
+    cursor = 0
+    while cursor < count:
+        count = _scan_in_order(heap[cursor][1:], count)
+        if count < 0:
+            return canonicalize(globals_, heap, threads)
+        cursor += 1
+    if count != len(heap):
+        return canonicalize(globals_, heap, threads)
+    return (globals_, heap, threads)
 
 
 def free_node_indices(heap: Heap) -> List[int]:

@@ -62,6 +62,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.lts import LTSBuilder
 from ..lang.checkpoint import Checkpoint, CheckpointSink, fingerprint
 from ..lang.client import ExpansionContext, StateExplosion
+from ..lang.state import _same_content
 from ..util.budget import (
     REASON_DEADLINE,
     BudgetExhausted,
@@ -87,30 +88,6 @@ from .worker import HEARTBEAT_SECONDS, worker_main
 #: Upper bound on one ``select`` wait, so SIGINT tokens, backoff expiry
 #: and hang deadlines are observed promptly.
 _POLL_SECONDS = 0.25
-
-
-def _same_content(a: Any, b: Any) -> bool:
-    """``==`` plus exact types, recursively through the key tuples.
-
-    State keys are nested tuples of scalars, and Python's numeric tower
-    makes ``False == 0 == 0.0`` -- so two states whose values differ
-    only in bool/int/float flavor collide in any ``==``-keyed table.
-    Serial exploration conflates them too (they behave identically),
-    but it renders labels from the representative *it* discovered
-    first; the wave loop discovers in BFS layer order and may pick the
-    other one.  The replay uses this check to spot such aliased table
-    entries and re-expand with the serial-order representative, keeping
-    the output byte-identical.
-    """
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if type(a) is tuple or isinstance(a, tuple):
-        return len(a) == len(b) and all(
-            _same_content(x, y) for x, y in zip(a, b)
-        )
-    return a == b
 
 
 @dataclass
@@ -229,7 +206,8 @@ class Supervisor:
         self.expansions: Dict[Any, List[Any]] = {}
         # key (==-equal class) -> the exact key object whose expansion
         # is stored; lets the replay detect bool/int-aliased entries
-        # (see _same_content) without changing the table layout.
+        # (see repro.lang.state._same_content) without changing the
+        # table layout.
         self.expansion_reps: Dict[Any, Any] = {}
         self.known: set = set()
         self.trans_count = 0
@@ -514,27 +492,31 @@ class Supervisor:
     # ------------------------------------------------------------------
     def _replay(
         self, stop_on_missing: bool
-    ) -> Tuple[LTSBuilder, List[Any], set]:
+    ) -> Tuple[LTSBuilder, List[int], set]:
         """Serial-DFS replay of the expansion table.
 
-        Returns ``(builder, stack, consumed)``; with ``stop_on_missing``
-        the replay halts at the first popped key without a recorded
-        expansion (that key is pushed back, so ``stack`` is exactly a
-        serial frontier at a safe point).  Without it, a missing key is
-        a bug -- the wave loop guarantees closure.
+        Returns ``(builder, stack, consumed)``, ``stack`` as state ids;
+        with ``stop_on_missing`` the replay halts at the first popped key
+        without a recorded expansion (that key is pushed back, so
+        ``stack`` is exactly a serial frontier at a safe point).
+        Without it, a missing key is a bug -- the wave loop guarantees
+        closure.
         """
         builder = LTSBuilder()
         builder.set_init(self.init_key)
-        stack: List[Any] = [self.init_key]
+        intern, add = builder.intern, builder.lts.add_transition
+        keys = builder.state_keys
+        stack: List[int] = [builder.lts.init]
         consumed: set = set()
         expansions = self.expansions
         reps = self.expansion_reps
         while stack:
-            key = stack.pop()
+            sid = stack.pop()
+            key = keys[sid]
             edges = expansions.get(key)
             if edges is None:
                 if stop_on_missing:
-                    stack.append(key)
+                    stack.append(sid)
                     break
                 raise AssertionError(
                     "expansion table does not cover the reachable closure"
@@ -543,7 +525,8 @@ class Supervisor:
             if rep is not None and rep is not key \
                     and not _same_content(rep, key):
                 # The table entry was recorded for a bool/int-aliased
-                # twin of this key (same behavior, different rendering).
+                # twin of this key, whose edges may render (and, through
+                # Lock's ``is not False``, behave) differently.
                 # Re-expand with *this* key -- the replay discovers in
                 # serial order, so this is the serial representative and
                 # its rendering is the byte-identical one.
@@ -553,9 +536,10 @@ class Supervisor:
                 self._count("alias_reexpansions")
             consumed.add(key)
             for label, dst, annotation in edges:
-                _dst_id, is_new = builder.transition(key, label, dst, annotation)
+                dst_id, is_new = intern(dst)
+                add(sid, label, dst_id, annotation)
                 if is_new:
-                    stack.append(dst)
+                    stack.append(dst_id)
         return builder, stack, consumed
 
     def _salvage_checkpoint(self) -> Checkpoint:
@@ -567,7 +551,7 @@ class Supervisor:
         return Checkpoint(
             fingerprint=self.run_id,
             builder=builder,
-            frontier=[builder.state(key) for key in stack],
+            frontier=stack,
             expansions=leftover or None,
         )
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import TAU, make_lts
 from repro.core.aut import (
+    _unescape,
     dumps_aut,
     loads_aut,
     parse_label,
@@ -74,6 +75,39 @@ def test_quote_and_bang_labels_survive_round_trip():
     original = {(s, lts.action_labels[a], d) for s, a, d in lts.transitions()}
     restored = {(s, back.action_labels[a], d) for s, a, d in back.transitions()}
     assert original == restored
+
+
+def test_read_aut_parses_repeated_labels_like_parse_label():
+    # read_aut parses each distinct label field once; every line must
+    # still come back as that line's own parse_label result.
+    lines = [
+        '(0, "i", 1)',
+        '(1, i, 2)',
+        '(2, "tau", 0)',
+        '(0, "CALL !1 !enq !(1,)", 1)',
+        '(1, "RET !1 !deq !EMPTY", 2)',
+        '(2, "\\"\'i\'\\"", 0)',
+        '(0, "quo\\"te", 2)',
+        '(1, "back\\\\slash", 0)',
+        '(2, "CALL !1 !enq !(1,)", 0)',
+        '(0, "i", 2)',
+        '(1, "\\"\'i\'\\"", 1)',
+        '(2, "quo\\"te", 1)',
+        '(0, plain, 0)',
+    ]
+    lts = loads_aut("des (0, %d, 3)\n" % len(lines) + "\n".join(lines) + "\n")
+    expected = []
+    for line in lines:
+        field = line[line.index(", ") + 2:line.rindex(", ")]
+        if len(field) >= 2 and field[0] == field[-1] == '"':
+            field = _unescape(field[1:-1])
+        expected.append(parse_label(field))
+    got = [lts.action_labels[aid] for _s, aid, _d in lts.transitions()]
+    assert got == expected
+    assert [type(label) for label in got] == [type(label) for label in expected]
+    assert got[5] == "i" and got[0] == got[1] == got[2] == TAU
+    assert got[6] == 'quo"te' and got[7] == "back\\slash"
+    assert len(lts.action_labels) == len(set(expected))
 
 
 def test_dump_format():

@@ -121,15 +121,17 @@ def test_disjoint_union_offsets():
 def test_builder_interns_rich_keys():
     builder = LTSBuilder()
     builder.set_init(("heap", (1, 2)))
-    dst, is_new = builder.transition(("heap", (1, 2)), "a", ("heap", (2, 3)))
+    src, src_is_new = builder.intern(("heap", (1, 2)))
+    assert (src, src_is_new) == (builder.lts.init, False)
+    dst, is_new = builder.intern(("heap", (2, 3)))
     assert is_new
-    dst2, is_new2 = builder.transition(("heap", (1, 2)), "b", ("heap", (2, 3)))
+    dst2, is_new2 = builder.intern(("heap", (2, 3)))
     assert not is_new2
-    assert dst == dst2
+    assert dst == dst2 == 1
     assert builder.known(("heap", (1, 2)))
     assert not builder.known(("heap", ()))
     assert builder.lts.num_states == 2
-    assert builder.state_keys[builder.lts.init] == ("heap", (1, 2))
+    assert builder.state_keys == [("heap", (1, 2)), ("heap", (2, 3))]
 
 
 def test_to_dot_renders_and_caps():

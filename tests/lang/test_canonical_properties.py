@@ -3,7 +3,12 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.lang.state import canonicalize
+from repro.lang.state import (
+    _same_content,
+    canonicalize,
+    canonicalize_successor,
+    root_counts,
+)
 from repro.lang.values import Ref
 
 COMMON = settings(max_examples=100, deadline=None,
@@ -22,7 +27,7 @@ def value_strategy(num_nodes):
 
 
 @st.composite
-def state_strategy(draw):
+def state_strategy(draw, num_threads=None):
     num_nodes = draw(st.integers(min_value=0, max_value=5))
     values = value_strategy(num_nodes)
     heap = tuple(
@@ -30,7 +35,8 @@ def state_strategy(draw):
         for _ in range(num_nodes)
     )
     globals_ = tuple(draw(st.lists(values, min_size=0, max_size=3)))
-    num_threads = draw(st.integers(min_value=1, max_value=2))
+    if num_threads is None:
+        num_threads = draw(st.integers(min_value=1, max_value=2))
     threads = tuple(
         (draw(st.integers(min_value=-1, max_value=1)),
          draw(st.integers(min_value=-1, max_value=3)),
@@ -97,3 +103,151 @@ def test_canonicalize_preserves_thread_scalars(state):
         assert result[0] == original[0]
         assert result[1] == original[1]
         assert result[3] == original[3]
+
+
+# ----------------------------------------------------------------------
+# canonicalize_successor: the incremental path equals canonicalize
+# ----------------------------------------------------------------------
+
+def _rename(state, perm):
+    """Move node ``i`` to ``perm[i]``, rewriting every reference."""
+    def rewrite(value):
+        if type(value) is Ref:
+            return Ref(perm[value[1]])
+        if type(value) is tuple:
+            return tuple(rewrite(item) for item in value)
+        return value
+
+    globals_, heap, threads = state
+    new_heap = [None] * len(heap)
+    for old, node in enumerate(heap):
+        new_heap[perm[old]] = node[:1] + tuple(rewrite(v) for v in node[1:])
+    return (
+        tuple(rewrite(v) for v in globals_),
+        tuple(new_heap),
+        tuple((mi, pc, rewrite(locals_), b) for mi, pc, locals_, b in threads),
+    )
+
+
+def _replace(values, pos, value):
+    return values[:pos] + (value,) + values[pos + 1:]
+
+
+EDITS = ("globals", "locals", "field", "alloc", "drop", "reorder")
+
+
+@st.composite
+def successor_strategy(draw):
+    """A canonical source and a successor built the way a step builds one:
+    unchanged parts stay the source's objects."""
+    source = canonicalize(*draw(state_strategy()))
+    globals_, heap, threads = source
+    for edit in draw(st.lists(st.sampled_from(EDITS), min_size=1, max_size=3)):
+        values = value_strategy(len(heap))
+        mark_words = st.tuples(values, st.tuples(values, st.booleans()))
+        fresh = st.one_of(values, mark_words)
+        if edit == "globals" and globals_:
+            pos = draw(st.integers(0, len(globals_) - 1))
+            globals_ = _replace(globals_, pos, draw(fresh))
+        elif edit == "locals":
+            tid = draw(st.integers(0, len(threads) - 1))
+            mi, pc, locals_, budget = threads[tid]
+            if locals_:
+                pos = draw(st.integers(0, len(locals_) - 1))
+                locals_ = _replace(locals_, pos, draw(fresh))
+            else:
+                locals_ = (draw(fresh),)
+            threads = _replace(threads, tid, (mi, pc, locals_, budget))
+        elif edit == "field" and heap:
+            index = draw(st.integers(0, len(heap) - 1))
+            pos = draw(st.integers(1, len(heap[index]) - 1))
+            heap = _replace(heap, index, _replace(heap[index], pos, draw(fresh)))
+        elif edit == "alloc":
+            # A new node at the end, referenced from one thread's locals.
+            node = (False, draw(values), draw(values))
+            tid = draw(st.integers(0, len(threads) - 1))
+            mi, pc, locals_, budget = threads[tid]
+            heap = heap + (node,)
+            locals_ = locals_ + (Ref(len(heap) - 1),)
+            threads = _replace(threads, tid, (mi, pc, locals_, budget))
+        elif edit == "drop" and globals_:
+            # Clearing a root may leave nodes no root reaches.
+            pos = draw(st.integers(0, len(globals_) - 1))
+            globals_ = _replace(globals_, pos, None)
+        elif edit == "reorder" and len(heap) > 1:
+            perm = draw(st.permutations(range(len(heap))))
+            globals_, heap, threads = _rename((globals_, heap, threads), perm)
+    return source, (globals_, heap, threads)
+
+
+@COMMON
+@given(successor_strategy())
+def test_canonicalize_successor_matches_canonicalize(case):
+    source, successor = case
+    scans = {}
+    counts = root_counts(source, scans)
+    for _ in range(2):  # the second pass answers from the scan memo
+        got = canonicalize_successor(source, counts, *successor, scans)
+        assert _same_content(got, canonicalize(*successor))
+
+
+@COMMON
+@given(st.data())
+def test_canonicalize_successor_of_unrelated_state(data):
+    # Nothing shared with the source: every segment is scanned, and
+    # random states revisit, reorder and drop nodes freely.
+    source = canonicalize(*data.draw(state_strategy()))
+    successor = data.draw(state_strategy(num_threads=len(source[2])))
+    got = canonicalize_successor(source, root_counts(source, {}), *successor, {})
+    assert _same_content(got, canonicalize(*successor))
+
+
+@COMMON
+@given(state_strategy())
+def test_canonicalize_successor_of_unchanged_state_is_identity(state):
+    source = canonicalize(*state)
+    got = canonicalize_successor(source, root_counts(source, {}), *source, {})
+    assert all(a is b for a, b in zip(got, source))
+
+
+def test_canonicalize_successor_falls_back_on_out_of_order_visit():
+    # Thread 0 now reaches node 1 before node 0: a full renaming.
+    heap = ((False, 1, None), (False, 2, None))
+    source = ((Ref(0),), heap, ((0, 0, (Ref(1),), 1),))
+    assert canonicalize(*source) == source
+    successor = ((None,), heap, ((0, 0, (Ref(1), Ref(0)), 1),))
+    got = canonicalize_successor(source, root_counts(source, {}), *successor, {})
+    assert got == ((None,), ((False, 2, None), (False, 1, None)),
+                   ((0, 0, (Ref(0), Ref(1)), 1),))
+    assert _same_content(got, canonicalize(*successor))
+
+
+def test_canonicalize_successor_counts_a_repeated_visit_once():
+    # Node 1 is visited twice before node 0: out of order, although the
+    # roots and nodes account for as many visits as the heap has nodes.
+    source = ((), ((False, None),), ((0, 0, (Ref(0),), 1),))
+    successor = ((), ((False, None), (False, Ref(0))),
+                 ((0, 0, (Ref(1), Ref(1)), 1),))
+    got = canonicalize_successor(source, root_counts(source, {}), *successor, {})
+    assert got == ((), ((False, Ref(1)), (False, None)),
+                   ((0, 0, (Ref(0), Ref(0)), 1),))
+    assert _same_content(got, canonicalize(*successor))
+
+
+def test_canonicalize_successor_keeps_bool_and_int_apart():
+    heap = ((False, 0, (Ref(0), False)),)
+    source = ((Ref(0),), heap, ((0, 0, (False,), 1),))
+    successor = (source[0], heap, ((0, 0, (0,), 1),))
+    got = canonicalize_successor(source, root_counts(source, {}), *successor, {})
+    assert got == canonicalize(*successor)
+    assert type(got[2][0][2][0]) is int
+    assert _same_content(got, successor)
+    assert not _same_content(got, source) and got == source
+
+
+def test_same_content_is_type_exact():
+    assert _same_content((1, (Ref(0), False)), (1, (Ref(0), False)))
+    assert not _same_content((1, (Ref(0), False)), (1, (Ref(0), 0)))
+    assert not _same_content((0,), (0.0,))
+    assert not _same_content(Ref(0), ("ref", 0))
+    assert not _same_content((1, 2), (1, 2, 3))

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import TAU_ID, tau_cycle_states
+from repro.core.aut import dumps_aut
+from repro.core.lts import LTSBuilder
 from repro.lang import (
     Alloc,
     AtomicBlock,
@@ -10,17 +12,20 @@ from repro.lang import (
     FetchAddGlobal,
     If,
     LocalAssign,
+    Lock,
     Method,
     ModelError,
     ObjectProgram,
     ReadGlobal,
     Return,
     StateExplosion,
+    StreamingExplorer,
     While,
     WriteGlobal,
     explore,
     uniform_workload,
 )
+from repro.lang.client import ExpansionContext
 
 
 def counter_program():
@@ -259,3 +264,67 @@ def test_pending_return_separates_decision_from_return():
     assert lts.num_states == 4
     tau_count = sum(1 for _s, aid, _d in lts.transitions() if aid == TAU_ID)
     assert tau_count == 1
+
+
+def lock_twins_program():
+    """Reaches two states that agree under ``==`` on thread 1's view
+    ``(globals, heap, record)`` but hold ``False`` in one and ``0`` in
+    the other, with thread 1 about to ``Lock`` that global."""
+    return ObjectProgram(
+        "lock-twins",
+        methods=[
+            Method("take", body=[
+                Lock("flag").at("L1"),
+                Return(None).at("L2"),
+            ]),
+            # Two methods, so the writers' records tell the states apart.
+            Method("release", body=[
+                WriteGlobal("flag", False).at("L3"),
+                Return(None).at("L4"),
+            ]),
+            Method("zero", body=[
+                WriteGlobal("flag", 0).at("L5"),
+                Return(None).at("L6"),
+            ]),
+        ],
+        globals_={"flag": True},
+    )
+
+
+def _explore_without_step_cache(program, config):
+    """The DFS of ``explore``, expanding every state with a fresh context."""
+    builder = LTSBuilder()
+    builder.set_init(ExpansionContext(program, config).initial_key())
+    stack = [builder.lts.init]
+    while stack:
+        sid = stack.pop()
+        key = builder.state_keys[sid]
+        for label, dst, annotation in ExpansionContext(program, config).expand(key):
+            dst_id, is_new = builder.intern(dst)
+            builder.lts.add_transition(sid, label, dst_id, annotation)
+            if is_new:
+                stack.append(dst_id)
+    return builder.lts.freeze()
+
+
+@pytest.mark.parametrize("order", ["release-first", "zero-first"])
+def test_step_cache_never_serves_a_bool_int_twin(order):
+    program = lock_twins_program()
+    workload = [("take", ()), ("release", ()), ("zero", ())]
+    if order == "zero-first":
+        workload = [("take", ()), ("zero", ()), ("release", ())]
+    config = ClientConfig(2, 1, workload)
+    cached = explore(program, config)
+    assert dumps_aut(cached) == dumps_aut(_explore_without_step_cache(program, config))
+
+    # The scenario is reached: both flag values in front of thread 1's Lock.
+    explorer = StreamingExplorer(program, config)
+    explorer.drain()
+    take, release, zero = (program.method_index[m] for m in ("take", "release", "zero"))
+    views = {}
+    for g, _heap, threads in explorer.builder.state_keys:
+        if threads[0][:2] == (take, 0) and threads[1][1] == 1:
+            views.setdefault(threads[1][0], set()).add(type(g[0]))
+    assert views == {release: {bool}, zero: {int}}
+    # Only the False flavour lets thread 1 take the lock.
+    assert ("ret", 1, "take", None) in labels_of(cached)

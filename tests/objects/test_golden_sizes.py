@@ -8,9 +8,12 @@ If you change the encoding deliberately, update the numbers (and
 re-check EXPERIMENTS.md, which quotes some of them).
 """
 
+import hashlib
+
 import pytest
 
 from repro.core import branching_partition, num_blocks, quotient_lts
+from repro.core.aut import dumps_aut
 from repro.lang import ClientConfig, explore, spec_lts
 from repro.objects import get
 
@@ -24,6 +27,19 @@ GOLDEN = {
     "newcas": (2, 2, 1013, 182),
     "hw_queue": (2, 2, 4790, 179),
     "ccas": (2, 2, 8380, 253),
+    "hm_list": (2, 2, 37269, 512),
+}
+
+#: Byte identity of the serial ``.aut`` at 2x2: key -> (transitions,
+#: sha256 of ``dumps_aut``).  The same digests are committed as the
+#: time-to-verdict benchmark's expected outputs.  Every canonicalization
+#: or interning shortcut must leave them unchanged.
+GOLDEN_AUT = {
+    "hm_list": (73754, "885a83d49109a9d2e7017973f3dc37f03efc4f009959e061d13992215592c2e4"),
+    "ms_queue": (69116, "89bc12f749b191d4a76ea05cbc8aeb88857a333af99fc11cb118aeb54498d29e"),
+    "treiber": (20188, "246a82a2f24ca7130758c8218323ec3f14a4ebba6000d4dea280f75dc0eadc6e"),
+    "ccas": (17262, "1dfac48fa17ac8694229776627fbc9ce1e5787de374f63b4c5e01c3a716abc5e"),
+    "hw_queue": (9417, "c194dff6a090975ec41afde5d6ac984300ba0e0009613827e91ba4fec91d56ec"),
 }
 
 
@@ -35,6 +51,10 @@ def test_golden_exploration_sizes(key):
         bench.build(threads), ClientConfig(threads, ops, bench.default_workload())
     )
     assert system.num_states == states
+    if key in GOLDEN_AUT:
+        transitions, digest = GOLDEN_AUT[key]
+        assert system.num_transitions == transitions
+        assert hashlib.sha256(dumps_aut(system).encode()).hexdigest() == digest
     quotient = quotient_lts(system, branching_partition(system))
     assert quotient.lts.num_states == quotient_states
 
