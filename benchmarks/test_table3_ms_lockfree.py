@@ -76,7 +76,13 @@ def test_table3(benchmark, bench_scale, bench_out, pipeline_stats):
         assert r.quotient_states * 5 < r.impl_states
     sizes = [r.impl_states for r in results]
     quotients = [r.quotient_states for r in results]
-    assert sizes == sorted(sizes) or True  # ordering varies with (th,op) mix
+    # Rows are not in size order (2-3 outgrows 3-1), so compare only
+    # bounds that dominate each other in both threads and operations.
+    for small in results:
+        for large in results:
+            if (small is not large and small.num_threads <= large.num_threads
+                    and small.ops_per_thread <= large.ops_per_thread):
+                assert small.impl_states < large.impl_states
     # Reduction factor increases with instance size (paper Section VI.G).
     factors = [s / q for s, q in zip(sizes, quotients)]
     assert max(factors) == factors[max(range(len(sizes)), key=lambda i: sizes[i])]

@@ -17,6 +17,9 @@ A from-scratch Python reproduction of Yang, Liu, Katoen, Lin & Wu,
 * :mod:`repro.ltl` -- a next-free LTL model checker for progress
   properties.
 
+Every package resolves its public names lazily (:mod:`repro.util.lazy`):
+importing ``repro`` loads no subpackage until one is used.
+
 Quickstart::
 
     from repro.objects import get
@@ -31,8 +34,11 @@ Quickstart::
     assert lin.linearizable
 """
 
-from . import core, lang, objects, util, verify
+from .util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = ["core", "lang", "objects", "util", "verify", "__version__"]
+_subpackages, __getattr__, __dir__ = lazy_exports(__name__, {
+    name: [name] for name in ("core", "lang", "objects", "util", "verify")
+})
+__all__ = [*_subpackages, "__version__"]

@@ -59,41 +59,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .core import (
-    branching_partition,
-    compare_branching,
-    compare_strong,
-    compare_weak,
-    explain_inequivalence,
-    quotient_lts,
-    trace_refines,
-)
-from .core.aut import read_aut, write_aut
-from .lang import ClientConfig, explore
-from .lang.checkpoint import CheckpointSink, load_checkpoint
-from .objects import BENCHMARKS, get
-from .parallel import STREAMING_SERIAL_REASON, maybe_parallel_explore
-from .util import Stats, render_table, stage
-from .util.budget import (
-    EXIT_DISAGREEMENT,
-    EXIT_INTERRUPTED,
-    EXIT_UNKNOWN,
-    REASON_INTERRUPTED,
-    UNKNOWN,
-    BudgetExhausted,
-    RunBudget,
-    combined_verdict,
-    exit_code_for,
-)
-from .verify import (
-    check_linearizability,
-    check_linearizability_both,
-    check_linearizability_reachability,
-    check_lock_freedom_auto,
-    check_obstruction_freedom,
-)
+from .objects import BENCHMARKS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .util.budget import RunBudget
+    from .util.metrics import Stats
+
+# Each handler imports what it runs, so a command compiles only the
+# modules on its own code path (see DESIGN.md, "Start-up").
 
 #: ``(args, sinks)`` of the command currently collecting metrics, so a
 #: KeyboardInterrupt in :func:`main` can flush partial ``--stats`` /
@@ -151,6 +126,8 @@ def _add_parallel(parser: argparse.ArgumentParser) -> None:
 
 
 def _budget_from(args) -> RunBudget:
+    from .util.budget import RunBudget
+
     max_rss_mb = getattr(args, "max_rss_mb", None)
     return RunBudget(
         deadline_seconds=getattr(args, "deadline", None),
@@ -159,6 +136,8 @@ def _budget_from(args) -> RunBudget:
 
 
 def _verdict_exit(result) -> int:
+    from .util.budget import EXIT_INTERRUPTED, REASON_INTERRUPTED, exit_code_for
+
     exhaustion = getattr(result, "exhaustion", None)
     if exhaustion is not None and exhaustion.reason == REASON_INTERRUPTED:
         return EXIT_INTERRUPTED
@@ -195,7 +174,9 @@ def _emit_stats(args, sinks: Dict[str, Stats]) -> None:
 
 
 def _bench_and_config(args):
-    bench = get(args.key)
+    from .lang import ClientConfig
+
+    bench = BENCHMARKS[args.key]
     workload = bench.default_workload(args.values)
     config = ClientConfig(
         num_threads=args.threads,
@@ -207,6 +188,8 @@ def _bench_and_config(args):
 
 
 def cmd_list(_args) -> int:
+    from .util.tables import render_table
+
     rows = []
     for bench in BENCHMARKS.values():
         if bench.expect_lock_free is None:
@@ -226,6 +209,8 @@ def cmd_list(_args) -> int:
 def _make_sinks(args):
     """A named-sink factory registered for interrupt-time flushing."""
     global _ACTIVE_SINKS
+    from .util.metrics import Stats
+
     sinks: Dict[str, Stats] = {}
     _ACTIVE_SINKS = (args, sinks)
 
@@ -242,6 +227,12 @@ def _report_exhaustion(name: str, result) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .verify import (
+        check_linearizability,
+        check_lock_freedom_auto,
+        check_obstruction_freedom,
+    )
+
     bench, workload, _config = _bench_and_config(args)
     sinks, sink = _make_sinks(args)
     budget = _budget_from(args)
@@ -306,6 +297,8 @@ def cmd_verify(args) -> int:
 
 def _combined_exit(results) -> int:
     """FALSE (1) dominates UNKNOWN (2) dominates TRUE (0); SIGINT wins."""
+    from .util.budget import EXIT_INTERRUPTED, EXIT_UNKNOWN
+
     codes = [_verdict_exit(result) for result in results]
     if EXIT_INTERRUPTED in codes:
         return EXIT_INTERRUPTED
@@ -353,6 +346,8 @@ class _BothResult:
     """
 
     def __init__(self, quotient, reachability) -> None:
+        from .util.budget import combined_verdict
+
         self.quotient = quotient
         self.reachability = reachability
         self._verdict, self.disagree = combined_verdict(
@@ -394,12 +389,15 @@ def cmd_lin(args) -> int:
         method = "reachability"
     print(f"== {bench.title} | linearizability ({method}) | "
           f"{args.threads} threads x {args.ops} ops ==")
-    spec_sink = (
-        CheckpointSink(args.spec_checkpoint) if args.spec_checkpoint else None
-    )
-    spec_resume = (
-        load_checkpoint(args.spec_resume) if args.spec_resume else None
-    )
+    spec_sink = spec_resume = None
+    if args.spec_checkpoint:
+        from .lang.checkpoint import CheckpointSink
+
+        spec_sink = CheckpointSink(args.spec_checkpoint)
+    if args.spec_resume:
+        from .lang.checkpoint import load_checkpoint
+
+        spec_resume = load_checkpoint(args.spec_resume)
     if on_the_fly and method == "both":
         # The cross-check's whole point is two engines over one shared
         # full exploration; an early-exit lane would leave nothing for
@@ -408,6 +406,8 @@ def cmd_lin(args) -> int:
               "(the cross-check shares one full exploration)")
         on_the_fly = False
     if on_the_fly and args.workers:
+        from .parallel import STREAMING_SERIAL_REASON
+
         print(f"note: --workers ignored: {STREAMING_SERIAL_REASON}")
 
     def attempt_quotient(threads: int, ops: int, values: int,
@@ -417,6 +417,8 @@ def cmd_lin(args) -> int:
         # (or overwriting) the original-config checkpoint there would be
         # a CheckpointMismatch, so only the original configuration uses
         # the spec checkpoint/resume files.
+        from .verify import check_linearizability
+
         original = (threads, ops, values) == (
             args.threads, args.ops, args.values
         )
@@ -436,6 +438,8 @@ def cmd_lin(args) -> int:
         )
 
     def attempt_reach(threads: int, ops: int, values: int):
+        from .verify import check_linearizability_reachability
+
         return check_linearizability_reachability(
             bench.build(threads), bench.spec(),
             num_threads=threads, ops_per_thread=ops,
@@ -454,6 +458,8 @@ def cmd_lin(args) -> int:
         # One shared exploration feeds both engines (the historical
         # double exploration is gone); spec checkpoints stay pinned to
         # the original configuration, same as attempt_quotient.
+        from .verify import check_linearizability_both
+
         original = (threads, ops, values) == (
             args.threads, args.ops, args.values
         )
@@ -497,6 +503,8 @@ def cmd_lin(args) -> int:
         result = _degrade_retry(args, budget, result, attempt, printer)
     _emit_stats(args, sinks)
     if getattr(result, "disagree", False):
+        from .util.budget import EXIT_DISAGREEMENT
+
         return EXIT_DISAGREEMENT
     return _verdict_exit(result)
 
@@ -525,6 +533,8 @@ def _degrade_retry(args, budget, result, attempt, printer):
     """Descend the workload lattice until a verdict completes in budget."""
     if not getattr(args, "degrade", False):
         return result
+    from .util.budget import REASON_INTERRUPTED, UNKNOWN
+
     steps = getattr(args, "degrade_steps", 3)
     for threads, ops, values in _degrade_rungs(
         args.threads, args.ops, args.values, steps
@@ -551,6 +561,8 @@ def cmd_lockfree(args) -> int:
           f"{args.threads} threads x {args.ops} ops ==")
 
     def attempt(threads: int, ops: int, values: int, force_reduce: bool):
+        from .verify import check_lock_freedom_auto
+
         return check_lock_freedom_auto(
             bench.build(threads),
             num_threads=threads, ops_per_thread=ops,
@@ -583,6 +595,17 @@ def cmd_lockfree(args) -> int:
 
 def cmd_explore(args) -> int:
     global _ACTIVE_SINKS
+    from .core.aut import write_aut
+    from .lang.checkpoint import CheckpointSink, load_checkpoint
+    from .lang.client import maybe_parallel_explore
+    from .util.budget import (
+        EXIT_INTERRUPTED,
+        EXIT_UNKNOWN,
+        REASON_INTERRUPTED,
+        BudgetExhausted,
+    )
+    from .util.metrics import Stats
+
     bench, _workload, config = _bench_and_config(args)
     stats = Stats() if _wants_stats(args) else None
     if stats is not None:
@@ -619,6 +642,17 @@ def cmd_explore(args) -> int:
 
 def cmd_quotient(args) -> int:
     global _ACTIVE_SINKS
+    from .core import branching_partition, quotient_lts
+    from .core.aut import write_aut
+    from .lang import explore
+    from .util.budget import (
+        EXIT_INTERRUPTED,
+        EXIT_UNKNOWN,
+        REASON_INTERRUPTED,
+        BudgetExhausted,
+    )
+    from .util.metrics import Stats, stage
+
     bench, _workload, config = _bench_and_config(args)
     stats = Stats() if _wants_stats(args) else None
     if stats is not None:
@@ -661,6 +695,15 @@ def cmd_quotient(args) -> int:
 
 def cmd_compare(args) -> int:
     global _ACTIVE_SINKS
+    from .core.aut import read_aut
+    from .util.budget import (
+        EXIT_INTERRUPTED,
+        EXIT_UNKNOWN,
+        REASON_INTERRUPTED,
+        BudgetExhausted,
+    )
+    from .util.metrics import Stats, stage
+
     stats = Stats() if _wants_stats(args) else None
     if stats is not None:
         _ACTIVE_SINKS = (args, {"compare": stats})
@@ -687,6 +730,8 @@ def cmd_compare(args) -> int:
 
 def _compare_governed(args, left, right, stats, budget) -> int:
     if args.relation == "trace":
+        from .core import trace_refines
+
         forward = trace_refines(left, right, stats=stats, budget=budget)
         backward = trace_refines(right, left, stats=stats, budget=budget)
         print(f"{args.left} refines {args.right}: {forward.holds}")
@@ -697,21 +742,26 @@ def _compare_governed(args, left, right, stats, budget) -> int:
         if stats is not None:
             _emit_stats(args, {"compare": stats})
         return 0 if (forward.holds and backward.holds) else 1
-    compare = {
-        "branching": compare_branching,
-        "weak": compare_weak,
-        "strong": compare_strong,
-    }[args.relation]
     if args.relation == "branching":
-        outcome = compare(
+        from .core import compare_branching
+
+        outcome = compare_branching(
             left, right, divergence=args.divergence, stats=stats,
             reduce=args.reduce, budget=budget,
         )
+    elif args.relation == "weak":
+        from .core import compare_weak
+
+        outcome = compare_weak(left, right, stats=stats, budget=budget)
     else:
-        outcome = compare(left, right, stats=stats, budget=budget)
+        from .core import compare_strong
+
+        outcome = compare_strong(left, right, stats=stats, budget=budget)
     name = args.relation + ("-divergence" if args.divergence else "")
     print(f"{name} bisimilar: {outcome.equivalent}")
     if not outcome.equivalent and args.relation == "branching":
+        from .core import explain_inequivalence
+
         explanation = explain_inequivalence(
             left, right, divergence=args.divergence, budget=budget
         )
@@ -842,6 +892,7 @@ def _print_service_result(result: Dict) -> None:
 def cmd_submit(args) -> int:
     """Submit one job to a running daemon and wait for the verdict."""
     from .service import ServiceError, SubmissionRejected, submit_request
+    from .util.budget import EXIT_UNKNOWN
 
     request = {
         "kind": args.kind,
@@ -905,6 +956,24 @@ def cmd_submit(args) -> int:
         return EXIT_UNKNOWN
     _print_service_result(result)
     return result["exit_code"]
+
+
+class _MutationNames:
+    """The names of ``repro.testing.MUTATIONS``, read only when argparse
+    checks a ``--mutate`` value or prints the choices in a usage line,
+    so that building the parser imports no ``repro.testing``."""
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+    @staticmethod
+    def _names() -> List[str]:
+        from .testing import MUTATIONS
+
+        return sorted(MUTATIONS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1006,8 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("bugs", help="re-run the paper's bug hunts")
 
-    from .testing import MUTATIONS
-
     fuzz = commands.add_parser(
         "fuzz",
         help="differentially fuzz the engine against reference oracles",
@@ -1028,8 +1095,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "short count as exhausted, not as failures")
     fuzz.add_argument("--corpus", default=None, metavar="DIR",
                       help="write shrunk failing cases to DIR as .aut files")
-    fuzz.add_argument("--mutate", choices=sorted(MUTATIONS), default=None,
-                      help="inject a known engine bug for the whole run")
+    mutate = fuzz.add_argument("--mutate", default=None,
+                               help="inject a known engine bug for the whole run")
+    # Set after add_argument, which would list the choices to check the
+    # metavar (and so import repro.testing on every command).
+    mutate.choices = _MutationNames()
     fuzz.add_argument("--expect-bug", action="store_true",
                       help="exit 0 iff a disagreement WAS found "
                            "(harness self-test, pair with --mutate)")
@@ -1121,6 +1191,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         # Second Ctrl-C (or one outside an install_sigint window): flush
         # whatever metrics were collected, then report the POSIX 130.
+        from .util.budget import EXIT_INTERRUPTED
+
         print("interrupted", file=sys.stderr)
         if _ACTIVE_SINKS is not None:
             try:

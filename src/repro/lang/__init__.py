@@ -8,118 +8,75 @@ most-general client into the object-system LTS of Definition 2.1;
 :func:`spec_lts` does the same for sequential specifications.
 """
 
-from .values import EMPTY, NULL, Ref, Symbol, is_ref
-from .state import ModelError, canonicalize
-from .ops import (
-    Alloc,
-    Assume,
-    AtomicBlock,
-    Branch,
-    CasField,
-    CasGlobal,
-    FetchAddGlobal,
-    Free,
-    Jump,
-    LocalAssign,
-    Lock,
-    LockField,
-    Op,
-    ReadField,
-    ReadGlobal,
-    Return,
-    SwapField,
-    Unlock,
-    UnlockField,
-    WriteField,
-    WriteGlobal,
-    evaluate,
-)
-from .stmts import Break, Continue, Goto, If, Label, Stmt, While, compile_body
-from .program import HeapBuilder, Method, ObjectProgram
-from .checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    CheckpointMismatch,
-    CheckpointSink,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .client import (
-    DEFAULT_MAX_STATES,
-    ClientConfig,
-    StateExplosion,
-    StreamingExplorer,
-    explore,
-    uniform_workload,
-)
-from .spec import (
-    SpecObject,
-    atomic_spec,
-    queue_spec,
-    register_spec,
-    set_spec,
-    spec_lts,
-    stack_spec,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "EMPTY",
-    "NULL",
-    "Ref",
-    "Symbol",
-    "is_ref",
-    "ModelError",
-    "canonicalize",
-    "Alloc",
-    "Assume",
-    "AtomicBlock",
-    "Branch",
-    "CasField",
-    "CasGlobal",
-    "FetchAddGlobal",
-    "Free",
-    "Jump",
-    "LocalAssign",
-    "Lock",
-    "LockField",
-    "Op",
-    "ReadField",
-    "ReadGlobal",
-    "Return",
-    "SwapField",
-    "Unlock",
-    "UnlockField",
-    "WriteField",
-    "WriteGlobal",
-    "evaluate",
-    "Break",
-    "Continue",
-    "Goto",
-    "If",
-    "Label",
-    "Stmt",
-    "While",
-    "compile_body",
-    "HeapBuilder",
-    "Method",
-    "ObjectProgram",
-    "Checkpoint",
-    "CheckpointError",
-    "CheckpointMismatch",
-    "CheckpointSink",
-    "load_checkpoint",
-    "save_checkpoint",
-    "ClientConfig",
-    "DEFAULT_MAX_STATES",
-    "StateExplosion",
-    "StreamingExplorer",
-    "explore",
-    "uniform_workload",
-    "SpecObject",
-    "atomic_spec",
-    "queue_spec",
-    "register_spec",
-    "set_spec",
-    "spec_lts",
-    "stack_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "values": [
+        "EMPTY",
+        "NULL",
+        "Ref",
+        "Symbol",
+        "is_ref",
+    ],
+    "state": ["ModelError", "canonicalize"],
+    "ops": [
+        "Alloc",
+        "Assume",
+        "AtomicBlock",
+        "Branch",
+        "CasField",
+        "CasGlobal",
+        "FetchAddGlobal",
+        "Free",
+        "Jump",
+        "LocalAssign",
+        "Lock",
+        "LockField",
+        "Op",
+        "ReadField",
+        "ReadGlobal",
+        "Return",
+        "SwapField",
+        "Unlock",
+        "UnlockField",
+        "WriteField",
+        "WriteGlobal",
+        "evaluate",
+    ],
+    "stmts": [
+        "Break",
+        "Continue",
+        "Goto",
+        "If",
+        "Label",
+        "Stmt",
+        "While",
+        "compile_body",
+    ],
+    "program": ["HeapBuilder", "Method", "ObjectProgram"],
+    "checkpoint": [
+        "Checkpoint",
+        "CheckpointError",
+        "CheckpointMismatch",
+        "CheckpointSink",
+        "load_checkpoint",
+        "save_checkpoint",
+    ],
+    "client": [
+        "ClientConfig",
+        "DEFAULT_MAX_STATES",
+        "StateExplosion",
+        "StreamingExplorer",
+        "explore",
+        "uniform_workload",
+    ],
+    "spec": [
+        "SpecObject",
+        "atomic_spec",
+        "queue_spec",
+        "register_spec",
+        "set_spec",
+        "spec_lts",
+        "stack_spec",
+    ],
+})

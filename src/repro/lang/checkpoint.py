@@ -24,7 +24,6 @@ never leave a truncated checkpoint behind.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -122,6 +121,8 @@ class Checkpoint:
 
 def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
     """Atomically write ``checkpoint`` to ``path``."""
+    import pickle  # only runs that save or load a checkpoint pay for it
+
     payload = {"schema": CHECKPOINT_SCHEMA, "checkpoint": checkpoint}
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as handle:
@@ -139,6 +140,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     internals: torn on-disk state is an expected failure mode, not a
     crash.
     """
+    import pickle
+
     try:
         with open(path, "rb") as handle:
             payload = pickle.load(handle)

@@ -617,6 +617,46 @@ def _explore(
     return explorer.freeze()
 
 
+def maybe_parallel_explore(
+    program: ObjectProgram,
+    config: ClientConfig,
+    workers: int = 0,
+    fault_plan: Any = None,
+    shard_states: Optional[int] = None,
+    heartbeat_timeout: Optional[float] = None,
+    stats: Optional["Stats"] = None,
+    budget: Optional["RunBudget"] = None,
+    checkpoint: Optional[CheckpointSink] = None,
+    resume: Optional[Checkpoint] = None,
+) -> LTS:
+    """Serial or sharded exploration behind one signature.
+
+    ``workers >= 1`` builds a :mod:`repro.parallel` supervisor
+    (``fault_plan`` may be a spec string or a ``FaultPlan``) and is the
+    only case that imports that package; ``workers == 0`` is plain
+    :func:`explore`.  The verification pipelines call this so
+    ``--workers`` reaches ``lin`` / ``lockfree`` unchanged.
+    """
+    if not workers or workers < 1:
+        return explore(
+            program, config, stats=stats, budget=budget,
+            checkpoint=checkpoint, resume=resume,
+        )
+    from ..parallel.supervisor import FaultPlan, ParallelConfig, parallel_explore
+
+    if isinstance(fault_plan, str):
+        fault_plan = FaultPlan.parse(fault_plan)
+    parallel = ParallelConfig(workers=workers, fault_plan=fault_plan)
+    if shard_states is not None:
+        parallel.shard_states = shard_states
+    if heartbeat_timeout is not None:
+        parallel.heartbeat_timeout = heartbeat_timeout
+    return parallel_explore(
+        program, config, parallel, stats=stats, budget=budget,
+        checkpoint=checkpoint, resume=resume,
+    )
+
+
 def uniform_workload(
     methods_with_domains: Dict[str, Sequence[Tuple[Any, ...]]]
 ) -> List[Tuple[str, Tuple[Any, ...]]]:

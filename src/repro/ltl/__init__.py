@@ -6,61 +6,44 @@ GPVW tableau, counter degeneralization and nested-DFS emptiness.
 :mod:`repro.ltl.progress` packages the paper's progress properties.
 """
 
-from .syntax import (
-    AP,
-    FALSE,
-    TRUE,
-    And,
-    Finally,
-    Globally,
-    Implies,
-    Not,
-    Or,
-    Release,
-    Until,
-    negation_normal_form,
-    parse,
-    render,
-)
-from .buchi import Buchi, GeneralizedBuchi, degeneralize, gpvw, ltl_to_buchi
-from .product import DEADLOCK, LtlResult, check_ltl, stutter_complete
-from .progress import (
-    CALL,
-    RET,
-    TERMINATED,
-    check_lock_freedom_ltl,
-    lock_freedom_formula,
-    thread_response_formula,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "AP",
-    "FALSE",
-    "TRUE",
-    "And",
-    "Finally",
-    "Globally",
-    "Implies",
-    "Not",
-    "Or",
-    "Release",
-    "Until",
-    "negation_normal_form",
-    "parse",
-    "render",
-    "Buchi",
-    "GeneralizedBuchi",
-    "degeneralize",
-    "gpvw",
-    "ltl_to_buchi",
-    "DEADLOCK",
-    "LtlResult",
-    "check_ltl",
-    "stutter_complete",
-    "CALL",
-    "RET",
-    "TERMINATED",
-    "check_lock_freedom_ltl",
-    "lock_freedom_formula",
-    "thread_response_formula",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "syntax": [
+        "AP",
+        "FALSE",
+        "TRUE",
+        "And",
+        "Finally",
+        "Globally",
+        "Implies",
+        "Not",
+        "Or",
+        "Release",
+        "Until",
+        "negation_normal_form",
+        "parse",
+        "render",
+    ],
+    "buchi": [
+        "Buchi",
+        "GeneralizedBuchi",
+        "degeneralize",
+        "gpvw",
+        "ltl_to_buchi",
+    ],
+    "product": [
+        "DEADLOCK",
+        "LtlResult",
+        "check_ltl",
+        "stutter_complete",
+    ],
+    "progress": [
+        "CALL",
+        "RET",
+        "TERMINATED",
+        "check_lock_freedom_ltl",
+        "lock_freedom_formula",
+        "thread_response_formula",
+    ],
+})

@@ -4,43 +4,13 @@ Every algorithm is modeled from its original publication in the
 ``repro.lang`` DSL; buggy variants (rows 3 and 9-1) are kept alongside
 the correct ones so the paper's bug hunts can be reproduced.  The
 :mod:`registry` ties each model to its specification, workload,
-expected verdicts and (where the paper builds one) abstract program.
+expected verdicts and (where the paper builds one) abstract program;
+it imports a model's module only when that model is built.
 """
 
-from . import (
-    ccas,
-    dglm_queue,
-    fine_list,
-    hm_list,
-    hsy_stack,
-    hw_queue,
-    lazy_list,
-    ms_queue,
-    newcas,
-    optimistic_list,
-    rdcss,
-    treiber,
-    treiber_hp,
-)
-from .registry import (
-    BENCHMARKS,
-    Benchmark,
-    all_benchmarks,
-    ccas_workload,
-    get,
-    newcas_workload,
-    queue_workload,
-    rdcss_workload,
-    set_workload,
-    set_workload_with_contains,
-    stack_workload,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "BENCHMARKS",
-    "Benchmark",
-    "all_benchmarks",
-    "get",
+_MODELS = (
     "ccas",
     "dglm_queue",
     "fine_list",
@@ -54,11 +24,21 @@ __all__ = [
     "rdcss",
     "treiber",
     "treiber_hp",
-    "ccas_workload",
-    "newcas_workload",
-    "queue_workload",
-    "rdcss_workload",
-    "set_workload",
-    "set_workload_with_contains",
-    "stack_workload",
-]
+)
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "registry": [
+        "BENCHMARKS",
+        "Benchmark",
+        "all_benchmarks",
+        "get",
+        "ccas_workload",
+        "newcas_workload",
+        "queue_workload",
+        "rdcss_workload",
+        "set_workload",
+        "set_workload_with_contains",
+        "stack_workload",
+    ],
+    **{model: [model] for model in _MODELS},
+})

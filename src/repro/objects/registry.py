@@ -8,27 +8,12 @@ over this registry so the case list lives in exactly one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from ..lang import SpecObject, queue_spec, register_spec, set_spec, stack_spec
-from ..lang.program import ObjectProgram
-from . import (
-    ccas,
-    dglm_queue,
-    fine_list,
-    hm_list,
-    hsy_stack,
-    hw_queue,
-    lazy_list,
-    ms_queue,
-    newcas,
-    optimistic_list,
-    rdcss,
-    treiber,
-    treiber_hp,
-)
-from .abstractions import abstract_ccas, abstract_queue, abstract_rdcss
+if TYPE_CHECKING:
+    from ..lang import ObjectProgram, SpecObject
 
 Workload = List[Tuple[str, Tuple[Any, ...]]]
 
@@ -93,6 +78,22 @@ class Benchmark:
 BENCHMARKS: Dict[str, Benchmark] = {}
 
 
+def _lazy(target: str, **bound: Any) -> Callable[..., Any]:
+    """The function ``target`` ("module:name", relative to this package),
+    imported on its first call, with keyword arguments ``bound``.
+
+    Registering a case study loads no model: ``repro list`` imports no
+    ``repro.lang`` and ``repro lin X`` loads X's module alone.
+    """
+    module, _, name = target.partition(":")
+
+    def call(*args: Any, **kwargs: Any) -> Any:
+        function = getattr(import_module(module, __package__), name)
+        return function(*args, **bound, **kwargs)
+
+    return call
+
+
 def _register(benchmark: Benchmark) -> None:
     BENCHMARKS[benchmark.key] = benchmark
 
@@ -100,24 +101,24 @@ def _register(benchmark: Benchmark) -> None:
 _register(Benchmark(
     key="treiber",
     title="1. Treiber stack [28]",
-    build=treiber.build,
-    spec=stack_spec,
+    build=_lazy(".treiber:build"),
+    spec=_lazy("..lang.spec:stack_spec"),
     workload=stack_workload,
 ))
 
 _register(Benchmark(
     key="treiber_hp",
     title="2. Treiber stack + HP [24]",
-    build=treiber_hp.build,
-    spec=stack_spec,
+    build=_lazy(".treiber_hp:build"),
+    spec=_lazy("..lang.spec:stack_spec"),
     workload=stack_workload,
 ))
 
 _register(Benchmark(
     key="treiber_hp_buggy",
     title="3. Treiber stack + HP [10] (revised)",
-    build=treiber_hp.build_buggy,
-    spec=stack_spec,
+    build=_lazy(".treiber_hp:build_buggy"),
+    spec=_lazy("..lang.spec:stack_spec"),
     workload=stack_workload,
     expect_lock_free=False,
 ))
@@ -125,56 +126,56 @@ _register(Benchmark(
 _register(Benchmark(
     key="ms_queue",
     title="4. MS lock-free queue [25]",
-    build=ms_queue.build,
-    spec=queue_spec,
+    build=_lazy(".ms_queue:build"),
+    spec=_lazy("..lang.spec:queue_spec"),
     workload=queue_workload,
     non_fixed_lps=True,
-    abstract=abstract_queue,
+    abstract=_lazy(".abstractions:abstract_queue"),
 ))
 
 _register(Benchmark(
     key="dglm_queue",
     title="5. DGLM queue [7]",
-    build=dglm_queue.build,
-    spec=queue_spec,
+    build=_lazy(".dglm_queue:build"),
+    spec=_lazy("..lang.spec:queue_spec"),
     workload=queue_workload,
     non_fixed_lps=True,
-    abstract=abstract_queue,
+    abstract=_lazy(".abstractions:abstract_queue"),
 ))
 
 _register(Benchmark(
     key="ccas",
     title="6. CCAS [29]",
-    build=ccas.build,
-    spec=ccas.spec,
+    build=_lazy(".ccas:build"),
+    spec=_lazy(".ccas:spec"),
     workload=ccas_workload,
     non_fixed_lps=True,
-    abstract=abstract_ccas,
+    abstract=_lazy(".abstractions:abstract_ccas"),
 ))
 
 _register(Benchmark(
     key="rdcss",
     title="7. RDCSS [15]",
-    build=rdcss.build,
-    spec=rdcss.spec,
+    build=_lazy(".rdcss:build"),
+    spec=_lazy(".rdcss:spec"),
     workload=rdcss_workload,
     non_fixed_lps=True,
-    abstract=abstract_rdcss,
+    abstract=_lazy(".abstractions:abstract_rdcss"),
 ))
 
 _register(Benchmark(
     key="newcas",
     title="8. NewCompareAndSet",
-    build=newcas.build,
-    spec=register_spec,
+    build=_lazy(".newcas:build"),
+    spec=_lazy("..lang.spec:register_spec"),
     workload=newcas_workload,
 ))
 
 _register(Benchmark(
     key="hm_list_buggy",
     title="9-1. HM lock-free list [17]",
-    build=hm_list.build_buggy,
-    spec=set_spec,
+    build=_lazy(".hm_list:build_buggy"),
+    spec=_lazy("..lang.spec:set_spec"),
     workload=set_workload,
     non_fixed_lps=True,
     expect_linearizable=False,
@@ -183,8 +184,8 @@ _register(Benchmark(
 _register(Benchmark(
     key="hm_list",
     title="9-2. HM lock-free list (revised)",
-    build=hm_list.build,
-    spec=set_spec,
+    build=_lazy(".hm_list:build"),
+    spec=_lazy("..lang.spec:set_spec"),
     workload=set_workload,
     non_fixed_lps=True,
 ))
@@ -192,8 +193,8 @@ _register(Benchmark(
 _register(Benchmark(
     key="hw_queue",
     title="10. HW queue [18]",
-    build=lambda k: hw_queue.build(k, max_enqueues=8),
-    spec=queue_spec,
+    build=_lazy(".hw_queue:build", max_enqueues=8),
+    spec=_lazy("..lang.spec:queue_spec"),
     workload=queue_workload,
     non_fixed_lps=True,
     expect_lock_free=False,
@@ -202,8 +203,8 @@ _register(Benchmark(
 _register(Benchmark(
     key="hsy_stack",
     title="11. HSY stack [37]",
-    build=hsy_stack.build,
-    spec=stack_spec,
+    build=_lazy(".hsy_stack:build"),
+    spec=_lazy("..lang.spec:stack_spec"),
     workload=stack_workload,
     non_fixed_lps=True,
 ))
@@ -211,8 +212,8 @@ _register(Benchmark(
 _register(Benchmark(
     key="lazy_list",
     title="12. Heller et al. lazy list [16]",
-    build=lazy_list.build,
-    spec=set_spec,
+    build=_lazy(".lazy_list:build"),
+    spec=_lazy("..lang.spec:set_spec"),
     workload=set_workload_with_contains,
     lock_based=True,
     expect_lock_free=None,
@@ -222,8 +223,8 @@ _register(Benchmark(
 _register(Benchmark(
     key="optimistic_list",
     title="13. Optimistic list [17]",
-    build=optimistic_list.build,
-    spec=set_spec,
+    build=_lazy(".optimistic_list:build"),
+    spec=_lazy("..lang.spec:set_spec"),
     workload=set_workload,
     lock_based=True,
     expect_lock_free=None,
@@ -232,8 +233,8 @@ _register(Benchmark(
 _register(Benchmark(
     key="fine_list",
     title="14. Fine-grained syn. list [17]",
-    build=fine_list.build,
-    spec=set_spec,
+    build=_lazy(".fine_list:build"),
+    spec=_lazy("..lang.spec:set_spec"),
     workload=set_workload,
     lock_based=True,
     expect_lock_free=None,

@@ -6,29 +6,22 @@ Public surface:
   :func:`repro.lang.client.explore` (byte-identical frozen result).
 * :class:`ParallelConfig` -- worker count, shard size, failure policy.
 * :class:`FaultPlan` -- injected failures for testing the policy.
+
+Serial runs never import this package: :func:`maybe_parallel_explore`
+(defined next to ``explore``) loads the supervisor only for
+``workers >= 1``.
 """
 
-from .faults import Fault, FaultPlan, FaultPlanError
-from .protocol import FrameDecoder, ProtocolError, read_frame, write_frame
-from .supervisor import (
-    STREAMING_SERIAL_REASON,
-    ParallelConfig,
-    Supervisor,
-    maybe_parallel_explore,
-    parallel_explore,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "Fault",
-    "FaultPlan",
-    "FaultPlanError",
-    "FrameDecoder",
-    "ProtocolError",
-    "read_frame",
-    "write_frame",
-    "STREAMING_SERIAL_REASON",
-    "ParallelConfig",
-    "Supervisor",
-    "maybe_parallel_explore",
-    "parallel_explore",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "faults": ["Fault", "FaultPlan", "FaultPlanError"],
+    "protocol": ["FrameDecoder", "ProtocolError", "read_frame", "write_frame"],
+    "supervisor": [
+        "STREAMING_SERIAL_REASON",
+        "ParallelConfig",
+        "Supervisor",
+        "maybe_parallel_explore",
+        "parallel_explore",
+    ],
+})

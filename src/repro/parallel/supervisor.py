@@ -61,7 +61,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.lts import LTSBuilder
 from ..lang.checkpoint import Checkpoint, CheckpointSink, fingerprint
-from ..lang.client import ExpansionContext, StateExplosion
+# ``maybe_parallel_explore`` lives next to ``explore`` so that serial runs
+# never import this package; ``repro.parallel`` re-exports it from here.
+from ..lang.client import ExpansionContext, StateExplosion, maybe_parallel_explore
 from ..lang.state import _same_content
 from ..util.budget import (
     REASON_DEADLINE,
@@ -747,45 +749,6 @@ STREAMING_SERIAL_REASON = (
     "the sharded supervisor only reproduces at wave granularity; "
     "streaming runs degrade to serial in-process exploration"
 )
-
-
-def maybe_parallel_explore(
-    program: Any,
-    config: Any,
-    workers: int = 0,
-    fault_plan: Any = None,
-    shard_states: Optional[int] = None,
-    heartbeat_timeout: Optional[float] = None,
-    stats: Optional[Stats] = None,
-    budget: Optional[RunBudget] = None,
-    checkpoint: Optional[CheckpointSink] = None,
-    resume: Optional[Checkpoint] = None,
-) -> Any:
-    """Serial or sharded exploration behind one signature.
-
-    ``workers >= 1`` builds a supervisor (``fault_plan`` may be a spec
-    string or a :class:`FaultPlan`); ``workers == 0`` is plain in-process
-    :func:`repro.lang.client.explore`.  The verification pipelines call
-    this so ``--workers`` reaches ``lin`` / ``lockfree`` unchanged.
-    """
-    if not workers or workers < 1:
-        from ..lang.client import explore
-
-        return explore(
-            program, config, stats=stats, budget=budget,
-            checkpoint=checkpoint, resume=resume,
-        )
-    if isinstance(fault_plan, str):
-        fault_plan = FaultPlan.parse(fault_plan)
-    parallel = ParallelConfig(workers=workers, fault_plan=fault_plan)
-    if shard_states is not None:
-        parallel.shard_states = shard_states
-    if heartbeat_timeout is not None:
-        parallel.heartbeat_timeout = heartbeat_timeout
-    return parallel_explore(
-        program, config, parallel, stats=stats, budget=budget,
-        checkpoint=checkpoint, resume=resume,
-    )
 
 
 def parallel_explore(

@@ -19,36 +19,22 @@ See docs/ROBUSTNESS.md ("The verification service") for the failure
 model.
 """
 
-from .cache import CacheEntry, ResultCache
-from .channel import (
-    ServiceError,
-    ServiceTimeout,
-    SocketFrameChannel,
-    parse_address,
-)
-from .client import ServiceClient, SubmissionRejected, submit_request
-from .daemon import DaemonConfig, VerificationDaemon
-from .messages import (
-    build_request,
-    cache_key,
-    request_cache_key,
-    service_fingerprint,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "CacheEntry",
-    "DaemonConfig",
-    "ResultCache",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceTimeout",
-    "SocketFrameChannel",
-    "SubmissionRejected",
-    "VerificationDaemon",
-    "build_request",
-    "cache_key",
-    "parse_address",
-    "request_cache_key",
-    "service_fingerprint",
-    "submit_request",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ["CacheEntry", "ResultCache"],
+    "channel": [
+        "ServiceError",
+        "ServiceTimeout",
+        "SocketFrameChannel",
+        "parse_address",
+    ],
+    "client": ["ServiceClient", "SubmissionRejected", "submit_request"],
+    "daemon": ["DaemonConfig", "VerificationDaemon"],
+    "messages": [
+        "build_request",
+        "cache_key",
+        "request_cache_key",
+        "service_fingerprint",
+    ],
+})

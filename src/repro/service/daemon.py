@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from ..lang.checkpoint import CheckpointSink, load_checkpoint_or_quarantine
+from ..lang.client import explore
 from ..parallel.protocol import FrameDecoder, ProtocolError, encode_frame
-from ..parallel.supervisor import maybe_parallel_explore
 from ..util.budget import (
     EXIT_DISAGREEMENT,
     EXIT_INTERRUPTED,
@@ -653,7 +653,7 @@ class VerificationDaemon:
         )
         t0 = time.perf_counter()
         try:
-            impl = maybe_parallel_explore(
+            impl = explore(
                 program, client_config, budget=budget,
                 checkpoint=sink, resume=resume,
             )

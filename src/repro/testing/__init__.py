@@ -8,85 +8,49 @@ random LTS / client-program generators with Hypothesis strategies
 repro fuzz`` (:mod:`.differential`).
 """
 
-from .oracles import (
-    bounded_traces,
-    branching_bisimulation_relation,
-    divergence_sensitive_branching_relation,
-    diverges_within,
-    is_trace_of,
-    relation_agrees_with_partition,
-    strong_bisimulation_relation,
-    tau_cycle_states_naive,
-    tau_reachable,
-    weak_bisimulation_relation,
-    weak_trace_inclusion,
-)
-from .generators import (
-    LtsShape,
-    ProgramShape,
-    explore_random_program,
-    lts_strategy,
-    program_strategy,
-    random_lts,
-    random_program,
-    tau_heavy_lts_strategy,
-)
-from .laws import ALL_LAWS, check_laws
-from .differential import (
-    Disagreement,
-    FuzzCase,
-    FuzzReport,
-    MUTATIONS,
-    check_budget_governance,
-    check_equivalences,
-    check_instance,
-    check_seeded_refinement,
-    check_trace_refinement,
-    check_verdict_engines,
-    onthefly_disagreements,
-    parity_seed,
-    quotient_refinement_verdict,
-    run_fuzz,
-    shrink_lts,
-    verdict_engine_disagreements,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "bounded_traces",
-    "branching_bisimulation_relation",
-    "divergence_sensitive_branching_relation",
-    "diverges_within",
-    "is_trace_of",
-    "relation_agrees_with_partition",
-    "strong_bisimulation_relation",
-    "tau_cycle_states_naive",
-    "tau_reachable",
-    "weak_bisimulation_relation",
-    "weak_trace_inclusion",
-    "LtsShape",
-    "ProgramShape",
-    "explore_random_program",
-    "lts_strategy",
-    "program_strategy",
-    "random_lts",
-    "random_program",
-    "tau_heavy_lts_strategy",
-    "ALL_LAWS",
-    "check_laws",
-    "Disagreement",
-    "FuzzCase",
-    "FuzzReport",
-    "MUTATIONS",
-    "check_budget_governance",
-    "check_equivalences",
-    "check_instance",
-    "check_seeded_refinement",
-    "check_trace_refinement",
-    "check_verdict_engines",
-    "onthefly_disagreements",
-    "parity_seed",
-    "quotient_refinement_verdict",
-    "run_fuzz",
-    "shrink_lts",
-    "verdict_engine_disagreements",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "oracles": [
+        "bounded_traces",
+        "branching_bisimulation_relation",
+        "divergence_sensitive_branching_relation",
+        "diverges_within",
+        "is_trace_of",
+        "relation_agrees_with_partition",
+        "strong_bisimulation_relation",
+        "tau_cycle_states_naive",
+        "tau_reachable",
+        "weak_bisimulation_relation",
+        "weak_trace_inclusion",
+    ],
+    "generators": [
+        "LtsShape",
+        "ProgramShape",
+        "explore_random_program",
+        "lts_strategy",
+        "program_strategy",
+        "random_lts",
+        "random_program",
+        "tau_heavy_lts_strategy",
+    ],
+    "laws": ["ALL_LAWS", "check_laws"],
+    "differential": [
+        "Disagreement",
+        "FuzzCase",
+        "FuzzReport",
+        "MUTATIONS",
+        "check_budget_governance",
+        "check_equivalences",
+        "check_instance",
+        "check_seeded_refinement",
+        "check_trace_refinement",
+        "check_verdict_engines",
+        "onthefly_disagreements",
+        "parity_seed",
+        "quotient_refinement_verdict",
+        "run_fuzz",
+        "shrink_lts",
+        "verdict_engine_disagreements",
+    ],
+})

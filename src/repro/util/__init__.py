@@ -1,30 +1,17 @@
 """Small utilities shared by benches, examples and the CLI."""
 
-from .budget import (
-    BudgetExhausted,
-    CancellationToken,
-    Exhaustion,
-    RunBudget,
-    exit_code_for,
-    verdict_of,
-)
-from .metrics import Stats, peak_rss_kb, stage
-from .retry import BackoffPolicy, RetriesExhausted, retry_call
-from .tables import check, render_table
+from .lazy import lazy_exports
 
-__all__ = [
-    "BackoffPolicy",
-    "BudgetExhausted",
-    "CancellationToken",
-    "Exhaustion",
-    "RetriesExhausted",
-    "RunBudget",
-    "Stats",
-    "retry_call",
-    "check",
-    "exit_code_for",
-    "peak_rss_kb",
-    "render_table",
-    "stage",
-    "verdict_of",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "budget": [
+        "BudgetExhausted",
+        "CancellationToken",
+        "Exhaustion",
+        "RunBudget",
+        "exit_code_for",
+        "verdict_of",
+    ],
+    "metrics": ["Stats", "peak_rss_kb", "stage"],
+    "retry": ["BackoffPolicy", "RetriesExhausted", "retry_call"],
+    "tables": ["check", "render_table"],
+})

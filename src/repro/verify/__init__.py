@@ -9,46 +9,31 @@
   verdict engine (BEEH reduction to state reachability)
 """
 
-from .linearizability import (
-    LinearizabilityResult,
-    check_linearizability,
-    check_linearizability_both,
-)
-from .reachability import (
-    ReachabilityResult,
-    ReachabilitySearch,
-    check_linearizability_reachability,
-    reachability_search,
-    reachability_search_streaming,
-)
-from .lockfree import (
-    AbstractLockFreedomResult,
-    LockFreedomResult,
-    check_lock_freedom_abstract,
-    check_lock_freedom_auto,
-)
-from .obstruction import (
-    ObstructionFreedomResult,
-    check_obstruction_freedom,
-    solo_tau_cycle_states,
-    transition_thread,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "LinearizabilityResult",
-    "check_linearizability",
-    "check_linearizability_both",
-    "ReachabilityResult",
-    "ReachabilitySearch",
-    "check_linearizability_reachability",
-    "reachability_search",
-    "reachability_search_streaming",
-    "AbstractLockFreedomResult",
-    "LockFreedomResult",
-    "check_lock_freedom_abstract",
-    "check_lock_freedom_auto",
-    "ObstructionFreedomResult",
-    "check_obstruction_freedom",
-    "solo_tau_cycle_states",
-    "transition_thread",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "linearizability": [
+        "LinearizabilityResult",
+        "check_linearizability",
+        "check_linearizability_both",
+    ],
+    "reachability": [
+        "ReachabilityResult",
+        "ReachabilitySearch",
+        "check_linearizability_reachability",
+        "reachability_search",
+        "reachability_search_streaming",
+    ],
+    "lockfree": [
+        "AbstractLockFreedomResult",
+        "LockFreedomResult",
+        "check_lock_freedom_abstract",
+        "check_lock_freedom_auto",
+    ],
+    "obstruction": [
+        "ObstructionFreedomResult",
+        "check_obstruction_freedom",
+        "solo_tau_cycle_states",
+        "transition_thread",
+    ],
+})

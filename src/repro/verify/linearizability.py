@@ -17,8 +17,7 @@ from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Tuple, Union
 from ..core import AnyLTS, branching_partition, quotient_lts, trace_refines
 from ..lang import ClientConfig, ObjectProgram, SpecObject, spec_lts
 from ..lang.checkpoint import Checkpoint, CheckpointSink
-from ..lang.client import Workload
-from ..parallel import maybe_parallel_explore
+from ..lang.client import Workload, maybe_parallel_explore
 from ..util.budget import BudgetExhausted, Exhaustion, RunBudget, verdict_of
 from ..util.metrics import Stats, stage
 

@@ -29,8 +29,7 @@ from ..core import (
     tau_cycle_states,
 )
 from ..lang import ClientConfig, ObjectProgram, explore
-from ..lang.client import Workload
-from ..parallel import maybe_parallel_explore
+from ..lang.client import Workload, maybe_parallel_explore
 from ..util.budget import BudgetExhausted, Exhaustion, RunBudget, verdict_of
 from ..util.metrics import Stats, stage
 

@@ -58,9 +58,8 @@ from typing import (
 
 from ..core.lts import TAU_ID, AnyLTS
 from ..lang import ClientConfig, ObjectProgram, SpecObject, StreamingExplorer
-from ..lang.client import Workload
+from ..lang.client import Workload, maybe_parallel_explore
 from ..lang.state import ModelError
-from ..parallel import maybe_parallel_explore
 from ..util.budget import (
     PHASE_EXPLORE_REACHABILITY,
     BudgetExhausted,

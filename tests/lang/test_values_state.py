@@ -9,7 +9,7 @@ def test_ref_is_not_an_int():
     assert hash(Ref(3)) != hash(3) or Ref(3) != 3  # no value collision
     assert is_ref(Ref(0))
     assert not is_ref(0)
-    assert not is_ref(("ref", 0)) or True  # plain tuples never built by programs
+    assert not is_ref(("ref", 0))  # equal to Ref(0) as a tuple, yet no reference
 
 
 def test_ref_identity():

@@ -548,17 +548,13 @@ def test_fuzz_drop_budget_checks_mutation_is_caught(capsys):
     assert "budget:governance" in out
 
 
-def test_commands_that_never_reduce_do_not_import_numpy(tmp_path):
-    # list, explore and lin --on-the-fly never reduce or refine, so they
-    # must not pay NumPy's import; only a fresh interpreter shows that.
-    out = str(tmp_path / "newcas.aut")
+def _loaded_modules(argv):
+    """``(exit code, sys.modules)`` of ``main(argv)`` in a fresh interpreter."""
     script = (
         "import sys\n"
         "from repro.cli import main\n"
-        "codes = [main(['list']),\n"
-        f"         main(['explore', 'newcas', '--ops', '1', '--out', {out!r}]),\n"
-        "         main(['lin', 'hm_list_buggy', '--on-the-fly'])]\n"
-        "print(codes, 'numpy' in sys.modules)\n"
+        f"code = main({argv!r})\n"
+        "print(code, *sorted(sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(repro.__file__))
     proc = subprocess.run(
@@ -566,4 +562,60 @@ def test_commands_that_never_reduce_do_not_import_numpy(tmp_path):
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 1] False"
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def _within(modules, package):
+    return {name for name in modules
+            if name == package or name.startswith(package + ".")}
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    # Start-up is mostly compiling the imported modules (no bytecode
+    # cache is written under PYTHONDONTWRITEBYTECODE), so a command may
+    # load only what its own code path runs.  Each row: argv, exit code,
+    # packages it never loads, and the only modules it may load from
+    # some packages.
+    left, right = tmp_path / "a.aut", tmp_path / "b.aut"
+    left.write_text('des (0, 1, 2)\n(0, "a", 1)\n')
+    right.write_text('des (0, 2, 3)\n(0, "i", 1)\n(1, "a", 2)\n')
+    table = [
+        (["list"], 0, ["numpy", "repro.lang"], {}),
+        (["compare", str(left), str(right)], 0, ["repro.lang"], {}),
+        (["explore", "newcas", "--ops", "1", "--out", str(tmp_path / "n.aut")],
+         0, ["numpy", "repro.parallel", "repro.testing"], {}),
+        (["lin", "hm_list", "--ops", "1"], 0,
+         ["repro.parallel", "repro.testing"], {}),
+        (["lin", "hm_list_buggy", "--on-the-fly"], 1,
+         ["numpy", "pickle", "repro.testing", "repro.parallel",
+          "repro.service", "repro.ltl"],
+         {"repro.core": {"repro.core", "repro.core.lts"},
+          "repro.objects": {"repro.objects", "repro.objects.registry",
+                            "repro.objects.hm_list"}}),
+    ]
+    for argv, expected_code, never, only in table:
+        code, modules = _loaded_modules(argv)
+        assert code == expected_code, argv
+        for package in never:
+            assert not _within(modules, package), (argv, sorted(_within(modules, package)))
+        for package, allowed in only.items():
+            assert _within(modules, package) <= allowed, (
+                argv, sorted(_within(modules, package) - allowed)
+            )
+
+
+def test_fuzz_rejects_an_unknown_mutation(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--mutate", "bogus"])
+    assert exc.value.code == 2
+    assert "argument --mutate: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_fuzz_accepts_every_mutation():
+    from repro.cli import build_parser
+    from repro.testing import MUTATIONS
+
+    parser = build_parser()
+    for name in MUTATIONS:
+        assert parser.parse_args(["fuzz", "--mutate", name]).mutate == name
