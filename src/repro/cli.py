@@ -23,10 +23,10 @@ progress made, and exit 2.  ``--degrade`` descends the
 verdict that completes within budget.  Exit codes are 0/1/2 for
 TRUE/FALSE/UNKNOWN and 130 after a SIGINT -- partial ``--stats`` /
 ``--json`` output is flushed either way.  ``explore`` additionally
-supports ``--checkpoint PATH`` / ``--resume PATH``, and ``explore`` /
-``lin`` / ``lockfree`` accept ``--workers N`` to shard exploration
-across worker processes with crash recovery (byte-identical output;
-``--fault-plan`` injects failures on purpose).  ``lin`` accepts
+supports ``--checkpoint PATH`` / ``--resume PATH`` and ``--workers N``
+to shard exploration across worker processes with crash recovery
+(byte-identical output; ``--fault-plan`` injects failures on purpose).
+``lin`` accepts
 ``--method {quotient,reachability,both}`` to pick the verdict engine:
 the Theorem 5.3 quotient pipeline, the independent BEEH
 reachability backend, or both -- ``both`` cross-checks the verdicts
@@ -226,6 +226,21 @@ def _report_exhaustion(name: str, result) -> None:
     print(f"{name}: UNKNOWN -- {result.exhaustion.render()}")
 
 
+def _exhausted_exit(args, sinks, exc, note: Optional[str] = None) -> int:
+    """Print the UNKNOWN verdict of a raised budget exhaustion and the
+    ``note``, flush ``--stats`` / ``--json``, and return the exit code:
+    130 after a SIGINT, else 2."""
+    from .util.budget import EXIT_INTERRUPTED, EXIT_UNKNOWN, REASON_INTERRUPTED
+
+    print(f"UNKNOWN -- {exc.exhaustion.render()}")
+    if note is not None:
+        print(note)
+    _emit_stats(args, sinks)
+    if exc.exhaustion.reason == REASON_INTERRUPTED:
+        return EXIT_INTERRUPTED
+    return EXIT_UNKNOWN
+
+
 def cmd_verify(args) -> int:
     from .verify import (
         check_linearizability,
@@ -405,10 +420,6 @@ def cmd_lin(args) -> int:
         print("note: --on-the-fly is disabled with --method both "
               "(the cross-check shares one full exploration)")
         on_the_fly = False
-    if on_the_fly and args.workers:
-        from .parallel import STREAMING_SERIAL_REASON
-
-        print(f"note: --workers ignored: {STREAMING_SERIAL_REASON}")
 
     def attempt_quotient(threads: int, ops: int, values: int,
                          force_reduce: bool):
@@ -430,9 +441,6 @@ def cmd_lin(args) -> int:
             stats=sink(f"linearizability t={threads} ops={ops} v={values}"),
             reduce=force_reduce or not args.no_reduce,
             budget=budget,
-            workers=args.workers, fault_plan=args.fault_plan,
-            shard_states=args.shard_states,
-            heartbeat_timeout=args.heartbeat_timeout,
             spec_checkpoint=spec_sink if original else None,
             spec_resume=spec_resume if original else None,
         )
@@ -447,9 +455,6 @@ def cmd_lin(args) -> int:
             max_states=args.max_states,
             stats=sink(f"reachability t={threads} ops={ops} v={values}"),
             budget=budget,
-            workers=args.workers, fault_plan=args.fault_plan,
-            shard_states=args.shard_states,
-            heartbeat_timeout=args.heartbeat_timeout,
             on_the_fly=on_the_fly,
         )
 
@@ -476,9 +481,6 @@ def cmd_lin(args) -> int:
             ),
             reduce=force_reduce or not args.no_reduce,
             budget=budget,
-            workers=args.workers, fault_plan=args.fault_plan,
-            shard_states=args.shard_states,
-            heartbeat_timeout=args.heartbeat_timeout,
             spec_checkpoint=spec_sink if original else None,
             spec_resume=spec_resume if original else None,
         )
@@ -572,9 +574,6 @@ def cmd_lockfree(args) -> int:
             stats=sink(f"lock-freedom t={threads} ops={ops} v={values}"),
             reduce=force_reduce or not args.no_reduce,
             budget=budget,
-            workers=args.workers, fault_plan=args.fault_plan,
-            shard_states=args.shard_states,
-            heartbeat_timeout=args.heartbeat_timeout,
         )
 
     def printer(result, label: str = "lock-free") -> None:
@@ -594,24 +593,16 @@ def cmd_lockfree(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    global _ACTIVE_SINKS
     from .core.aut import write_aut
     from .lang.checkpoint import CheckpointSink, load_checkpoint
     from .lang.client import maybe_parallel_explore
-    from .util.budget import (
-        EXIT_INTERRUPTED,
-        EXIT_UNKNOWN,
-        REASON_INTERRUPTED,
-        BudgetExhausted,
-    )
-    from .util.metrics import Stats
+    from .util.budget import BudgetExhausted
 
     bench, _workload, config = _bench_and_config(args)
-    stats = Stats() if _wants_stats(args) else None
-    if stats is not None:
-        _ACTIVE_SINKS = (args, {"explore": stats})
+    sinks, sink = _make_sinks(args)
+    stats = sink("explore")
     budget = _budget_from(args)
-    sink = CheckpointSink(args.checkpoint) if args.checkpoint else None
+    checkpoint = CheckpointSink(args.checkpoint) if args.checkpoint else None
     resume = load_checkpoint(args.resume) if args.resume else None
     with budget.install_sigint():
         try:
@@ -620,43 +611,31 @@ def cmd_explore(args) -> int:
                 workers=args.workers, fault_plan=args.fault_plan,
                 shard_states=args.shard_states,
                 heartbeat_timeout=args.heartbeat_timeout, stats=stats,
-                budget=budget, checkpoint=sink, resume=resume,
+                budget=budget, checkpoint=checkpoint, resume=resume,
             )
         except BudgetExhausted as exc:
-            print(f"UNKNOWN -- {exc.exhaustion.render()}")
-            if sink is not None and sink.saves:
-                print(f"checkpoint left at {args.checkpoint} "
-                      f"(resume with --resume {args.checkpoint})")
-            if stats is not None:
-                _emit_stats(args, {"explore": stats})
-            if exc.exhaustion.reason == REASON_INTERRUPTED:
-                return EXIT_INTERRUPTED
-            return EXIT_UNKNOWN
+            note = None
+            if checkpoint is not None and checkpoint.saves:
+                note = (f"checkpoint left at {args.checkpoint} "
+                        f"(resume with --resume {args.checkpoint})")
+            return _exhausted_exit(args, sinks, exc, note)
     write_aut(system, args.out)
     print(f"{bench.key}: {system.num_states} states, "
           f"{system.num_transitions} transitions -> {args.out}")
-    if stats is not None:
-        _emit_stats(args, {"explore": stats})
+    _emit_stats(args, sinks)
     return 0
 
 
 def cmd_quotient(args) -> int:
-    global _ACTIVE_SINKS
     from .core import branching_partition, quotient_lts
     from .core.aut import write_aut
     from .lang import explore
-    from .util.budget import (
-        EXIT_INTERRUPTED,
-        EXIT_UNKNOWN,
-        REASON_INTERRUPTED,
-        BudgetExhausted,
-    )
-    from .util.metrics import Stats, stage
+    from .util.budget import BudgetExhausted
+    from .util.metrics import stage
 
     bench, _workload, config = _bench_and_config(args)
-    stats = Stats() if _wants_stats(args) else None
-    if stats is not None:
-        _ACTIVE_SINKS = (args, {"quotient": stats})
+    sinks, sink = _make_sinks(args)
+    stats = sink("quotient")
     budget = _budget_from(args)
     with budget.install_sigint():
         try:
@@ -672,12 +651,7 @@ def cmd_quotient(args) -> int:
                     ),
                 )
         except BudgetExhausted as exc:
-            print(f"UNKNOWN -- {exc.exhaustion.render()}")
-            if stats is not None:
-                _emit_stats(args, {"quotient": stats})
-            if exc.exhaustion.reason == REASON_INTERRUPTED:
-                return EXIT_INTERRUPTED
-            return EXIT_UNKNOWN
+            return _exhausted_exit(args, sinks, exc)
     if stats is not None:
         stats.count("impl_states", quotient.lts.num_states)
     write_aut(quotient.lts, args.out)
@@ -688,25 +662,17 @@ def cmd_quotient(args) -> int:
     )
     if essential:
         print("essential internal steps:", ", ".join(essential))
-    if stats is not None:
-        _emit_stats(args, {"quotient": stats})
+    _emit_stats(args, sinks)
     return 0
 
 
 def cmd_compare(args) -> int:
-    global _ACTIVE_SINKS
     from .core.aut import read_aut
-    from .util.budget import (
-        EXIT_INTERRUPTED,
-        EXIT_UNKNOWN,
-        REASON_INTERRUPTED,
-        BudgetExhausted,
-    )
-    from .util.metrics import Stats, stage
+    from .util.budget import BudgetExhausted
+    from .util.metrics import stage
 
-    stats = Stats() if _wants_stats(args) else None
-    if stats is not None:
-        _ACTIVE_SINKS = (args, {"compare": stats})
+    sinks, sink = _make_sinks(args)
+    stats = sink("compare")
     budget = _budget_from(args)
     with stage(stats, "parse"):
         left = read_aut(args.left)
@@ -718,14 +684,11 @@ def cmd_compare(args) -> int:
             )
     with budget.install_sigint():
         try:
-            return _compare_governed(args, left, right, stats, budget)
+            code = _compare_governed(args, left, right, stats, budget)
         except BudgetExhausted as exc:
-            print(f"UNKNOWN -- {exc.exhaustion.render()}")
-            if stats is not None:
-                _emit_stats(args, {"compare": stats})
-            if exc.exhaustion.reason == REASON_INTERRUPTED:
-                return EXIT_INTERRUPTED
-            return EXIT_UNKNOWN
+            return _exhausted_exit(args, sinks, exc)
+    _emit_stats(args, sinks)
+    return code
 
 
 def _compare_governed(args, left, right, stats, budget) -> int:
@@ -739,8 +702,6 @@ def _compare_governed(args, left, right, stats, budget) -> int:
         for result in (forward, backward):
             if not result.holds:
                 print(result.render_counterexample())
-        if stats is not None:
-            _emit_stats(args, {"compare": stats})
         return 0 if (forward.holds and backward.holds) else 1
     if args.relation == "branching":
         from .core import compare_branching
@@ -767,8 +728,6 @@ def _compare_governed(args, left, right, stats, budget) -> int:
         )
         if explanation:
             print(explanation.render())
-    if stats is not None:
-        _emit_stats(args, {"compare": stats})
     return 0 if outcome.equivalent else 1
 
 
@@ -1002,7 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_bounds(sub)
         _add_stats(sub)
         _add_budget(sub, degrade=True)
-        _add_parallel(sub)
         sub.add_argument("--no-reduce", action="store_true",
                          help="disable the silent-structure reduction pass")
         if name == "lockfree":
@@ -1033,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "with exploration, whatever --method says: violations "
                      "are reported after expanding only the states the "
                      "search touched (same verdicts; ignored with "
-                     "--method both, degrades --workers to serial)",
+                     "--method both)",
             )
 
     for name, help_text in (

@@ -14,17 +14,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from .graphs import tarjan_scc
-from .lts import TAU_ID, AnyLTS, FrozenLTS
+from .lts import TAU_ID, AnyLTS, tau_successor_lists
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
-
-
-def _tau_pairs(lts: AnyLTS):
-    """Iterate the silent ``(src, dst)`` pairs (cached arrays when frozen)."""
-    if isinstance(lts, FrozenLTS):
-        return zip(*lts.tau_edges())
-    return ((s, d) for s, a, d in lts.transitions() if a == TAU_ID)
 
 
 def tau_cycle_states(
@@ -34,12 +27,7 @@ def tau_cycle_states(
     n = lts.num_states
     if budget is not None:
         budget.check("divergence", states=n)
-    tau_succ: List[List[int]] = [[] for _ in range(n)]
-    self_loop = [False] * n
-    for src, dst in _tau_pairs(lts):
-        tau_succ[src].append(dst)
-        if src == dst:
-            self_loop[src] = True
+    tau_succ = tau_successor_lists(lts)
     comp_of, num_comps = tarjan_scc(n, lambda s: tau_succ[s])
     size = [0] * num_comps
     for state in range(n):
@@ -47,7 +35,7 @@ def tau_cycle_states(
     return [
         state
         for state in range(n)
-        if size[comp_of[state]] > 1 or self_loop[state]
+        if size[comp_of[state]] > 1 or state in tau_succ[state]
     ]
 
 
@@ -57,8 +45,9 @@ def divergent_states(
     """States with an infinite silent path (can reach a silent cycle by taus)."""
     n = lts.num_states
     tau_pred: List[List[int]] = [[] for _ in range(n)]
-    for src, dst in _tau_pairs(lts):
-        tau_pred[dst].append(src)
+    for src, succs in enumerate(tau_successor_lists(lts)):
+        for dst in succs:
+            tau_pred[dst].append(src)
     marked = [False] * n
     queue = deque()
     for state in tau_cycle_states(lts, budget=budget):

@@ -537,6 +537,23 @@ def ensure_frozen(lts: AnyLTS) -> FrozenLTS:
     return lts.freeze()
 
 
+def tau_successor_lists(lts: AnyLTS) -> List[List[int]]:
+    """Per-state silent successor lists, for every tau analysis.
+
+    A frozen system serves its cached :meth:`FrozenLTS.tau_adjacency`.
+    A mutable one is scanned, not frozen: ``read_aut`` returns mutable
+    systems, and a trace comparison of two parsed files must not pay
+    for a CSR build.
+    """
+    if isinstance(lts, FrozenLTS):
+        return lts.tau_adjacency()
+    adj: List[List[int]] = [[] for _ in range(lts.num_states)]
+    for src, aid, dst in lts.transitions():
+        if aid == TAU_ID:
+            adj[src].append(dst)
+    return adj
+
+
 def _offsets(num_states: int, sorted_column: array) -> array:
     """Row-offset array of a CSR layout from its sorted leading column."""
     counts = [0] * (num_states + 1)

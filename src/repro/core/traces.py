@@ -31,7 +31,7 @@ from typing import (
 )
 
 from .graphs import reachability_closure
-from .lts import TAU_ID, AnyLTS, FrozenLTS
+from .lts import TAU_ID, AnyLTS, tau_successor_lists
 from .partition import BlockMap, partition_from_key, refine_to_fixpoint
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,14 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def state_tau_closures(lts: AnyLTS) -> List[frozenset]:
     """Per state, the set of states reachable by zero or more taus."""
-    n = lts.num_states
-    if isinstance(lts, FrozenLTS):
-        return reachability_closure(n, lts.tau_adjacency())
-    tau_succ: List[List[int]] = [[] for _ in range(n)]
-    for src, aid, dst in lts.transitions():
-        if aid == TAU_ID:
-            tau_succ[src].append(dst)
-    return reachability_closure(n, tau_succ)
+    return reachability_closure(lts.num_states, tau_successor_lists(lts))
 
 
 @dataclass

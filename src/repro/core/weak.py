@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from .graphs import tarjan_scc
-from .lts import TAU_ID, AnyLTS, FrozenLTS, disjoint_union, ensure_frozen
+from .graphs import reachability_closure, tarjan_scc
+from .lts import TAU_ID, AnyLTS, disjoint_union, ensure_frozen, tau_successor_lists
 from .partition import BlockMap, num_blocks
 from .branching import Comparison
 from .splitter import weak_splitter
@@ -30,35 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..util.metrics import Stats
 
 
-def _tau_successor_lists(lts: AnyLTS) -> List[List[int]]:
-    """Per-state silent successor lists (cached arrays on frozen inputs)."""
-    if isinstance(lts, FrozenLTS):
-        return lts.tau_adjacency()
-    n = lts.num_states
-    tau_succ: List[List[int]] = [[] for _ in range(n)]
-    for src, aid, dst in lts.transitions():
-        if aid == TAU_ID:
-            tau_succ[src].append(dst)
-    return tau_succ
-
-
 def tau_closures(lts: AnyLTS) -> List[frozenset]:
     """For every state, the set of states reachable by zero or more taus."""
-    n = lts.num_states
-    tau_succ = _tau_successor_lists(lts)
-    comp_of, num_comps = tarjan_scc(n, lambda s: tau_succ[s])
-    members: List[List[int]] = [[] for _ in range(num_comps)]
-    for state in range(n):
-        members[comp_of[state]].append(state)
-    comp_reach: List[set] = [set() for _ in range(num_comps)]
-    for comp in range(num_comps):
-        reach = comp_reach[comp]
-        reach.update(members[comp])
-        for src in members[comp]:
-            for dst in tau_succ[src]:
-                if comp_of[dst] != comp:
-                    reach |= comp_reach[comp_of[dst]]
-    return [frozenset(comp_reach[comp_of[state]]) for state in range(n)]
+    return reachability_closure(lts.num_states, tau_successor_lists(lts))
 
 
 def _weak_step_sets(lts: AnyLTS, closures: List[frozenset]) -> List[frozenset]:
@@ -85,7 +59,7 @@ def _divergence_marks(lts: AnyLTS, block_of: BlockMap) -> List[bool]:
     iff it can reach, through silent steps that stay inside its block,
     a silent cycle inside that block."""
     n = lts.num_states
-    tau_succ = _tau_successor_lists(lts)
+    tau_succ = tau_successor_lists(lts)
     inert: List[List[int]] = [[] for _ in range(n)]
     for src in range(n):
         for dst in tau_succ[src]:

@@ -65,6 +65,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "client": [
         "ClientConfig",
         "DEFAULT_MAX_STATES",
+        "ExpansionContext",
         "StateExplosion",
         "StreamingExplorer",
         "explore",

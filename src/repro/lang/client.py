@@ -161,14 +161,20 @@ Step = Tuple[Any, Optional[Tuple[Any, ...]], Any, Tuple[Any, ...], Optional[str]
 
 
 class ExpansionContext:
-    """Per-state successor generation, shared by the serial exploration
-    loop and the :mod:`repro.parallel` workers.
+    """Per-state successor generation of an object program, shared by
+    :class:`StreamingExplorer` and the :mod:`repro.parallel` workers.
 
     :meth:`expand` computes the ordered successor edges of one state key
     -- exactly the edges (and exactly the order) the serial loop body
     produces -- without touching any interning table, so the same
     expansion can run in a worker process and be replayed
     deterministically by the supervisor's merge.
+
+    As an explorer's context it also names the budget ``phase``
+    (``"explore"``), the state cap (:meth:`ClientConfig.effective_max_states`)
+    and the checkpoint :meth:`fingerprint`;
+    :class:`repro.lang.spec.SpecContext` supplies the same for a
+    specification.
 
     Two per-run caches make an expansion pay only for what a step
     changed; neither changes a single edge:
@@ -186,8 +192,11 @@ class ExpansionContext:
     """
 
     __slots__ = (
-        "program", "config", "settle", "_reps", "_rep_ids", "_steps", "_scans",
+        "program", "config", "name", "max_states", "settle",
+        "_reps", "_rep_ids", "_steps", "_scans",
     )
+
+    phase = "explore"
 
     def __init__(self, program: ObjectProgram, config: ClientConfig) -> None:
         if not config.workload:
@@ -205,6 +214,8 @@ class ExpansionContext:
 
         self.program = program
         self.config = config
+        self.name = program.name
+        self.max_states = config.effective_max_states()
         self.settle = settle
         #: ``==``-class -> its first-seen (representative) object, and
         #: the ids of those representatives (kept alive by ``_reps``).
@@ -222,6 +233,10 @@ class ExpansionContext:
         key = (self.program.initial_globals(), self.program.initial_heap,
                init_threads)
         return canonicalize(*key) if self.config.canonicalize_heap else key
+
+    def fingerprint(self) -> Dict[str, Any]:
+        """The checkpoint guard of this run (:func:`~repro.lang.checkpoint.fingerprint`)."""
+        return fingerprint(self.program, self.config)
 
     def _share(self, value: Any) -> Any:
         """The hash-consed representative of ``value``.
@@ -355,33 +370,38 @@ Event = Tuple[int, Any, int]
 
 
 class StreamingExplorer:
-    """Bounded DSL exploration as an incremental, resumable stream.
+    """Bounded exploration as an incremental, resumable stream.
 
-    The classic :func:`explore` materializes the whole system before any
-    verdict engine looks at a single transition.  This class exposes the
-    exact same exploration loop one expansion at a time, so on-the-fly
-    engines can consume ``(src, action, dst)`` events as they are
-    produced and stop as soon as a verdict is decided.
+    The explorer owns the one DFS loop of the package: the frontier,
+    the interning :class:`~repro.core.lts.LTSBuilder`, the safe point
+    and checkpoints.  Its ``context`` owns everything that depends on
+    the system being generated: the initial key, the ordered successors
+    of a key (:meth:`ExpansionContext.expand`), the budget ``phase``,
+    the ``max_states`` cap (``None`` = uncapped), the run's checkpoint
+    ``fingerprint()`` and the ``name`` its cap message reports.  An
+    :class:`ExpansionContext` generates an object system
+    (:func:`explore`, the on-the-fly lane, the service daemon); a
+    :class:`~repro.lang.spec.SpecContext` generates a specification
+    (:func:`~repro.lang.spec.spec_lts`).
 
     Contract (documented in DESIGN.md):
 
-    * **Event order** -- :meth:`expand_next` pops the same DFS frontier
-      the classic loop pops, so draining the stream produces states,
-      transitions, and interned ids in exactly the classic order;
-      :func:`explore` is now a thin drain-the-stream wrapper.
+    * **Event order** -- :meth:`expand_next` pops the DFS frontier, so
+      every drain of the same context, interrupted and resumed or not,
+      interns states and adds transitions in the same order; :meth:`run`
+      is the drain-the-stream form.
     * **Interning stability** -- state ids are assigned by the shared
       :class:`~repro.core.lts.LTSBuilder` on first sight and never
       change; every event refers to states by those stable ids.
     * **Freeze semantics** -- :meth:`freeze` may be called at any point
       (the CSR build is non-destructive) and returns the
       :class:`~repro.core.lts.FrozenLTS` of everything streamed so far;
-      after a full drain it is bit-identical to the classic result.
-    * **Safe points** -- budget checks (phase ``"explore"``), the
+      after a full drain it is the system :meth:`run` returns.
+    * **Safe points** -- budget checks (the context's phase), the
       ``max_states`` cap, and checkpoint writes all happen at the top of
       :meth:`expand_next`, before a key is popped, so a
-      :class:`~repro.lang.checkpoint.Checkpoint` written mid-stream is
-      indistinguishable from one written by the classic loop and the two
-      resume each other bit-identically.
+      :class:`~repro.lang.checkpoint.Checkpoint` written mid-stream
+      resumes bit-identically.
 
     ``successors_of`` additionally exposes *demand-driven* expansion for
     fused product searches that follow their own search order instead of
@@ -394,23 +414,17 @@ class StreamingExplorer:
 
     def __init__(
         self,
-        program: ObjectProgram,
-        config: ClientConfig,
+        context: Any,
         budget: Optional["RunBudget"] = None,
         checkpoint: Optional[CheckpointSink] = None,
         resume: Optional[Checkpoint] = None,
         cache_edges: bool = False,
     ) -> None:
-        self.program = program
-        self.config = config
+        self.context = context
         self.budget = budget
         self.checkpoint = checkpoint
-        self.context = ExpansionContext(program, config)
-        self.max_states = config.effective_max_states()
 
-        self._run_id = (
-            fingerprint(program, config) if (checkpoint or resume) else None
-        )
+        self._run_id = context.fingerprint() if (checkpoint or resume) else None
         if resume is not None:
             resume.validate(self._run_id)
             self.builder = resume.builder
@@ -425,7 +439,7 @@ class StreamingExplorer:
             }
         else:
             self.builder = LTSBuilder()
-            self.builder.set_init(self.context.initial_key())
+            self.builder.set_init(context.initial_key())
             self._stack = [self.builder.lts.init]
             self._expanded: set = set()
 
@@ -460,9 +474,9 @@ class StreamingExplorer:
         return sid in self._expanded
 
     def snapshot(self) -> Checkpoint:
-        """A classic-compatible checkpoint of the current safe point."""
+        """A resumable checkpoint of the current safe point."""
         if self._run_id is None:
-            self._run_id = fingerprint(self.program, self.config)
+            self._run_id = self.context.fingerprint()
         return Checkpoint(
             fingerprint=self._run_id,
             builder=self.builder,
@@ -476,21 +490,20 @@ class StreamingExplorer:
     # -- production ---------------------------------------------------
 
     def _safe_point(self) -> None:
-        builder = self.builder
+        builder, context = self.builder, self.context
         try:
             if self.budget is not None:
                 self.budget.check(
-                    "explore",
+                    context.phase,
                     states=builder.lts.num_states,
                     transitions=builder.lts.num_transitions,
                     frontier=len(self._stack),
                 )
-            if (
-                self.max_states is not None
-                and builder.lts.num_states > self.max_states
-            ):
+            cap = context.max_states
+            if cap is not None and builder.lts.num_states > cap:
                 raise StateExplosion(
-                    f"{self.program.name}: more than {self.max_states} states",
+                    f"{context.name}: more than {cap} states",
+                    phase=context.phase,
                     states=builder.lts.num_states,
                     transitions=builder.lts.num_transitions,
                     frontier=len(self._stack),
@@ -566,6 +579,23 @@ class StreamingExplorer:
         while self.expand_next() is not None:
             pass
 
+    def run(self, stats: Optional["Stats"] = None) -> LTS:
+        """Drain the stream and return the frozen system.
+
+        ``stats``, when given, times the run under a stage named after
+        the context's phase and records the final state and transition
+        counts.
+        """
+        if stats is None:
+            self.drain()
+            return self.freeze()
+        with stats.stage(self.context.phase):
+            self.drain()
+            lts = self.freeze()
+            stats.count("states", lts.num_states)
+            stats.count("transitions", lts.num_transitions)
+        return lts
+
 
 def explore(
     program: ObjectProgram,
@@ -577,10 +607,8 @@ def explore(
 ) -> LTS:
     """Generate the object system LTS under the most general client.
 
-    A thin drain-the-stream wrapper over :class:`StreamingExplorer`:
-    draining produces states and transitions in exactly the order the
-    historical monolithic loop did, so all existing consumers (and all
-    checkpoints) are unchanged.
+    Drains a :class:`StreamingExplorer` over the program's
+    :class:`ExpansionContext` and returns the frozen system.
 
     ``stats``, when given, times the exploration under an ``explore``
     stage and records final state/transition counts.
@@ -594,27 +622,10 @@ def explore(
     :class:`~repro.lang.checkpoint.Checkpoint` and reproduces the exact
     LTS an uninterrupted run would have produced.
     """
-    if stats is None:
-        return _explore(program, config, budget, checkpoint, resume)
-    with stats.stage("explore"):
-        lts = _explore(program, config, budget, checkpoint, resume)
-        stats.count("states", lts.num_states)
-        stats.count("transitions", lts.num_transitions)
-    return lts
-
-
-def _explore(
-    program: ObjectProgram,
-    config: ClientConfig,
-    budget: Optional["RunBudget"] = None,
-    checkpoint: Optional[CheckpointSink] = None,
-    resume: Optional[Checkpoint] = None,
-) -> LTS:
-    explorer = StreamingExplorer(
-        program, config, budget=budget, checkpoint=checkpoint, resume=resume,
-    )
-    explorer.drain()
-    return explorer.freeze()
+    return StreamingExplorer(
+        ExpansionContext(program, config),
+        budget=budget, checkpoint=checkpoint, resume=resume,
+    ).run(stats)
 
 
 def maybe_parallel_explore(
@@ -634,8 +645,7 @@ def maybe_parallel_explore(
     ``workers >= 1`` builds a :mod:`repro.parallel` supervisor
     (``fault_plan`` may be a spec string or a ``FaultPlan``) and is the
     only case that imports that package; ``workers == 0`` is plain
-    :func:`explore`.  The verification pipelines call this so
-    ``--workers`` reaches ``lin`` / ``lockfree`` unchanged.
+    :func:`explore`.  ``repro explore --workers`` is its one CLI caller.
     """
     if not workers or workers < 1:
         return explore(

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..core.lts import LTS, LTSBuilder, TAU
-from ..util.budget import BudgetExhausted
+from ..core.lts import LTS, TAU
 from .checkpoint import Checkpoint, CheckpointSink, spec_fingerprint
-from .client import StateExplosion, Workload
+from .client import StreamingExplorer, Workload
 from .state import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,6 +53,91 @@ _PENDING = 1     # called, atomic block not yet executed
 _DONE = 2        # atomic block executed, return pending
 
 
+class SpecContext:
+    """The expansion context of a specification under the most general
+    client, for :class:`~repro.lang.client.StreamingExplorer`.
+
+    A state key is ``(abstract_state, thread_records)``; a thread runs
+    each method as three steps: the call, one atomic tau applying the
+    sequential method (one edge per outcome), and the return.  The
+    budget phase is ``"spec"``; ``max_states=None`` leaves generation
+    uncapped.
+    """
+
+    phase = "spec"
+
+    def __init__(
+        self,
+        spec: SpecObject,
+        num_threads: int,
+        ops_per_thread: Any,
+        workload: Workload,
+        max_states: Optional[int] = None,
+    ) -> None:
+        if not workload:
+            raise ModelError("empty workload: nothing for the client to invoke")
+        for mname, _args in workload:
+            spec.method(mname)
+        if isinstance(ops_per_thread, int):
+            budgets = tuple(ops_per_thread for _ in range(num_threads))
+        else:
+            budgets = tuple(ops_per_thread)
+            if len(budgets) != num_threads:
+                raise ModelError("one budget per thread required")
+        self.spec = spec
+        self.name = spec.name
+        self.num_threads = num_threads
+        self.ops_per_thread = ops_per_thread
+        self.workload = workload
+        self.max_states = max_states
+        self._budgets = budgets
+
+    def initial_key(self) -> Tuple[Any, Tuple[Any, ...]]:
+        return (
+            self.spec.initial,
+            tuple((_IDLE, None, None, None, budget) for budget in self._budgets),
+        )
+
+    def fingerprint(self) -> Dict[str, Any]:
+        """The checkpoint guard of this run (:func:`~repro.lang.checkpoint.spec_fingerprint`)."""
+        return spec_fingerprint(
+            self.spec, self.num_threads, self.ops_per_thread, self.workload
+        )
+
+    def expand(self, key: Tuple[Any, Tuple[Any, ...]]) -> List[Tuple[Any, Any, Optional[str]]]:
+        """Ordered ``(label, destination_key, annotation)`` edges of ``key``."""
+        abstract, threads = key
+        edges: List[Tuple[Any, Any, Optional[str]]] = []
+        for tid, (phase, mname, args, ret, ops_budget) in enumerate(threads):
+            head, tail = threads[:tid], threads[tid + 1:]
+            if phase == _IDLE:
+                if ops_budget <= 0:
+                    continue
+                for wm, wargs in self.workload:
+                    record = (_PENDING, wm, wargs, None, ops_budget - 1)
+                    edges.append((
+                        ("call", tid + 1, wm, wargs),
+                        (abstract, head + (record,) + tail),
+                        None,
+                    ))
+            elif phase == _PENDING:
+                for new_abstract, value in self.spec.method(mname)(abstract, args):
+                    record = (_DONE, mname, args, value, ops_budget)
+                    edges.append((
+                        TAU,
+                        (new_abstract, head + (record,) + tail),
+                        f"t{tid + 1}.atomic",
+                    ))
+            else:
+                record = (_IDLE, None, None, None, ops_budget)
+                edges.append((
+                    ("ret", tid + 1, mname, ret),
+                    (abstract, head + (record,) + tail),
+                    None,
+                ))
+        return edges
+
+
 def spec_lts(
     spec: SpecObject,
     num_threads: int,
@@ -67,146 +151,20 @@ def spec_lts(
 ) -> LTS:
     """The linearizable specification LTS under the most general client.
 
-    ``stats`` (optional) times the generation under a ``spec`` stage and
-    records state/transition counts; the generation loop is shared with
-    the uninstrumented path.  ``budget`` (optional) is checked once per
+    Drains a :class:`~repro.lang.client.StreamingExplorer` over a
+    :class:`SpecContext` and returns the frozen system.  ``stats``
+    (optional) times the generation under a ``spec`` stage and records
+    state/transition counts.  ``budget`` (optional) is checked once per
     frontier pop under phase ``"spec"``.  ``checkpoint`` / ``resume``
     mirror :func:`repro.lang.client.explore`: generation state is
     periodically serialized (guarded by :func:`spec_fingerprint`) and an
     interrupted generation resumed from a checkpoint reproduces the
     exact LTS an uninterrupted run would have produced.
     """
-    if stats is None:
-        return _spec_lts(
-            spec, num_threads, ops_per_thread, workload, max_states, budget,
-            checkpoint, resume,
-        )
-    with stats.stage("spec"):
-        lts = _spec_lts(
-            spec, num_threads, ops_per_thread, workload, max_states, budget,
-            checkpoint, resume,
-        )
-        stats.count("states", lts.num_states)
-        stats.count("transitions", lts.num_transitions)
-    return lts
-
-
-def _spec_lts(
-    spec: SpecObject,
-    num_threads: int,
-    ops_per_thread: int,
-    workload: Workload,
-    max_states: Optional[int] = None,
-    budget: Optional["RunBudget"] = None,
-    checkpoint: Optional[CheckpointSink] = None,
-    resume: Optional[Checkpoint] = None,
-) -> LTS:
-    if not workload:
-        raise ModelError("empty workload: nothing for the client to invoke")
-    for mname, _args in workload:
-        spec.method(mname)
-
-    if isinstance(ops_per_thread, int):
-        budgets = tuple(ops_per_thread for _ in range(num_threads))
-    else:
-        budgets = tuple(ops_per_thread)
-        if len(budgets) != num_threads:
-            raise ModelError("one budget per thread required")
-
-    run_id = None
-    if checkpoint is not None or resume is not None:
-        run_id = spec_fingerprint(spec, num_threads, ops_per_thread, workload)
-    if resume is not None:
-        resume.validate(run_id)
-        builder = resume.builder
-        stack: List[int] = list(resume.frontier)
-    else:
-        builder = LTSBuilder()
-        init_key = (
-            spec.initial,
-            tuple((_IDLE, None, None, None, budget) for budget in budgets),
-        )
-        builder.set_init(init_key)
-        stack = [builder.lts.init]
-
-    def snapshot() -> Checkpoint:
-        return Checkpoint(
-            fingerprint=run_id,
-            builder=builder,
-            frontier=list(stack),
-        )
-
-    try:
-        return _spec_loop(
-            spec, workload, builder, stack, max_states, budget,
-            checkpoint, snapshot,
-        )
-    except BudgetExhausted:
-        if checkpoint is not None:
-            checkpoint.save(snapshot())
-        raise
-
-
-def _spec_loop(
-    spec: SpecObject,
-    workload: Workload,
-    builder: LTSBuilder,
-    stack: List[int],
-    max_states: Optional[int],
-    budget: Optional["RunBudget"],
-    checkpoint: Optional[CheckpointSink],
-    snapshot,
-) -> LTS:
-    keys, intern, add = builder.state_keys, builder.intern, builder.lts.add_transition
-    while stack:
-        # Top of the loop is the one safe point (every interned state is
-        # fully expanded or still on the stack), as in client._explore.
-        if budget is not None:
-            budget.check(
-                "spec",
-                states=builder.lts.num_states,
-                transitions=builder.lts.num_transitions,
-                frontier=len(stack),
-            )
-        if max_states is not None and builder.lts.num_states > max_states:
-            raise StateExplosion(
-                f"{spec.name}: more than {max_states} states",
-                phase="spec",
-                states=builder.lts.num_states,
-                frontier=len(stack),
-            )
-        if checkpoint is not None and checkpoint.due():
-            checkpoint.save(snapshot())
-        sid = stack.pop()
-        abstract, threads = keys[sid]
-        for tid, record in enumerate(threads):
-            phase, mname, args, ret, ops_budget = record
-            if phase == _IDLE:
-                if ops_budget <= 0:
-                    continue
-                for wm, wargs in workload:
-                    new_record = (_PENDING, wm, wargs, None, ops_budget - 1)
-                    new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    dst, is_new = intern((abstract, new_threads))
-                    add(sid, ("call", tid + 1, wm, wargs), dst)
-                    if is_new:
-                        stack.append(dst)
-            elif phase == _PENDING:
-                for new_abstract, value in spec.method(mname)(abstract, args):
-                    new_record = (_DONE, mname, args, value, ops_budget)
-                    new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    dst, is_new = intern((new_abstract, new_threads))
-                    add(sid, TAU, dst, f"t{tid + 1}.atomic")
-                    if is_new:
-                        stack.append(dst)
-            else:
-                new_record = (_IDLE, None, None, None, ops_budget)
-                new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                dst, is_new = intern((abstract, new_threads))
-                add(sid, ("ret", tid + 1, mname, ret), dst)
-                if is_new:
-                    stack.append(dst)
-    return builder.lts
+    return StreamingExplorer(
+        SpecContext(spec, num_threads, ops_per_thread, workload, max_states),
+        budget=budget, checkpoint=checkpoint, resume=resume,
+    ).run(stats)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "faults": ["Fault", "FaultPlan", "FaultPlanError"],
     "protocol": ["FrameDecoder", "ProtocolError", "read_frame", "write_frame"],
     "supervisor": [
-        "STREAMING_SERIAL_REASON",
         "ParallelConfig",
         "Supervisor",
         "maybe_parallel_explore",

@@ -732,25 +732,6 @@ class Supervisor:
             wave = next_wave
 
 
-#: Why the on-the-fly (streaming) pipelines run serial exploration even
-#: when ``--workers`` is given.  The sharded supervisor reproduces the
-#: serial interning order only at *wave* granularity: inside a wave,
-#: shard results arrive in nondeterministic order and are replayed into
-#: the builder at the merge barrier.  A fused verdict engine consumes
-#: expansions mid-wave in its own search order, so a violation could be
-#: observed before the supervisor has established the serial prefix the
-#: witness reconstruction (and checkpoint compatibility) rely on.
-#: Rather than report witnesses against an unstable interning, streaming
-#: mode degrades to in-process serial exploration; pipelines count the
-#: degrade in their stats sink (``onthefly_serial_degradations``) and
-#: the CLI prints this reason once.
-STREAMING_SERIAL_REASON = (
-    "on-the-fly verification consumes expansions in search order, which "
-    "the sharded supervisor only reproduces at wave granularity; "
-    "streaming runs degrade to serial in-process exploration"
-)
-
-
 def parallel_explore(
     program: Any,
     config: Any,

@@ -391,7 +391,7 @@ def onthefly_disagreements(
     this is the cross-check behind the ``onthefly-skip-frontier-check``
     mutation (caught deterministically by ``canary_mark``).
     """
-    from ..lang import StreamingExplorer
+    from ..lang import ExpansionContext, StreamingExplorer
     from ..verify.reachability import (
         reachability_search,
         reachability_search_streaming,
@@ -401,7 +401,7 @@ def onthefly_disagreements(
     classic = reachability_search(impl, spec, budget=budget)
 
     explorer = StreamingExplorer(
-        program, config, budget=budget, cache_edges=True
+        ExpansionContext(program, config), budget=budget, cache_edges=True
     )
     fused = reachability_search_streaming(explorer, spec, budget=budget)
     if fused.holds != classic.holds:
@@ -719,7 +719,7 @@ def _mutate_reduce_ignore_divergence() -> Iterator[None]:
 
 @contextmanager
 def _mutate_drop_budget_checks() -> Iterator[None]:
-    """The cooperative budget checks become no-ops: deadlines, state
+    """The cooperative budget checks become no-ops: deadlines, RSS
     caps and SIGINT cancellation are silently ignored and exhausted
     runs complete as if unbounded.  Caught by
     :func:`check_budget_governance`."""
@@ -727,7 +727,7 @@ def _mutate_drop_budget_checks() -> Iterator[None]:
 
     original = B.RunBudget.check
 
-    def buggy(self, phase, states=None, transitions=None, **progress):
+    def buggy(self, phase, **progress):
         return None
 
     B.RunBudget.check = buggy

@@ -10,7 +10,6 @@ every long-running loop in the package checks a single
 :class:`BudgetExhausted` taxonomy when a limit is hit:
 
 * a **wall-clock deadline** (seconds from the budget's start),
-* a **state cap** and a **transition cap** (counts reported by the loop),
 * a **peak-RSS cap** (KiB, sampled with a stride so the probe is cheap),
 * a **cooperative cancellation token**, optionally wired to ``SIGINT``
   so a Ctrl-C surfaces as a clean exhaustion at the next check point
@@ -99,15 +98,15 @@ def exit_code_for(verdict: str) -> int:
 
 #: ``Exhaustion.reason`` values (the closed taxonomy).
 REASON_DEADLINE = "deadline"
+#: The exploration state cap (``ClientConfig.max_states``, raised as
+#: :class:`repro.lang.client.StateExplosion`).
 REASON_STATES = "states"
-REASON_TRANSITIONS = "transitions"
 REASON_RSS = "rss"
 REASON_INTERRUPTED = "interrupted"
 
 ALL_REASONS = (
     REASON_DEADLINE,
     REASON_STATES,
-    REASON_TRANSITIONS,
     REASON_RSS,
     REASON_INTERRUPTED,
 )
@@ -258,9 +257,6 @@ class RunBudget:
     deadline_seconds:
         Wall-clock allowance measured from construction (or the last
         :meth:`restart`).  ``None`` = no deadline.
-    max_states, max_transitions:
-        Caps on the ``states=`` / ``transitions=`` counts a loop reports
-        to :meth:`check`.  ``None`` = uncapped.
     max_rss_kb:
         Peak-RSS cap in KiB (compared against
         :func:`repro.util.metrics.peak_rss_kb`).  ``None`` = uncapped.
@@ -269,16 +265,17 @@ class RunBudget:
         with reason ``"interrupted"``.  :meth:`install_sigint` wires it
         to Ctrl-C for the duration of a ``with`` block.
     check_interval:
-        Stride for the clock / RSS probes: counts and the token are
-        checked on *every* call, the probes on call 1 and then every
+        Stride for the clock / RSS probes: the token is checked on
+        *every* call, the probes on call 1 and then every
         ``check_interval``-th call, so a check is a few integer
         comparisons on the fast path.
+
+    The state cap of an exploration is ``ClientConfig.max_states``,
+    enforced by the explorer itself.
     """
 
     __slots__ = (
         "deadline_seconds",
-        "max_states",
-        "max_transitions",
         "max_rss_kb",
         "token",
         "check_interval",
@@ -289,8 +286,6 @@ class RunBudget:
     def __init__(
         self,
         deadline_seconds: Optional[float] = None,
-        max_states: Optional[int] = None,
-        max_transitions: Optional[int] = None,
         max_rss_kb: Optional[int] = None,
         token: Optional[CancellationToken] = None,
         check_interval: int = 32,
@@ -298,8 +293,6 @@ class RunBudget:
         if check_interval < 1:
             raise ValueError("check_interval must be at least 1")
         self.deadline_seconds = deadline_seconds
-        self.max_states = max_states
-        self.max_transitions = max_transitions
         self.max_rss_kb = max_rss_kb
         self.token = token
         self.check_interval = check_interval
@@ -334,37 +327,17 @@ class RunBudget:
             reason=reason, phase=phase, limit=limit, progress=snapshot,
         ))
 
-    def check(
-        self,
-        phase: str,
-        states: Optional[int] = None,
-        transitions: Optional[int] = None,
-        **progress: int,
-    ) -> None:
+    def check(self, phase: str, **progress: int) -> None:
         """Raise :class:`BudgetExhausted` if any limit has been hit.
 
-        ``states`` / ``transitions`` are the loop's own counters and are
-        compared against the caps on every call; extra keyword counters
-        (``sweeps=...``, ``pairs=...``) only enrich the snapshot.
+        The keyword counters (``states=...``, ``transitions=...``,
+        ``frontier=...``) are the loop's progress; they only fill the
+        exhaustion's snapshot.
         """
         token = self.token
         if token is not None and token.is_set():
             self.exhaust(
-                REASON_INTERRUPTED, phase, "cancelled (SIGINT)",
-                states=states, transitions=transitions, **progress,
-            )
-        if self.max_states is not None and states is not None \
-                and states > self.max_states:
-            self.exhaust(
-                REASON_STATES, phase, f"max_states={self.max_states}",
-                states=states, transitions=transitions, **progress,
-            )
-        if self.max_transitions is not None and transitions is not None \
-                and transitions > self.max_transitions:
-            self.exhaust(
-                REASON_TRANSITIONS, phase,
-                f"max_transitions={self.max_transitions}",
-                states=states, transitions=transitions, **progress,
+                REASON_INTERRUPTED, phase, "cancelled (SIGINT)", **progress,
             )
         calls = self._calls
         self._calls = calls + 1
@@ -377,7 +350,7 @@ class RunBudget:
                     REASON_DEADLINE, phase,
                     f"deadline={self.deadline_seconds:.2f}s "
                     f"(elapsed {elapsed:.2f}s)",
-                    states=states, transitions=transitions, **progress,
+                    **progress,
                 )
         if self.max_rss_kb is not None:
             rss = peak_rss_kb()
@@ -385,7 +358,7 @@ class RunBudget:
                 self.exhaust(
                     REASON_RSS, phase,
                     f"max_rss_kb={self.max_rss_kb} (peak {rss})",
-                    states=states, transitions=transitions, **progress,
+                    **progress,
                 )
 
     # ------------------------------------------------------------------
@@ -399,9 +372,8 @@ class RunBudget:
         The wall-clock allowance is what *remains* of this budget's
         deadline, optionally capped by ``deadline_cap`` (a per-shard
         deadline); the RSS cap is inherited as-is (children are separate
-        processes, so each gets the full cap).  State/transition caps
-        are not propagated -- only the parent sees global counts.
-        A negative remaining deadline is clamped to ``0.0`` so the child
+        processes, so each gets the full cap).  A negative remaining
+        deadline is clamped to ``0.0`` so the child
         exhausts immediately instead of running unbounded.
         """
         remaining = self.remaining_seconds()

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Hashable, List, Optional, Tuple, Union
 
 from ..core import AnyLTS, branching_partition, quotient_lts, trace_refines
-from ..lang import ClientConfig, ObjectProgram, SpecObject, spec_lts
+from ..lang import ClientConfig, ObjectProgram, SpecObject, explore, spec_lts
 from ..lang.checkpoint import Checkpoint, CheckpointSink
-from ..lang.client import Workload, maybe_parallel_explore
+from ..lang.client import Workload
 from ..util.budget import BudgetExhausted, Exhaustion, RunBudget, verdict_of
 from ..util.metrics import Stats, stage
 
@@ -93,10 +93,6 @@ def check_linearizability(
     stats: Optional[Stats] = None,
     reduce: bool = True,
     budget: Optional[RunBudget] = None,
-    workers: int = 0,
-    fault_plan: Optional[Any] = None,
-    shard_states: Optional[int] = None,
-    heartbeat_timeout: Optional[float] = None,
     spec_checkpoint: Optional[CheckpointSink] = None,
     spec_resume: Optional[Checkpoint] = None,
     on_the_fly: bool = False,
@@ -121,11 +117,9 @@ def check_linearizability(
     ``linearizable=None`` (verdict ``UNKNOWN``) carrying the exhaustion
     record -- it never raises.
 
-    ``workers >= 1`` shards the object-system exploration across that
-    many worker processes (:mod:`repro.parallel`); the result is
-    byte-identical to serial exploration.  ``spec_checkpoint`` /
-    ``spec_resume`` checkpoint the specification-LTS generation so an
-    interrupted ``lin`` run does not regenerate it from scratch.
+    ``spec_checkpoint`` / ``spec_resume`` checkpoint the
+    specification-LTS generation so an interrupted ``lin`` run does not
+    regenerate it from scratch.
 
     ``on_the_fly=True`` (with no ``impl_system``) delegates to the one
     on-the-fly lane, the streaming reachability search
@@ -146,7 +140,7 @@ def check_linearizability(
         return check_linearizability_reachability(
             program, spec, num_threads, ops_per_thread, workload=workload,
             max_states=max_states, stats=stats, budget=budget,
-            workers=workers, on_the_fly=True,
+            on_the_fly=True,
         )
     if workload is None:
         raise ValueError("a workload (method/argument universe) is required")
@@ -165,11 +159,7 @@ def check_linearizability(
             if stats is not None:
                 stats.count("shared_impl_states", impl.num_states)
         else:
-            impl = maybe_parallel_explore(
-                program, config, workers=workers, fault_plan=fault_plan,
-                shard_states=shard_states,
-                heartbeat_timeout=heartbeat_timeout, stats=stats, budget=budget,
-            )
+            impl = explore(program, config, stats=stats, budget=budget)
         impl_states = impl.num_states
         spec_system = spec_lts(
             spec, num_threads, ops_per_thread, workload,
@@ -245,23 +235,18 @@ def check_linearizability_both(
     stats_reachability: Optional[Stats] = None,
     reduce: bool = True,
     budget: Optional[RunBudget] = None,
-    workers: int = 0,
-    fault_plan: Optional[Any] = None,
-    shard_states: Optional[int] = None,
-    heartbeat_timeout: Optional[float] = None,
     spec_checkpoint: Optional[CheckpointSink] = None,
     spec_resume: Optional[Checkpoint] = None,
 ) -> Tuple[LinearizabilityResult, "ReachabilityResult"]:
     """Run both verdict engines over one shared exploration.
 
     ``lin --method both`` used to explore the same object system twice
-    -- once per engine.  This helper explores exactly once (including
-    ``workers``-way sharding) and hands the frozen system to both
-    pipelines via their ``impl_system`` parameter; each engine's report
-    then carries the shared exploration time.  The two engines must see
-    the same state count by construction -- that invariant is asserted
-    here because a disagreement between their verdicts is only
-    meaningful when their inputs are identical.
+    -- once per engine.  This helper explores exactly once and hands the
+    frozen system to both pipelines via their ``impl_system`` parameter;
+    each engine's report then carries the shared exploration time.  The
+    two engines must see the same state count by construction -- that
+    invariant is asserted here because a disagreement between their
+    verdicts is only meaningful when their inputs are identical.
 
     Exhaustion during the shared exploration yields *two* UNKNOWN
     results carrying the same exhaustion record, mirroring what two
@@ -279,12 +264,7 @@ def check_linearizability_both(
     )
     t0 = time.perf_counter()
     try:
-        impl = maybe_parallel_explore(
-            program, config, workers=workers, fault_plan=fault_plan,
-            shard_states=shard_states,
-            heartbeat_timeout=heartbeat_timeout,
-            stats=stats_quotient, budget=budget,
-        )
+        impl = explore(program, config, stats=stats_quotient, budget=budget)
     except BudgetExhausted as exc:
         elapsed = time.perf_counter() - t0
         quotient_result = LinearizabilityResult(

@@ -29,7 +29,7 @@ from ..core import (
     tau_cycle_states,
 )
 from ..lang import ClientConfig, ObjectProgram, explore
-from ..lang.client import Workload, maybe_parallel_explore
+from ..lang.client import Workload
 from ..util.budget import BudgetExhausted, Exhaustion, RunBudget, verdict_of
 from ..util.metrics import Stats, stage
 
@@ -76,10 +76,6 @@ def check_lock_freedom_auto(
     stats: Optional[Stats] = None,
     reduce: bool = True,
     budget: Optional[RunBudget] = None,
-    workers: int = 0,
-    fault_plan=None,
-    shard_states: Optional[int] = None,
-    heartbeat_timeout: Optional[float] = None,
     impl_system=None,
 ) -> LockFreedomResult:
     """Theorem 5.9: fully automatic lock-freedom check.
@@ -134,12 +130,7 @@ def check_lock_freedom_auto(
             if stats is not None:
                 stats.count("shared_impl_states", impl.num_states)
         else:
-            impl = maybe_parallel_explore(
-                program, config, workers=workers, fault_plan=fault_plan,
-                shard_states=shard_states,
-                heartbeat_timeout=heartbeat_timeout,
-                stats=stats, budget=budget,
-            )
+            impl = explore(program, config, stats=stats, budget=budget)
         impl_states = impl.num_states
         with stage(stats, "quotient"):
             quotient = quotient_lts(

@@ -57,8 +57,8 @@ from typing import (
 )
 
 from ..core.lts import TAU_ID, AnyLTS
-from ..lang import ClientConfig, ObjectProgram, SpecObject, StreamingExplorer
-from ..lang.client import Workload, maybe_parallel_explore
+from ..lang import ClientConfig, ObjectProgram, SpecObject, StreamingExplorer, explore
+from ..lang.client import ExpansionContext, Workload
 from ..lang.state import ModelError
 from ..util.budget import (
     PHASE_EXPLORE_REACHABILITY,
@@ -511,18 +511,13 @@ def check_linearizability_reachability(
     max_states: Optional[int] = None,
     stats: Optional[Stats] = None,
     budget: Optional[RunBudget] = None,
-    workers: int = 0,
-    fault_plan: Optional[Any] = None,
-    shard_states: Optional[int] = None,
-    heartbeat_timeout: Optional[float] = None,
     on_the_fly: bool = False,
     impl_system: Optional[AnyLTS] = None,
 ) -> ReachabilityResult:
     """Run the full BEEH reachability pipeline for one object.
 
     Explores the object system under the most-general client (the same
-    exploration core as the quotient pipeline, including ``workers``-way
-    sharded exploration via :mod:`repro.parallel`), then searches the
+    exploration core as the quotient pipeline), then searches the
     implementation x specification-monitor product for a reachable
     violation.  At equal ``(num_threads, ops_per_thread, workload)``
     bounds the verdict provably matches
@@ -533,12 +528,7 @@ def check_linearizability_reachability(
     ``on_the_fly=True`` fuses exploration with the product search
     (:func:`reachability_search_streaming`): same verdict, but a
     violation is reported after expanding only the states the search
-    actually touched.  Streaming consumes expansions in search order,
-    which the sharded supervisor cannot reproduce, so ``workers`` is
-    ignored in this mode (documented serial degrade --
-    :data:`repro.parallel.STREAMING_SERIAL_REASON`; the stats sink
-    records an ``onthefly_serial_degradations`` counter when it
-    happens).
+    actually touched.
 
     ``impl_system``, when given, is a pre-explored object system to
     check instead of exploring here -- used by
@@ -568,10 +558,9 @@ def check_linearizability_reachability(
     t0 = t1 = time.perf_counter()
     try:
         if fused:
-            if workers and stats is not None:
-                stats.count("onthefly_serial_degradations", 1)
             explorer = StreamingExplorer(
-                program, config, budget=budget, cache_edges=True,
+                ExpansionContext(program, config), budget=budget,
+                cache_edges=True,
             )
             t1 = time.perf_counter()
             search = reachability_search_streaming(
@@ -584,11 +573,7 @@ def check_linearizability_reachability(
                 if stats is not None:
                     stats.count("shared_impl_states", impl.num_states)
             else:
-                impl = maybe_parallel_explore(
-                    program, config, workers=workers, fault_plan=fault_plan,
-                    shard_states=shard_states,
-                    heartbeat_timeout=heartbeat_timeout, stats=stats, budget=budget,
-                )
+                impl = explore(program, config, stats=stats, budget=budget)
             impl_states = impl.num_states
             t1 = time.perf_counter()
             search = reachability_search(impl, spec, stats=stats, budget=budget)

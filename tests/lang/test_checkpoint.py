@@ -13,6 +13,7 @@ import pytest
 from repro.core.aut import dumps_aut
 from repro.lang import (
     ClientConfig,
+    ExpansionContext,
     StreamingExplorer,
     explore,
 )
@@ -152,7 +153,7 @@ def test_streaming_snapshot_resumes_in_classic_explorer(key, tmp_path):
     program, config = _bench_config(key)
     full = explore(program, config)
 
-    explorer = StreamingExplorer(program, config)
+    explorer = StreamingExplorer(ExpansionContext(program, config))
     for _ in range(50):
         assert explorer.expand_next() is not None
     path = str(tmp_path / f"{key}.stream.ckpt")
@@ -182,7 +183,7 @@ def test_classic_checkpoint_resumes_in_streaming_explorer(key, tmp_path):
     assert sink.saves > 0
 
     explorer = StreamingExplorer(
-        program, config, resume=load_checkpoint(path)
+        ExpansionContext(program, config), resume=load_checkpoint(path)
     )
     explorer.drain()
     assert dumps_aut(full) == dumps_aut(explorer.freeze())
@@ -201,7 +202,7 @@ def test_streaming_exhaustion_checkpoint_resumes_both_ways(tmp_path):
     )
     path = str(tmp_path / "stream-exhausted.ckpt")
     explorer = StreamingExplorer(
-        program, capped,
+        ExpansionContext(program, capped),
         checkpoint=CheckpointSink(path, interval_seconds=0.0),
     )
     with pytest.raises(BudgetExhausted):
@@ -209,7 +210,7 @@ def test_streaming_exhaustion_checkpoint_resumes_both_ways(tmp_path):
 
     classic = explore(program, config, resume=load_checkpoint(path))
     streaming = StreamingExplorer(
-        program, config, resume=load_checkpoint(path)
+        ExpansionContext(program, config), resume=load_checkpoint(path)
     )
     streaming.drain()
     assert dumps_aut(full) == dumps_aut(classic)

@@ -318,7 +318,7 @@ def test_step_cache_never_serves_a_bool_int_twin(order):
     assert dumps_aut(cached) == dumps_aut(_explore_without_step_cache(program, config))
 
     # The scenario is reached: both flag values in front of thread 1's Lock.
-    explorer = StreamingExplorer(program, config)
+    explorer = StreamingExplorer(ExpansionContext(program, config))
     explorer.drain()
     take, release, zero = (program.method_index[m] for m in ("take", "release", "zero"))
     views = {}

@@ -63,9 +63,27 @@ def test_golden_ms_and_dglm_share_quotient_size():
     assert GOLDEN["ms_queue"][3] == GOLDEN["dglm_queue"][3]
 
 
+#: The six distinct registry specifications at 2x2: key -> (states,
+#: transitions, sha256 of ``dumps_aut``).  Spec generation shares the
+#: object explorer's DFS loop, so these pin that loop's interning order
+#: on the specification side.
+GOLDEN_SPEC = {
+    "ms_queue": (1379, 2836, "596489e8da3247668b8995e7f4d88ada35b4e7fa5e65a4944a1ee1f063f76b34"),
+    "treiber": (1413, 2908, "98cacc1d7065317f910eeeca5c4e9ae1c39b1feba2e2630a59ba155749084642"),
+    "hm_list": (1427, 3384, "c62abc6ab4d8ffdc973d4a8b83432d661fc3a6a1865bbd67440b9864b07fa40a"),
+    "ccas": (875, 2084, "46d6c05ea83971bda8bf416f88b87ed4f286658b69654ec6046f57acaf899c36"),
+    "newcas": (572, 1308, "fdd54e0c876a4762e6275365ed3ad452c6811a8e6829bc6cd02c008fbe573c50"),
+    "lazy_list": (2851, 7152, "7f1e789b282526567973521797d37ab8ed05efa0bcac531ca14a621242fc936f"),
+}
+
+
 def test_golden_spec_sizes():
-    bench = get("ms_queue")
-    spec_system = spec_lts(bench.spec(), 2, 2, bench.default_workload())
-    assert spec_system.num_states == 1379
-    blocks = branching_partition(spec_system)
-    assert num_blocks(blocks) == 337
+    for key, (states, transitions, digest) in GOLDEN_SPEC.items():
+        bench = get(key)
+        spec_system = spec_lts(bench.spec(), 2, 2, bench.default_workload())
+        assert spec_system.num_states == states, key
+        assert spec_system.num_transitions == transitions, key
+        aut = dumps_aut(spec_system.freeze())
+        assert hashlib.sha256(aut.encode()).hexdigest() == digest, key
+        if key == "ms_queue":
+            assert num_blocks(branching_partition(spec_system)) == 337

@@ -276,19 +276,16 @@ def test_explore_workers_hang_checkpoints_and_resumes(tmp_path, capsys):
     assert open(serial).read() == open(resumed).read()
 
 
-def test_lin_with_workers_and_fault(capsys):
-    code = main(["lin", "newcas", "--threads", "2", "--ops", "1",
-                 "--workers", "2", "--fault-plan", "exit:0@5"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "linearizable: TRUE" in out
-
-
-def test_lockfree_with_workers(capsys):
-    code = main(["lockfree", "newcas", "--ops", "1", "--workers", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "lock-free: TRUE" in out
+@pytest.mark.parametrize("command", ["lin", "lockfree"])
+def test_verdict_commands_reject_the_parallel_flags(command, capsys):
+    # Exploration sharding belongs to `explore` alone.
+    for flag, value in (("--workers", "2"), ("--fault-plan", "kill:0@5"),
+                        ("--shard-states", "16"),
+                        ("--heartbeat-timeout", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "newcas", "--ops", "1", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_degrade_descends_the_workload_lattice(capsys):
@@ -425,7 +422,7 @@ def test_lin_onthefly_never_builds_the_spec(tmp_path, capsys):
     import json
     import re
 
-    from repro.lang import ClientConfig, StreamingExplorer, spec_lts
+    from repro.lang import ClientConfig, ExpansionContext, StreamingExplorer, spec_lts
     from repro.objects import get
     from repro.testing.oracles import is_trace_of
 
@@ -452,7 +449,8 @@ def test_lin_onthefly_never_builds_the_spec(tmp_path, capsys):
     bench = get("hm_list_buggy")
     workload = bench.default_workload()
     explorer = StreamingExplorer(
-        bench.build(3), ClientConfig(3, 2, workload), cache_edges=True,
+        ExpansionContext(bench.build(3), ClientConfig(3, 2, workload)),
+        cache_edges=True,
     )
     assert _weak_trace_of_stream(explorer, witness)
     spec_system = spec_lts(bench.spec(), 3, 2, workload)
@@ -468,15 +466,6 @@ def test_lin_onthefly_with_both_prints_disable_note(capsys):
     assert code == 0
     assert "--on-the-fly is disabled with --method both" in out
     assert "both engines agree" in out
-
-
-def test_lin_onthefly_with_workers_degrades_to_serial(capsys):
-    code = main(["lin", "hm_list_buggy", "--threads", "2", "--ops", "2",
-                 "--method", "reachability", "--on-the-fly",
-                 "--workers", "2"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "--workers ignored" in out
 
 
 def test_lin_method_both_disagreement_exits_three(capsys, monkeypatch):
@@ -586,6 +575,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
         (["explore", "newcas", "--ops", "1", "--out", str(tmp_path / "n.aut")],
          0, ["numpy", "repro.parallel", "repro.testing"], {}),
         (["lin", "hm_list", "--ops", "1"], 0,
+         ["repro.parallel", "repro.testing"], {}),
+        (["lockfree", "newcas", "--ops", "1"], 0,
          ["repro.parallel", "repro.testing"], {}),
         (["lin", "hm_list_buggy", "--on-the-fly"], 1,
          ["numpy", "pickle", "repro.testing", "repro.parallel",

@@ -17,7 +17,6 @@ from repro.util.budget import (
     REASON_INTERRUPTED,
     REASON_RSS,
     REASON_STATES,
-    REASON_TRANSITIONS,
     TRUE,
     UNKNOWN,
     BudgetExhausted,
@@ -48,37 +47,18 @@ def test_unlimited_budget_never_fires():
         budget.check("explore", states=10**9, transitions=10**9)
 
 
-def test_state_cap_fires_with_progress_snapshot():
-    budget = RunBudget(max_states=10)
-    budget.check("explore", states=10)
-    with pytest.raises(BudgetExhausted) as exc:
-        budget.check("explore", states=11, transitions=7, frontier=3)
-    exhaustion = exc.value.exhaustion
-    assert exhaustion.reason == REASON_STATES
-    assert exhaustion.phase == "explore"
-    assert exhaustion.progress["states"] == 11
-    assert exhaustion.progress["transitions"] == 7
-    assert exhaustion.progress["frontier"] == 3
-
-
-def test_transition_cap_fires():
-    budget = RunBudget(max_transitions=5)
-    with pytest.raises(BudgetExhausted) as exc:
-        budget.check("reduce", transitions=6)
-    assert exc.value.reason == REASON_TRANSITIONS
-
-
 def test_deadline_fires_on_first_strided_probe():
     budget = RunBudget(deadline_seconds=0.0)
     with pytest.raises(BudgetExhausted) as exc:
-        budget.check("refinement", states=1)
+        budget.check("refinement", states=1, transitions=7, frontier=None)
     assert exc.value.reason == REASON_DEADLINE
     assert exc.value.phase == "refinement"
+    # The loop's counters become the progress snapshot (None dropped).
+    assert exc.value.progress == {"states": 1, "transitions": 7}
 
 
 def test_deadline_is_strided_not_per_call():
-    # A generous deadline is only probed every check_interval calls; the
-    # counters still guard every call.
+    # A generous deadline is only probed every check_interval calls.
     budget = RunBudget(deadline_seconds=3600.0, check_interval=64)
     for _ in range(500):
         budget.check("explore", states=1)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.partition import refine_to_fixpoint
 from repro.lang import ClientConfig
-from repro.lang.client import _explore, explore
+from repro.lang.client import ExpansionContext, StreamingExplorer, explore
 from repro.objects import get
 from repro.util.metrics import Stats, peak_rss_kb, stage
 
@@ -136,10 +136,10 @@ def test_explore_records_and_matches_uninstrumented():
 def test_disabled_stats_overhead_within_tolerance():
     """stats=None must take the same code path as the uninstrumented body.
 
-    Wall times of the public wrapper with ``stats=None`` and the private
-    body, in alternated pairs: in the median pair the wrapper is at most
-    5% slower, plus a small epsilon for timer jitter at these
-    millisecond scales.
+    Wall times of the public wrapper with ``stats=None`` and a bare
+    drain of the explorer, in alternated pairs: in the median pair the
+    wrapper is at most 5% slower, plus a small epsilon for timer jitter
+    at these millisecond scales.
     """
     bench = get("ms_queue")
     config = ClientConfig(2, 1, bench.default_workload())
@@ -148,7 +148,9 @@ def test_disabled_stats_overhead_within_tolerance():
         return explore(bench.build(2), config, stats=None)
 
     def run_body():
-        return _explore(bench.build(2), config)
+        explorer = StreamingExplorer(ExpansionContext(bench.build(2), config))
+        explorer.drain()
+        return explorer.freeze()
 
     run_public(), run_body()  # warm up
     # Alternate the arms so drift in machine speed hits both equally, and

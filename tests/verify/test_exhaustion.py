@@ -82,7 +82,7 @@ def test_obstruction_freedom_unknown_at_zero_deadline():
 
 
 def test_generous_budget_leaves_verdicts_intact():
-    budget = RunBudget(deadline_seconds=3600.0, max_states=10**9)
+    budget = RunBudget(deadline_seconds=3600.0)
     lin = check_linearizability(
         NEWCAS.build(2), NEWCAS.spec(),
         num_threads=2, ops_per_thread=1,
@@ -127,17 +127,20 @@ def test_cancellation_token_yields_interrupted_unknown():
 
 @pytest.mark.parametrize("reason,budget_kwargs", [
     ("states", {"max_states": 5}),
-    ("transitions", {"max_transitions": 5}),
 ])
 def test_count_caps_surface_their_reason(reason, budget_kwargs):
+    # The one state cap is the pipeline's max_states, which the
+    # explorer enforces.
     result = check_linearizability(
         NEWCAS.build(2), NEWCAS.spec(),
         num_threads=2, ops_per_thread=1,
         workload=NEWCAS.default_workload(),
-        budget=RunBudget(**budget_kwargs),
+        budget=RunBudget(),
+        **budget_kwargs,
     )
     assert result.verdict == UNKNOWN
     assert result.exhaustion.reason == reason
+    assert result.exhaustion.phase == "explore"
 
 
 def test_exhaustion_phase_names_the_loop():

@@ -19,7 +19,14 @@ import pytest
 from hypothesis import given
 
 from repro.core.aut import dumps_aut
-from repro.lang import ClientConfig, StreamingExplorer, atomic_spec, explore, spec_lts
+from repro.lang import (
+    ClientConfig,
+    ExpansionContext,
+    StreamingExplorer,
+    atomic_spec,
+    explore,
+    spec_lts,
+)
 from repro.objects import BENCHMARKS, get
 from repro.testing.generators import program_strategy
 from repro.testing.oracles import is_trace_of
@@ -64,7 +71,7 @@ def _bench_config(key, threads=2, ops=2):
 def test_drain_freeze_is_bit_identical_to_classic_explore():
     _, program, config = _bench_config("treiber")
     classic = explore(program, config)
-    explorer = StreamingExplorer(program, config)
+    explorer = StreamingExplorer(ExpansionContext(program, config))
     events = 0
     while (batch := explorer.expand_next()) is not None:
         events += len(batch)
@@ -75,7 +82,7 @@ def test_drain_freeze_is_bit_identical_to_classic_explore():
 
 def test_events_carry_stable_interned_ids():
     _, program, config = _bench_config("newcas", ops=1)
-    explorer = StreamingExplorer(program, config)
+    explorer = StreamingExplorer(ExpansionContext(program, config))
     seen = []
     while (batch := explorer.expand_next()) is not None:
         seen.extend(batch)
@@ -90,7 +97,7 @@ def test_events_carry_stable_interned_ids():
 
 def test_freeze_mid_stream_is_a_prefix():
     _, program, config = _bench_config("treiber")
-    explorer = StreamingExplorer(program, config)
+    explorer = StreamingExplorer(ExpansionContext(program, config))
     for _ in range(10):
         assert explorer.expand_next() is not None
     partial = explorer.freeze()
@@ -111,7 +118,7 @@ def test_freeze_mid_stream_is_a_prefix():
 
 def test_successors_of_requires_cache_edges():
     _, program, config = _bench_config("treiber", ops=1)
-    explorer = StreamingExplorer(program, config)
+    explorer = StreamingExplorer(ExpansionContext(program, config))
     with pytest.raises(ValueError):
         explorer.successors_of(explorer.init_id)
 
@@ -119,7 +126,9 @@ def test_successors_of_requires_cache_edges():
 def test_demand_expansion_interleaves_with_drain():
     _, program, config = _bench_config("treiber", ops=1)
     classic = explore(program, config)
-    explorer = StreamingExplorer(program, config, cache_edges=True)
+    explorer = StreamingExplorer(
+        ExpansionContext(program, config), cache_edges=True
+    )
     # expand the initial state out of frontier order, twice (memoized)
     first = explorer.successors_of(explorer.init_id)
     assert first and explorer.is_expanded(explorer.init_id)
@@ -140,7 +149,7 @@ def test_max_states_cap_raises_mid_stream():
         workload=config.workload,
         max_states=50,
     )
-    explorer = StreamingExplorer(program, capped)
+    explorer = StreamingExplorer(ExpansionContext(program, capped))
     with pytest.raises((StateExplosion, BudgetExhausted)):
         explorer.drain()
 

@@ -183,32 +183,6 @@ def test_lock_freedom_stats_populated():
             assert stats.counters["check/refinement.splits"] > 0
 
 
-def test_shard_states_reaches_the_supervisor():
-    # --shard-states must actually change the sharding of lin/lockfree
-    # parallel exploration, not be silently dropped on the way down.
-    from repro.util.metrics import Stats
-
-    coarse, fine = Stats(), Stats()
-    for stats, shard_states in ((coarse, None), (fine, 2)):
-        result = check_linearizability(
-            NEWCAS.build(2), NEWCAS.spec(),
-            num_threads=2, ops_per_thread=1,
-            workload=NEWCAS.default_workload(),
-            workers=2, shard_states=shard_states, stats=stats,
-        )
-        assert result.linearizable is True
-    assert fine.counters["explore.shards"] > coarse.counters["explore.shards"]
-
-    stats = Stats()
-    result = check_lock_freedom_auto(
-        NEWCAS.build(2), num_threads=2, ops_per_thread=1,
-        workload=NEWCAS.default_workload(),
-        workers=2, shard_states=2, stats=stats,
-    )
-    assert result.lock_free is True
-    assert stats.counters["explore.shards"] == fine.counters["explore.shards"]
-
-
 def test_stats_disabled_gives_identical_verdicts():
     from repro.util.metrics import Stats
 

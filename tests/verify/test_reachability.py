@@ -165,23 +165,6 @@ def test_search_budget_fires_in_reachability_phase():
     assert excinfo.value.exhaustion.phase == "reachability"
 
 
-def test_parallel_exploration_matches_serial():
-    serial = check_linearizability_reachability(
-        NEWCAS.build(2), NEWCAS.spec(),
-        num_threads=2, ops_per_thread=1,
-        workload=NEWCAS.default_workload(),
-    )
-    sharded = check_linearizability_reachability(
-        NEWCAS.build(2), NEWCAS.spec(),
-        num_threads=2, ops_per_thread=1,
-        workload=NEWCAS.default_workload(),
-        workers=2,
-    )
-    assert sharded.linearizable is serial.linearizable is True
-    assert sharded.impl_states == serial.impl_states
-    assert sharded.product_states == serial.product_states
-
-
 def test_non_history_labels_are_rejected():
     from repro.core.lts import make_lts
     from repro.lang.state import ModelError
