@@ -18,9 +18,9 @@ The long-running commands accept run-budget flags (``--deadline``,
 ``--max-rss-mb``) and degrade gracefully: on exhaustion they print a
 structured ``UNKNOWN`` verdict naming the phase, the limit hit and the
 progress made, and exit 2.  ``--degrade`` descends the
-(threads, ops, values) workload lattice -- reduction forced on, up to
-``--degrade-steps`` smaller configurations -- stopping at the first
-verdict that completes within budget.  Exit codes are 0/1/2 for
+(threads, ops, values) workload lattice -- up to ``--degrade-steps``
+smaller configurations -- stopping at the first verdict that completes
+within budget.  Exit codes are 0/1/2 for
 TRUE/FALSE/UNKNOWN and 130 after a SIGINT -- partial ``--stats`` /
 ``--json`` output is flushed either way.  ``explore`` additionally
 supports ``--checkpoint PATH`` / ``--resume PATH`` and ``--workers N``
@@ -36,9 +36,10 @@ disabled under ``both``).  ``serve`` runs the
 persistent verification daemon (bounded job queue, crash-safe result
 cache, graceful SIGTERM checkpointing) and ``submit`` sends it a
 ``lin`` / ``lockfree`` / ``explore`` request over a TCP or Unix-domain
-socket, with the same verdict, counterexample and exit-code mapping as
-the direct commands (plus exit 2 when the service itself is
-unreachable or rejects the job).  See docs/ROBUSTNESS.md and
+socket, with the same report and exit code as the direct commands
+(plus exit 2 when the service itself is unreachable or rejects the
+job): ``lin``, ``lockfree`` and the daemon run one verdict job
+(:mod:`repro.verify.job`).  See docs/ROBUSTNESS.md and
 docs/TESTING.md.
 
 Examples::
@@ -59,7 +60,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from .objects import BENCHMARKS
 
@@ -76,10 +77,20 @@ if TYPE_CHECKING:  # pragma: no cover
 _ACTIVE_SINKS = None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_bounds(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=2)
-    parser.add_argument("--ops", type=int, default=2)
-    parser.add_argument("--values", type=int, default=2,
+    parser.add_argument("--threads", type=_positive_int, default=2)
+    parser.add_argument("--ops", type=_positive_int, default=2)
+    parser.add_argument("--values", type=_positive_int, default=2,
                         help="size of the data-value domain in the workload")
     parser.add_argument("--max-states", type=int, default=None)
 
@@ -100,8 +111,8 @@ def _add_budget(parser: argparse.ArgumentParser, degrade: bool = False) -> None:
     if degrade:
         parser.add_argument("--degrade", action="store_true",
                             help="on exhaustion, descend the (threads, ops, "
-                                 "values) workload lattice with reduction "
-                                 "forced on until a verdict completes")
+                                 "values) workload lattice until a verdict "
+                                 "completes")
         parser.add_argument("--degrade-steps", type=int, default=3,
                             metavar="N",
                             help="maximum rungs of the degradation descent "
@@ -135,15 +146,6 @@ def _budget_from(args) -> RunBudget:
     )
 
 
-def _verdict_exit(result) -> int:
-    from .util.budget import EXIT_INTERRUPTED, REASON_INTERRUPTED, exit_code_for
-
-    exhaustion = getattr(result, "exhaustion", None)
-    if exhaustion is not None and exhaustion.reason == REASON_INTERRUPTED:
-        return EXIT_INTERRUPTED
-    return exit_code_for(result.verdict)
-
-
 def _wants_stats(args) -> bool:
     return bool(args.stats) or args.json is not None
 
@@ -173,18 +175,19 @@ def _emit_stats(args, sinks: Dict[str, Stats]) -> None:
             handle.write("\n")
 
 
-def _bench_and_config(args):
-    from .lang import ClientConfig
+def _request(args, kind: str, method: Optional[str] = None) -> Dict:
+    """The verdict-job request of the command's object and bounds."""
+    from .verify.job import build_request
 
-    bench = BENCHMARKS[args.key]
-    workload = bench.default_workload(args.values)
-    config = ClientConfig(
-        num_threads=args.threads,
-        ops_per_thread=args.ops,
-        workload=workload,
-        max_states=args.max_states,
-    )
-    return bench, workload, config
+    return build_request(kind, args.key, args.threads, args.ops, args.values,
+                         args.max_states, method)
+
+
+def _program_config(args):
+    """``(bench, program, ClientConfig)`` of the command's object and bounds."""
+    from .verify.job import request_program_config
+
+    return request_program_config(_request(args, "explore"))
 
 
 def cmd_list(_args) -> int:
@@ -230,15 +233,14 @@ def _exhausted_exit(args, sinks, exc, note: Optional[str] = None) -> int:
     """Print the UNKNOWN verdict of a raised budget exhaustion and the
     ``note``, flush ``--stats`` / ``--json``, and return the exit code:
     130 after a SIGINT, else 2."""
-    from .util.budget import EXIT_INTERRUPTED, EXIT_UNKNOWN, REASON_INTERRUPTED
+    from .util.budget import UNKNOWN
+    from .verify.job import exhaustion_dict, exit_code
 
     print(f"UNKNOWN -- {exc.exhaustion.render()}")
     if note is not None:
         print(note)
     _emit_stats(args, sinks)
-    if exc.exhaustion.reason == REASON_INTERRUPTED:
-        return EXIT_INTERRUPTED
-    return EXIT_UNKNOWN
+    return exit_code(UNKNOWN, exhaustion_dict(exc.exhaustion))
 
 
 def cmd_verify(args) -> int:
@@ -248,19 +250,19 @@ def cmd_verify(args) -> int:
         check_obstruction_freedom,
     )
 
-    bench, workload, _config = _bench_and_config(args)
+    bench, program, config = _program_config(args)
+    workload = config.workload
     sinks, sink = _make_sinks(args)
     budget = _budget_from(args)
 
     print(f"== {bench.title} | {args.threads} threads x {args.ops} ops ==")
-    reduce = not args.no_reduce
     verdicts = []
     with budget.install_sigint():
         lin = check_linearizability(
-            bench.build(args.threads), bench.spec(),
+            program, bench.spec(),
             num_threads=args.threads, ops_per_thread=args.ops,
             workload=workload, max_states=args.max_states,
-            stats=sink("linearizability"), reduce=reduce, budget=budget,
+            stats=sink("linearizability"), budget=budget,
         )
         if lin.exhaustion is not None:
             _report_exhaustion("linearizable", lin)
@@ -279,10 +281,10 @@ def cmd_verify(args) -> int:
             return _combined_exit(verdicts)
 
         lock = check_lock_freedom_auto(
-            bench.build(args.threads),
+            program,
             num_threads=args.threads, ops_per_thread=args.ops,
             workload=workload, max_states=args.max_states,
-            stats=sink("lock-freedom"), reduce=reduce, budget=budget,
+            stats=sink("lock-freedom"), budget=budget,
         )
         if lock.exhaustion is not None:
             _report_exhaustion("lock-free", lock)
@@ -293,7 +295,7 @@ def cmd_verify(args) -> int:
         verdicts.append(lock)
 
         obstruction = check_obstruction_freedom(
-            bench.build(args.threads),
+            program,
             num_threads=args.threads, ops_per_thread=args.ops,
             workload=workload, max_states=args.max_states,
             stats=sink("obstruction-freedom"), budget=budget,
@@ -313,8 +315,10 @@ def cmd_verify(args) -> int:
 def _combined_exit(results) -> int:
     """FALSE (1) dominates UNKNOWN (2) dominates TRUE (0); SIGINT wins."""
     from .util.budget import EXIT_INTERRUPTED, EXIT_UNKNOWN
+    from .verify.job import exhaustion_dict, exit_code
 
-    codes = [_verdict_exit(result) for result in results]
+    codes = [exit_code(result.verdict, exhaustion_dict(result.exhaustion))
+             for result in results]
     if EXIT_INTERRUPTED in codes:
         return EXIT_INTERRUPTED
     if 1 in codes:
@@ -324,95 +328,23 @@ def _combined_exit(results) -> int:
     return 0
 
 
-def _print_lin(result, label: str = "linearizable") -> None:
-    if result.exhaustion is not None:
-        _report_exhaustion(label, result)
-        return
-    print(f"states {result.impl_states} -> quotient "
-          f"{result.impl_quotient_states} ({result.reduction_factor:.1f}x)")
-    print(f"{label}: {result.verdict}  ({result.total_seconds:.2f}s)")
-    if result.linearizable is False:
-        print(result.render_counterexample())
-
-
-def _print_reach(result, label: str = "linearizable") -> None:
-    if result.exhaustion is not None:
-        _report_exhaustion(label, result)
-        return
-    if result.on_the_fly:
-        print(f"on-the-fly: expanded {result.states_expanded} of "
-              f"{result.impl_states} interned states")
-    print(f"states {result.impl_states} -> product {result.product_states} "
-          f"({result.monitor_states} monitor sets)")
-    print(f"{label}: {result.verdict}  ({result.total_seconds:.2f}s)")
-    if result.linearizable is False:
-        print(result.render_counterexample())
-
-
-class _BothResult:
-    """Combined ``lin --method both`` outcome.
-
-    Presents the :func:`~repro.util.budget.combined_verdict` of the two
-    engines through the same ``verdict`` / ``exhaustion`` surface the
-    degrade ladder and exit-code mapping expect.  On disagreement the
-    verdict is the sentinel ``"DISAGREE"`` (never ``UNKNOWN``, so the
-    degrade ladder stops rather than retrying an engine bug away) and
-    :func:`cmd_lin` exits :data:`~repro.util.budget.EXIT_DISAGREEMENT`.
-    """
-
-    def __init__(self, quotient, reachability) -> None:
-        from .util.budget import combined_verdict
-
-        self.quotient = quotient
-        self.reachability = reachability
-        self._verdict, self.disagree = combined_verdict(
-            quotient.verdict, reachability.verdict
-        )
-
-    @property
-    def verdict(self) -> str:
-        return "DISAGREE" if self.disagree else self._verdict
-
-    @property
-    def exhaustion(self):
-        return self.quotient.exhaustion or self.reachability.exhaustion
-
-
-def _print_both(result, label: str = "linearizable") -> None:
-    _print_lin(result.quotient, f"{label} [quotient]")
-    _print_reach(result.reachability, f"{label} [reachability]")
-    if result.disagree:
-        print(
-            "ERROR: verdict engines disagree -- "
-            f"quotient={result.quotient.verdict} "
-            f"reachability={result.reachability.verdict} "
-            "(this is an engine bug, not a property of the object)"
-        )
-    else:
-        print(f"{label}: {result.verdict}  (both engines agree)")
-
-
 def cmd_lin(args) -> int:
     """Linearizability with budget governance and a degradation ladder."""
-    bench, _workload, _config = _bench_and_config(args)
-    sinks, sink = _make_sinks(args)
-    budget = _budget_from(args)
-    method = args.method
-    on_the_fly = getattr(args, "on_the_fly", False)
+    method, on_the_fly = args.method, args.on_the_fly
     if on_the_fly and method != "both":
         # The one on-the-fly lane is the streaming reachability search.
         method = "reachability"
-    print(f"== {bench.title} | linearizability ({method}) | "
+    print(f"== {BENCHMARKS[args.key].title} | linearizability ({method}) | "
           f"{args.threads} threads x {args.ops} ops ==")
-    spec_sink = spec_resume = None
+    spec_files = {}
     if args.spec_checkpoint:
         from .lang.checkpoint import CheckpointSink
 
-        spec_sink = CheckpointSink(args.spec_checkpoint)
+        spec_files["spec_checkpoint"] = CheckpointSink(args.spec_checkpoint)
     if args.spec_resume:
         from .lang.checkpoint import load_checkpoint
 
-        spec_resume = load_checkpoint(args.spec_resume)
+        spec_files["spec_resume"] = load_checkpoint(args.spec_resume)
     if on_the_fly and method == "both":
         # The cross-check's whole point is two engines over one shared
         # full exploration; an early-exit lane would leave nothing for
@@ -420,95 +352,15 @@ def cmd_lin(args) -> int:
         print("note: --on-the-fly is disabled with --method both "
               "(the cross-check shares one full exploration)")
         on_the_fly = False
+    return _run_ladder(args, _request(args, "lin", method), spec_files,
+                       on_the_fly=on_the_fly)
 
-    def attempt_quotient(threads: int, ops: int, values: int,
-                         force_reduce: bool):
-        # Spec checkpoints are fingerprinted against the workload, and a
-        # degraded rung shrinks (threads, ops, values) -- resuming from
-        # (or overwriting) the original-config checkpoint there would be
-        # a CheckpointMismatch, so only the original configuration uses
-        # the spec checkpoint/resume files.
-        from .verify import check_linearizability
 
-        original = (threads, ops, values) == (
-            args.threads, args.ops, args.values
-        )
-        return check_linearizability(
-            bench.build(threads), bench.spec(),
-            num_threads=threads, ops_per_thread=ops,
-            workload=bench.default_workload(values),
-            max_states=args.max_states,
-            stats=sink(f"linearizability t={threads} ops={ops} v={values}"),
-            reduce=force_reduce or not args.no_reduce,
-            budget=budget,
-            spec_checkpoint=spec_sink if original else None,
-            spec_resume=spec_resume if original else None,
-        )
-
-    def attempt_reach(threads: int, ops: int, values: int):
-        from .verify import check_linearizability_reachability
-
-        return check_linearizability_reachability(
-            bench.build(threads), bench.spec(),
-            num_threads=threads, ops_per_thread=ops,
-            workload=bench.default_workload(values),
-            max_states=args.max_states,
-            stats=sink(f"reachability t={threads} ops={ops} v={values}"),
-            budget=budget,
-            on_the_fly=on_the_fly,
-        )
-
-    def attempt_both(threads: int, ops: int, values: int,
-                     force_reduce: bool):
-        # One shared exploration feeds both engines (the historical
-        # double exploration is gone); spec checkpoints stay pinned to
-        # the original configuration, same as attempt_quotient.
-        from .verify import check_linearizability_both
-
-        original = (threads, ops, values) == (
-            args.threads, args.ops, args.values
-        )
-        quotient, reachability = check_linearizability_both(
-            bench.build(threads), bench.spec(),
-            num_threads=threads, ops_per_thread=ops,
-            workload=bench.default_workload(values),
-            max_states=args.max_states,
-            stats_quotient=sink(
-                f"linearizability t={threads} ops={ops} v={values}"
-            ),
-            stats_reachability=sink(
-                f"reachability t={threads} ops={ops} v={values}"
-            ),
-            reduce=force_reduce or not args.no_reduce,
-            budget=budget,
-            spec_checkpoint=spec_sink if original else None,
-            spec_resume=spec_resume if original else None,
-        )
-        return _BothResult(quotient, reachability)
-
-    def attempt(threads: int, ops: int, values: int, force_reduce: bool):
-        if method == "quotient":
-            return attempt_quotient(threads, ops, values, force_reduce)
-        if method == "reachability":
-            return attempt_reach(threads, ops, values)
-        return attempt_both(threads, ops, values, force_reduce)
-
-    printer = {
-        "quotient": _print_lin,
-        "reachability": _print_reach,
-        "both": _print_both,
-    }[method]
-
-    with budget.install_sigint():
-        result = attempt(args.threads, args.ops, args.values, False)
-        printer(result)
-        result = _degrade_retry(args, budget, result, attempt, printer)
-    _emit_stats(args, sinks)
-    if getattr(result, "disagree", False):
-        from .util.budget import EXIT_DISAGREEMENT
-
-        return EXIT_DISAGREEMENT
-    return _verdict_exit(result)
+def cmd_lockfree(args) -> int:
+    """Lock-freedom with budget governance and a degradation ladder."""
+    print(f"== {BENCHMARKS[args.key].title} | lock-freedom | "
+          f"{args.threads} threads x {args.ops} ops ==")
+    return _run_ladder(args, _request(args, "lockfree", args.method), {})
 
 
 def _degrade_rungs(threads: int, ops: int, values: int, steps: int):
@@ -531,65 +383,43 @@ def _degrade_rungs(threads: int, ops: int, values: int, steps: int):
         yield threads, ops, values
 
 
-def _degrade_retry(args, budget, result, attempt, printer):
-    """Descend the workload lattice until a verdict completes in budget."""
-    if not getattr(args, "degrade", False):
-        return result
+def _run_ladder(args, request: Dict, spec_files: Dict, on_the_fly: bool = False) -> int:
+    """Run the verdict job and print its report; with ``--degrade``,
+    descend the workload lattice while the verdict is UNKNOWN.
+
+    Spec checkpoints are fingerprinted against the workload, and every
+    rung shrinks (threads, ops, values), so ``spec_files`` apply to the
+    requested configuration only: on a rung they would be a
+    CheckpointMismatch.
+    """
     from .util.budget import REASON_INTERRUPTED, UNKNOWN
+    from .verify.job import report_lines, run_job
 
-    steps = getattr(args, "degrade_steps", 3)
-    for threads, ops, values in _degrade_rungs(
-        args.threads, args.ops, args.values, steps
-    ):
-        if (
-            result.verdict != UNKNOWN
-            or result.exhaustion.reason == REASON_INTERRUPTED
-        ):
-            return result
-        print(f"degrade: retrying with reduction forced on and "
-              f"--threads {threads} --ops {ops} --values {values}")
-        budget.restart()
-        result = attempt(threads, ops, values, True)
-        printer(result, "degraded verdict")
-    return result
-
-
-def cmd_lockfree(args) -> int:
-    """Lock-freedom with budget governance and a degradation ladder."""
-    bench, _workload, _config = _bench_and_config(args)
     sinks, sink = _make_sinks(args)
     budget = _budget_from(args)
-    print(f"== {bench.title} | lock-freedom | "
-          f"{args.threads} threads x {args.ops} ops ==")
-
-    def attempt(threads: int, ops: int, values: int, force_reduce: bool):
-        from .verify import check_lock_freedom_auto
-
-        return check_lock_freedom_auto(
-            bench.build(threads),
-            num_threads=threads, ops_per_thread=ops,
-            workload=bench.default_workload(values),
-            max_states=args.max_states,
-            method=args.method,
-            stats=sink(f"lock-freedom t={threads} ops={ops} v={values}"),
-            reduce=force_reduce or not args.no_reduce,
-            budget=budget,
-        )
-
-    def printer(result, label: str = "lock-free") -> None:
-        if result.exhaustion is not None:
-            _report_exhaustion(label, result)
-            return
-        print(f"{label}: {result.verdict}  ({result.seconds:.2f}s)")
-        if result.lock_free is False:
-            print(result.render_diagnostic())
-
+    steps = args.degrade_steps if args.degrade else 0
     with budget.install_sigint():
-        result = attempt(args.threads, args.ops, args.values, False)
-        printer(result)
-        result = _degrade_retry(args, budget, result, attempt, printer)
+        result = run_job(request, budget=budget, sink=sink,
+                         on_the_fly=on_the_fly, **spec_files)
+        print("\n".join(report_lines(result)))
+        for threads, ops, values in _degrade_rungs(
+            args.threads, args.ops, args.values, steps
+        ):
+            if (
+                result["verdict"] != UNKNOWN
+                or result["exhaustion"]["reason"] == REASON_INTERRUPTED
+            ):
+                break
+            print(f"degrade: retrying with --threads {threads} --ops {ops} "
+                  f"--values {values}")
+            budget.restart()
+            result = run_job(
+                dict(request, threads=threads, ops=ops, values=values),
+                budget=budget, sink=sink, on_the_fly=on_the_fly,
+            )
+            print("\n".join(report_lines(result, "degraded verdict")))
     _emit_stats(args, sinks)
-    return _verdict_exit(result)
+    return result["exit_code"]
 
 
 def cmd_explore(args) -> int:
@@ -598,7 +428,7 @@ def cmd_explore(args) -> int:
     from .lang.client import maybe_parallel_explore
     from .util.budget import BudgetExhausted
 
-    bench, _workload, config = _bench_and_config(args)
+    bench, program, config = _program_config(args)
     sinks, sink = _make_sinks(args)
     stats = sink("explore")
     budget = _budget_from(args)
@@ -607,7 +437,7 @@ def cmd_explore(args) -> int:
     with budget.install_sigint():
         try:
             system = maybe_parallel_explore(
-                bench.build(args.threads), config,
+                program, config,
                 workers=args.workers, fault_plan=args.fault_plan,
                 shard_states=args.shard_states,
                 heartbeat_timeout=args.heartbeat_timeout, stats=stats,
@@ -633,21 +463,18 @@ def cmd_quotient(args) -> int:
     from .util.budget import BudgetExhausted
     from .util.metrics import stage
 
-    bench, _workload, config = _bench_and_config(args)
+    bench, program, config = _program_config(args)
     sinks, sink = _make_sinks(args)
     stats = sink("quotient")
     budget = _budget_from(args)
     with budget.install_sigint():
         try:
-            system = explore(
-                bench.build(args.threads), config, stats=stats, budget=budget
-            )
+            system = explore(program, config, stats=stats, budget=budget)
             with stage(stats, "quotient"):
                 quotient = quotient_lts(
                     system,
                     branching_partition(
-                        system, stats=stats, reduce=not args.no_reduce,
-                        budget=budget,
+                        system, stats=stats, reduce=True, budget=budget
                     ),
                 )
         except BudgetExhausted as exc:
@@ -795,64 +622,15 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _print_service_result(result: Dict) -> None:
-    """Render a service result dict the way the direct commands do."""
-    notes = []
-    if result.get("cached"):
-        notes.append("served from cache (no re-exploration)")
-    if result.get("resumed"):
-        notes.append("resumed from checkpoint")
-    if notes:
-        print("note: " + "; ".join(notes))
-    if result.get("error"):
-        print(f"job error: {result['error']}")
-    label = {"lin": "linearizable", "lockfree": "lock-free",
-             "explore": "explored"}[result["kind"]]
-    if result.get("exhaustion") is not None:
-        print(f"{label}: UNKNOWN -- {result['exhaustion']['render']}")
-        return
-    if result["kind"] == "explore":
-        print(f"{result['key']}: {result['impl_states']} states, "
-              f"{result['impl_transitions']} transitions")
-        return
-    if result["kind"] == "lockfree":
-        print(f"states {result['impl_states']} -> quotient "
-              f"{result['quotient_states']}")
-        print(f"{label}: {result['verdict']}  ({result['seconds']:.2f}s)")
-        if result.get("diagnostic"):
-            print(result["diagnostic"])
-        return
-    # lin
-    if result["method"] == "both":
-        for name in ("quotient", "reachability"):
-            engine = result[name]
-            print(f"{label} [{name}]: {engine['verdict']}")
-            if engine.get("counterexample"):
-                print(engine["counterexample"])
-        if result.get("disagree"):
-            print("ERROR: verdict engines disagree -- "
-                  f"quotient={result['quotient']['verdict']} "
-                  f"reachability={result['reachability']['verdict']}")
-        else:
-            print(f"{label}: {result['verdict']}  (both engines agree)")
-        return
-    if result["method"] == "quotient":
-        print(f"states {result['impl_states']} -> quotient "
-              f"{result['quotient_states']}")
-    else:
-        print(f"states {result['impl_states']} -> product "
-              f"{result['product_states']} "
-              f"({result['monitor_states']} monitor sets)")
-    print(f"{label}: {result['verdict']}  ({result['seconds']:.2f}s)")
-    if result.get("counterexample"):
-        print(result["counterexample"])
-
-
 def cmd_submit(args) -> int:
     """Submit one job to a running daemon and wait for the verdict."""
     from .service import ServiceError, SubmissionRejected, submit_request
     from .util.budget import EXIT_UNKNOWN
+    from .verify.job import report_lines
 
+    if args.connect_attempts < 1:
+        print("--connect-attempts must be >= 1", file=sys.stderr)
+        return EXIT_UNKNOWN
     request = {
         "kind": args.kind,
         "key": args.key,
@@ -861,7 +639,6 @@ def cmd_submit(args) -> int:
         "values": args.values,
         "max_states": args.max_states,
         "method": args.method,
-        "reduce": not args.no_reduce,
         "deadline": args.deadline,
     }
     print(f"== {args.key} | {args.kind} via {args.socket} | "
@@ -875,12 +652,6 @@ def cmd_submit(args) -> int:
         detail = " ".join(f"{k}={v}" for k, v in sorted(payload.items()))
         print(f"progress: {detail}", flush=True)
 
-    attempts = args.connect_attempts
-    if args.retries is not None:
-        if args.retries < 1:
-            print("--retries must be >= 1", file=sys.stderr)
-            return EXIT_UNKNOWN
-        attempts = args.retries
     policy = None
     if args.retry_backoff is not None:
         from .util.retry import BackoffPolicy
@@ -898,7 +669,7 @@ def cmd_submit(args) -> int:
         result = submit_request(
             args.socket, request,
             connect_timeout=args.connect_timeout,
-            connect_attempts=attempts,
+            connect_attempts=args.connect_attempts,
             connect_policy=policy,
             timeout=args.timeout,
             on_progress=on_progress,
@@ -913,26 +684,51 @@ def cmd_submit(args) -> int:
         # resubmission will hit the cache or resume the checkpoint.
         print(f"service error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    _print_service_result(result)
+    notes = []
+    if result.get("cached"):
+        notes.append("served from cache (no re-exploration)")
+    if result.get("resumed"):
+        notes.append("resumed from checkpoint")
+    if notes:
+        print("note: " + "; ".join(notes))
+    if result.get("error"):
+        print(f"job error: {result['error']}")
+    else:
+        print("\n".join(report_lines(result)))
     return result["exit_code"]
 
 
-class _MutationNames:
-    """The names of ``repro.testing.MUTATIONS``, read only when argparse
-    checks a ``--mutate`` value or prints the choices in a usage line,
-    so that building the parser imports no ``repro.testing``."""
+class _LazyChoices:
+    """Choices that ``load`` returns, read only when argparse checks a
+    value or prints the choices in a usage line, so that building the
+    parser imports no module for them.  Set them after ``add_argument``,
+    which would list them to check the metavar."""
+
+    def __init__(self, load: Callable[[], Sequence[str]]) -> None:
+        self._load = load
 
     def __contains__(self, name: object) -> bool:
-        return name in self._names()
+        return name in self._load()
 
     def __iter__(self):
-        return iter(self._names())
+        return iter(self._load())
 
-    @staticmethod
-    def _names() -> List[str]:
-        from .testing import MUTATIONS
 
-        return sorted(MUTATIONS)
+def _mutation_names() -> List[str]:
+    from .testing import MUTATIONS
+
+    return sorted(MUTATIONS)
+
+
+def _job_table(kind: Optional[str] = None) -> Callable[[], Sequence[str]]:
+    """The verdict job's request kinds, or the methods of ``kind``."""
+
+    def load() -> Sequence[str]:
+        from .verify.job import KINDS, METHODS
+
+        return KINDS if kind is None else METHODS[kind]
+
+    return load
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -948,8 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("key", choices=sorted(BENCHMARKS))
     _add_bounds(verify)
     _add_stats(verify)
-    verify.add_argument("--no-reduce", action="store_true",
-                        help="disable the silent-structure reduction pass")
     _add_budget(verify)
 
     for name, help_text in (
@@ -961,17 +755,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_bounds(sub)
         _add_stats(sub)
         _add_budget(sub, degrade=True)
-        sub.add_argument("--no-reduce", action="store_true",
-                         help="disable the silent-structure reduction pass")
         if name == "lockfree":
-            sub.add_argument(
-                "--method", choices=["union", "tau-cycle"], default="union",
+            method = sub.add_argument(
+                "--method", default="union",
                 help="how to detect divergence (see check_lock_freedom_auto)",
             )
         else:
-            sub.add_argument(
+            method = sub.add_argument(
                 "--method",
-                choices=["quotient", "reachability", "both"],
                 default="quotient",
                 help="verdict engine: the Theorem 5.3 quotient pipeline, "
                      "the BEEH reachability backend, or both "
@@ -993,6 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "search touched (same verdicts; ignored with "
                      "--method both)",
             )
+        method.choices = _LazyChoices(_job_table(name))
 
     for name, help_text in (
         ("explore", "export the object system as .aut"),
@@ -1004,10 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_bounds(sub)
         _add_stats(sub)
         _add_budget(sub)
-        if name == "quotient":
-            sub.add_argument("--no-reduce", action="store_true",
-                             help="disable the silent-structure reduction pass")
-        else:
+        if name == "explore":
             _add_parallel(sub)
             sub.add_argument("--checkpoint", metavar="PATH", default=None,
                              help="periodically snapshot the exploration to "
@@ -1055,9 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write shrunk failing cases to DIR as .aut files")
     mutate = fuzz.add_argument("--mutate", default=None,
                                help="inject a known engine bug for the whole run")
-    # Set after add_argument, which would list the choices to check the
-    # metavar (and so import repro.testing on every command).
-    mutate.choices = _MutationNames()
+    mutate.choices = _LazyChoices(_mutation_names)
     fuzz.add_argument("--expect-bug", action="store_true",
                       help="exit 0 iff a disagreement WAS found "
                            "(harness self-test, pair with --mutate)")
@@ -1094,15 +881,14 @@ def build_parser() -> argparse.ArgumentParser:
     submit = commands.add_parser(
         "submit", help="submit one job to a running verification daemon",
     )
-    submit.add_argument("kind", choices=["lin", "lockfree", "explore"])
+    kind = submit.add_argument("kind")
+    kind.choices = _LazyChoices(_job_table())
     submit.add_argument("key", choices=sorted(BENCHMARKS))
     submit.add_argument("--socket", required=True, metavar="PATH|HOST:PORT")
     _add_bounds(submit)
     submit.add_argument("--method", default=None,
                         help="verdict method (lin: quotient/reachability/"
                              "both; lockfree: union/tau-cycle)")
-    submit.add_argument("--no-reduce", action="store_true",
-                        help="disable the silent-structure reduction pass")
     submit.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="per-job wall-clock budget enforced daemon-side")
@@ -1116,9 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="connect retries with capped backoff + jitter "
                              "(default 3; rides out a daemon restart)")
-    submit.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="alias for --connect-attempts (total connect "
-                             "attempts; takes precedence when both given)")
     submit.add_argument("--retry-backoff", default=None,
                         metavar="BASE[:CAP]",
                         help="reconnect backoff schedule in seconds, e.g. "

@@ -625,19 +625,50 @@ def disjoint_union(a: AnyLTS, b: AnyLTS) -> Tuple[FrozenLTS, int, int]:
     return out.freeze(), a.init, b.init + offset
 
 
+def _same_content(a: Any, b: Any) -> bool:
+    """``==`` plus exact types, recursively through the key tuples.
+
+    State keys are nested tuples of scalars, and Python's numeric tower
+    makes ``False == 0 == 0.0`` -- so two states whose values differ
+    only in bool/int/float flavor collide in any ``==``-keyed table,
+    although they neither behave nor render alike (``Lock`` tests
+    ``is not False``; a returned ``False`` prints differently from
+    ``0``).  This is the one type-exact comparison of state parts.
+    """
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        if len(a) != len(b):
+            return False
+        for x, y in zip(a, b):
+            if x is not y and not _same_content(x, y):
+                return False
+        return True
+    return a == b
+
+
 class LTSBuilder:
     """Incremental LTS construction over arbitrary hashable state keys.
 
     State-space explorers produce states as rich hashable values (tuples
     of shared memory, heaps and thread records); the builder interns
     them into dense integers.
+
+    Interning is type-exact (:func:`_same_content`): a key that is
+    ``==`` to an interned one but differs in bool/int/float flavor (a
+    *twin*) gets an id of its own.  Twins are rare, so they live in a
+    second table, keyed by their ``==`` class.
     """
 
-    __slots__ = ("lts", "_state_ids", "state_keys")
+    __slots__ = ("lts", "_state_ids", "_twins", "state_keys")
 
     def __init__(self) -> None:
         self.lts = LTS()
         self._state_ids: Dict[Hashable, int] = {}
+        #: ``==`` class -> ids of its twins (all but the first-seen key).
+        self._twins: Dict[Hashable, List[int]] = {}
         self.state_keys: List[Hashable] = []
 
     def intern(self, key: Hashable) -> Tuple[int, bool]:
@@ -645,19 +676,37 @@ class LTSBuilder:
 
         Explorers drive their work-list from ``is_new`` and add edges
         with :meth:`LTS.add_transition` by id, so no key is hashed
-        twice.
+        twice (a twin is hashed once more, in the twin table).
         """
-        fresh = len(self.state_keys)
+        keys = self.state_keys
+        fresh = len(keys)
         sid = self._state_ids.setdefault(key, fresh)
-        if sid != fresh:
+        if sid == fresh:
+            keys.append(key)
+            self.lts.add_state()
+            return sid, True
+        stored = keys[sid]
+        if stored is key or _same_content(stored, key):
             return sid, False
-        self.state_keys.append(key)
+        twins = self._twins.setdefault(key, [])
+        for twin in twins:
+            if _same_content(keys[twin], key):
+                return twin, False
+        twins.append(fresh)
+        keys.append(key)
         self.lts.add_state()
-        return sid, True
+        return fresh, True
 
     def known(self, key: Hashable) -> bool:
-        """Return whether ``key`` has already been interned."""
-        return key in self._state_ids
+        """Return whether ``key`` (type-exactly) has been interned."""
+        sid = self._state_ids.get(key)
+        if sid is None:
+            return False
+        keys = self.state_keys
+        return any(
+            _same_content(keys[s], key)
+            for s in (sid, *self._twins.get(key, ()))
+        )
 
     def set_init(self, key: Hashable) -> None:
         self.lts.init = self.intern(key)[0]

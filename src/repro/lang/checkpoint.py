@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 from ..core.lts import LTSBuilder
 
 #: Bumped whenever the on-disk layout changes.
-CHECKPOINT_SCHEMA = "repro.checkpoint/v1"
+CHECKPOINT_SCHEMA = "repro.checkpoint/v2"
 
 
 class CheckpointError(Exception):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..core.lts import LTS, LTSBuilder, TAU
+from ..core.lts import LTS, TAU, LTSBuilder, _same_content
 from ..util.budget import REASON_STATES, BudgetExhausted, Exhaustion
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,7 +38,6 @@ from .state import (
     ModelError,
     Scans,
     StateKey,
-    _same_content,
     canonicalize,
     canonicalize_successor,
     root_counts,
@@ -183,7 +182,7 @@ class ExpansionContext:
       record)``, so they are computed once per distinct input and kept
       in delta form (:data:`Step`);
     * globals, heaps and thread records are hash-consed, type-exactly
-      (:func:`~repro.lang.state._same_content`): an ``==``-twin that
+      (:func:`~repro.core.lts._same_content`): an ``==``-twin that
       differs only in ``False``/``0`` flavour is never served the
       other's steps (``Lock`` tests ``is not False``) -- it is expanded
       without the cache.  Shared parts keep successors built from the
@@ -242,7 +241,7 @@ class ExpansionContext:
         """The hash-consed representative of ``value``.
 
         A type twin of an earlier value (``==`` to it, not
-        :func:`~repro.lang.state._same_content`) stays itself and never
+        :func:`~repro.core.lts._same_content`) stays itself and never
         becomes a representative, so it never keys the step cache.
         """
         rep_ids = self._rep_ids

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+# The type-exact comparison of state parts lives with the state table.
+from ..core.lts import _same_content  # noqa: F401
 from .values import Ref
 
 Node = Tuple[Any, ...]          # (free_flag, field values...)
@@ -118,30 +120,6 @@ def canonicalize(
         for (mi, pc, locals_, budget) in threads
     )
     return (new_globals, new_heap, new_threads)
-
-
-def _same_content(a: Any, b: Any) -> bool:
-    """``==`` plus exact types, recursively through the key tuples.
-
-    State keys are nested tuples of scalars, and Python's numeric tower
-    makes ``False == 0 == 0.0`` -- so two states whose values differ
-    only in bool/int/float flavor collide in any ``==``-keyed table,
-    although they neither behave nor render alike (``Lock`` tests
-    ``is not False``; a returned ``False`` prints differently from
-    ``0``).  This is the one type-exact comparison of state parts.
-    """
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, tuple):
-        if len(a) != len(b):
-            return False
-        for x, y in zip(a, b):
-            if x is not y and not _same_content(x, y):
-                return False
-        return True
-    return a == b
 
 
 def _scan_in_order(values: Tuple[Any, ...], count: int) -> int:

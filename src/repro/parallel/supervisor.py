@@ -59,12 +59,11 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.lts import LTSBuilder
+from ..core.lts import LTSBuilder, _same_content
 from ..lang.checkpoint import Checkpoint, CheckpointSink, fingerprint
 # ``maybe_parallel_explore`` lives next to ``explore`` so that serial runs
 # never import this package; ``repro.parallel`` re-exports it from here.
 from ..lang.client import ExpansionContext, StateExplosion, maybe_parallel_explore
-from ..lang.state import _same_content
 from ..util.budget import (
     REASON_DEADLINE,
     BudgetExhausted,
@@ -208,7 +207,7 @@ class Supervisor:
         self.expansions: Dict[Any, List[Any]] = {}
         # key (==-equal class) -> the exact key object whose expansion
         # is stored; lets the replay detect bool/int-aliased entries
-        # (see repro.lang.state._same_content) without changing the
+        # (see repro.core.lts._same_content) without changing the
         # table layout.
         self.expansion_reps: Dict[Any, Any] = {}
         self.known: set = set()

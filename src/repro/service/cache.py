@@ -38,7 +38,7 @@ from typing import Any, Dict, Optional
 from ..parallel.protocol import ProtocolError, encode_frame, read_frame
 
 #: Bumped whenever the on-disk layout changes.
-CACHE_SCHEMA = "repro.service-cache/v1"
+CACHE_SCHEMA = "repro.service-cache/v2"
 
 _REC_PUT = "put"
 _REC_TOUCH = "touch"

@@ -49,20 +49,9 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from ..lang.checkpoint import CheckpointSink, load_checkpoint_or_quarantine
-from ..lang.client import explore
 from ..parallel.protocol import FrameDecoder, ProtocolError, encode_frame
-from ..util.budget import (
-    EXIT_DISAGREEMENT,
-    EXIT_INTERRUPTED,
-    REASON_INTERRUPTED,
-    UNKNOWN,
-    BudgetExhausted,
-    CancellationToken,
-    Exhaustion,
-    RunBudget,
-    combined_verdict,
-    exit_code_for,
-)
+from ..util.budget import EXIT_DISAGREEMENT, UNKNOWN, CancellationToken, RunBudget
+from ..verify.job import exit_code, run_job
 from .cache import ResultCache
 from .channel import SERVICE_MAX_FRAME_BYTES, listen_socket, parse_address
 from .messages import (
@@ -79,11 +68,12 @@ from .messages import (
     MSG_SUBMIT,
     build_request,
     request_cache_key,
-    request_program_config,
 )
 
-#: Schema tag carried by every result dict the daemon produces.
-RESULT_SCHEMA = "repro.service-result/v1"
+#: Schema tag carried by every result dict the daemon produces (the
+#: layout of :func:`repro.verify.job.run_job`; a change to it also bumps
+#: the cache schema, so older entries are recomputed, never rendered).
+RESULT_SCHEMA = "repro.service-result/v2"
 
 
 @dataclass
@@ -155,27 +145,6 @@ class _Job:
     subscribers: Set[int] = field(default_factory=set)
     state: str = "queued"  # queued -> running -> done
     resumed: bool = False
-
-
-def _exhaustion_dict(exhaustion: Optional[Exhaustion]) -> Optional[Dict[str, Any]]:
-    if exhaustion is None:
-        return None
-    return {
-        "reason": exhaustion.reason,
-        "phase": exhaustion.phase,
-        "render": exhaustion.render(),
-    }
-
-
-def _exit_code(verdict: Optional[str], exhaustion: Optional[Dict[str, Any]]) -> int:
-    """The CLI's exit-code mapping, applied daemon-side.
-
-    Mirrors ``repro.cli._verdict_exit`` exactly so a verdict obtained
-    through ``submit`` maps to the same exit code as the direct run.
-    """
-    if exhaustion is not None and exhaustion["reason"] == REASON_INTERRUPTED:
-        return EXIT_INTERRUPTED
-    return exit_code_for(verdict)
 
 
 class VerificationDaemon:
@@ -586,10 +555,10 @@ class VerificationDaemon:
             except Exception as exc:  # a job bug must not kill the pool
                 with self._lock:
                     self.counters["job_errors"] += 1
-                result = self._result_base(job)
+                result = self._job_fields(job)
                 result.update(
                     verdict=UNKNOWN,
-                    exit_code=exit_code_for(UNKNOWN),
+                    exit_code=exit_code(UNKNOWN),
                     error=f"{type(exc).__name__}: {exc}",
                 )
             with self._lock:
@@ -612,214 +581,45 @@ class VerificationDaemon:
         self._progress.append((job.job_id, payload))
         self._wake()
 
-    def _result_base(self, job: _Job) -> Dict[str, Any]:
-        request = job.request
+    def _job_fields(self, job: _Job) -> Dict[str, Any]:
+        """What the daemon adds to a job's result dict."""
         return {
             "schema": RESULT_SCHEMA,
             "job_id": job.job_id,
             "cache_key": job.key,
-            "kind": request["kind"],
-            "key": request["key"],
-            "method": request["method"],
-            "threads": request["threads"],
-            "ops": request["ops"],
-            "values": request["values"],
             "cached": False,
             "resumed": job.resumed,
-            "verdict": None,
-            "exit_code": 0,
-            "counterexample": None,
-            "diagnostic": None,
-            "exhaustion": None,
             "error": None,
-            "seconds": 0.0,
         }
 
     def _run_job(self, job: _Job) -> Dict[str, Any]:
-        request = job.request
-        deadline = request["deadline"]
+        """Run the CLI's verdict job, exploring under this job's
+        checkpoint (resumed when one is on disk)."""
+        deadline = job.request["deadline"]
         if deadline is None:
             deadline = self.config.job_deadline
-        budget = RunBudget(deadline_seconds=deadline, token=job.token)
-        bench, program, client_config = request_program_config(request)
         ckpt_path = self._checkpoint_path(job.key)
         resume = load_checkpoint_or_quarantine(ckpt_path)
         job.resumed = resume is not None
         if job.resumed:
             with self._lock:
                 self.counters["jobs_resumed"] += 1
-        sink = CheckpointSink(
-            ckpt_path, interval_seconds=self.config.checkpoint_seconds
-        )
-        t0 = time.perf_counter()
-        try:
-            impl = explore(
-                program, client_config, budget=budget,
-                checkpoint=sink, resume=resume,
-            )
-        except BudgetExhausted as exc:
-            # The explorer saved a salvage checkpoint on its way out; a
-            # resubmission after restart resumes instead of restarting.
-            exhaustion = _exhaustion_dict(exc.exhaustion)
-            result = self._result_base(job)
-            result.update(
-                verdict=UNKNOWN,
-                exit_code=_exit_code(UNKNOWN, exhaustion),
-                exhaustion=exhaustion,
-                seconds=time.perf_counter() - t0,
-            )
-            return result
-        self._post_progress(job, {
-            "stage": "explored",
-            "impl_states": impl.num_states,
-            "resumed": job.resumed,
-        })
-        kind = request["kind"]
-        if kind == "explore":
-            result = self._result_base(job)
-            result.update(
-                verdict="TRUE",
-                exit_code=0,
-                impl_states=impl.num_states,
-                impl_transitions=impl.num_transitions,
-                seconds=time.perf_counter() - t0,
-            )
-            return result
-        if kind == "lockfree":
-            return self._finish_lockfree(job, bench, program, client_config,
-                                         budget, impl, t0)
-        return self._finish_lin(job, bench, program, client_config,
-                                budget, impl, t0)
-
-    def _finish_lin(self, job, bench, program, client_config, budget,
-                    impl, t0) -> Dict[str, Any]:
-        from ..verify import (
-            check_linearizability,
-            check_linearizability_reachability,
-        )
-
-        request = job.request
-        common = dict(
-            num_threads=request["threads"],
-            ops_per_thread=request["ops"],
-            workload=client_config.workload,
-            max_states=request["max_states"],
-            budget=budget,
-            impl_system=impl,
-        )
-        method = request["method"]
-        quotient = reach = None
-        if method in ("quotient", "both"):
-            quotient = check_linearizability(
-                program, bench.spec(), reduce=request["reduce"], **common,
-            )
-        if method in ("reachability", "both"):
-            reach = check_linearizability_reachability(
-                program, bench.spec(), **common,
-            )
-        result = self._result_base(job)
-        result["seconds"] = time.perf_counter() - t0
-        if method == "both":
-            # Mirrors check_linearizability_both + the CLI's _BothResult:
-            # one shared exploration, combined verdict, DISAGREE loud.
-            verdict, disagree = combined_verdict(
-                quotient.verdict, reach.verdict
-            )
-            exhaustion = _exhaustion_dict(
-                quotient.exhaustion or reach.exhaustion
-            )
-            result.update(
-                verdict="DISAGREE" if disagree else verdict,
-                disagree=disagree,
-                exhaustion=exhaustion,
-                quotient=self._lin_engine_dict(quotient),
-                reachability=self._reach_engine_dict(reach),
-                counterexample=(
-                    quotient.render_counterexample()
-                    if quotient.linearizable is False else None
-                ),
-                exit_code=(
-                    EXIT_DISAGREEMENT if disagree
-                    else _exit_code(verdict, exhaustion)
-                ),
-            )
-            return result
-        engine_result = quotient if method == "quotient" else reach
-        exhaustion = _exhaustion_dict(engine_result.exhaustion)
-        result.update(
-            verdict=engine_result.verdict,
-            exhaustion=exhaustion,
-            exit_code=_exit_code(engine_result.verdict, exhaustion),
-            counterexample=(
-                engine_result.render_counterexample()
-                if engine_result.linearizable is False else None
+        # On exhaustion the explorer saves a salvage checkpoint on its
+        # way out; a resubmission after restart resumes from it.
+        result = run_job(
+            job.request,
+            budget=RunBudget(deadline_seconds=deadline, token=job.token),
+            checkpoint=CheckpointSink(
+                ckpt_path, interval_seconds=self.config.checkpoint_seconds
             ),
+            resume=resume,
+            on_explored=lambda impl: self._post_progress(job, {
+                "stage": "explored",
+                "impl_states": impl.num_states,
+                "resumed": job.resumed,
+            }),
         )
-        if method == "quotient":
-            result.update(self._lin_engine_dict(quotient))
-        else:
-            result.update(self._reach_engine_dict(reach))
-        return result
-
-    @staticmethod
-    def _lin_engine_dict(res) -> Dict[str, Any]:
-        return {
-            "engine": "quotient",
-            "verdict": res.verdict,
-            "impl_states": res.impl_states,
-            "quotient_states": res.impl_quotient_states,
-            "spec_states": res.spec_states,
-            "counterexample": (
-                res.render_counterexample()
-                if res.linearizable is False else None
-            ),
-            "engine_seconds": res.total_seconds,
-        }
-
-    @staticmethod
-    def _reach_engine_dict(res) -> Dict[str, Any]:
-        return {
-            "engine": "reachability",
-            "verdict": res.verdict,
-            "impl_states": res.impl_states,
-            "product_states": res.product_states,
-            "monitor_states": res.monitor_states,
-            "counterexample": (
-                res.render_counterexample()
-                if res.linearizable is False else None
-            ),
-            "engine_seconds": res.total_seconds,
-        }
-
-    def _finish_lockfree(self, job, bench, program, client_config, budget,
-                         impl, t0) -> Dict[str, Any]:
-        from ..verify import check_lock_freedom_auto
-
-        request = job.request
-        res = check_lock_freedom_auto(
-            program,
-            num_threads=request["threads"],
-            ops_per_thread=request["ops"],
-            workload=client_config.workload,
-            max_states=request["max_states"],
-            method=request["method"],
-            reduce=request["reduce"],
-            budget=budget,
-            impl_system=impl,
-        )
-        exhaustion = _exhaustion_dict(res.exhaustion)
-        result = self._result_base(job)
-        result.update(
-            verdict=res.verdict,
-            exit_code=_exit_code(res.verdict, exhaustion),
-            exhaustion=exhaustion,
-            impl_states=res.impl_states,
-            quotient_states=res.quotient_states,
-            diagnostic=(
-                res.render_diagnostic() if res.lock_free is False else None
-            ),
-            seconds=time.perf_counter() - t0,
-        )
+        result.update(self._job_fields(job))
         return result
 
     # ------------------------------------------------------------------

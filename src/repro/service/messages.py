@@ -11,21 +11,21 @@ computes (:func:`repro.lang.checkpoint.fingerprint`): two submissions
 are *the same job* iff they agree on the object program, the client
 bounds/workload, the requested property (``lin`` / ``lockfree`` /
 ``explore``) and the verdict-affecting options (``method``).
-``max_states`` is excluded for the same reason checkpoints exclude it,
-and the reduce toggle is excluded because it is proven
-verdict-preserving (the differential suite exists to keep it that way)
+``max_states`` is excluded for the same reason checkpoints exclude it
 -- a cache hit must never depend on how fast the answer was computed.
+Requests are checked by :func:`repro.verify.job.build_request`, the
+same check the CLI's ``lin`` / ``lockfree`` run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
-from ..lang import ClientConfig
 from ..lang.checkpoint import fingerprint
-from ..objects import get
+# ``build_request`` is re-exported: it is the daemon's request check.
+from ..verify.job import build_request, request_program_config  # noqa: F401
 
 # ----------------------------------------------------------------------
 # client -> daemon
@@ -46,79 +46,13 @@ MSG_STATUS_REPLY = "status-reply"  # (MSG_STATUS_REPLY, status_dict)
 MSG_PONG = "pong"            # (MSG_PONG,)
 MSG_CLOSING = "closing"      # (MSG_CLOSING, reason_str) -- graceful shutdown
 
-#: Request kinds the job queue accepts.
-KINDS = ("lin", "lockfree", "explore")
-
-
-def build_request(
-    kind: str,
-    key: str,
-    threads: int = 2,
-    ops: int = 2,
-    values: int = 2,
-    max_states: Optional[int] = None,
-    method: Optional[str] = None,
-    reduce: bool = True,
-    deadline: Optional[float] = None,
-) -> Dict[str, Any]:
-    """Normalize one verification request into its canonical dict.
-
-    Raises ``ValueError`` for unknown kinds/objects and ``TypeError``
-    for unknown fields -- the daemon calls this on every received
-    request, so a malformed submission is a per-connection error, never
-    a daemon crash.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown request kind {kind!r} (expected {KINDS})")
-    try:
-        get(key)
-    except KeyError:
-        raise ValueError(f"unknown benchmark object {key!r}")
-    if threads < 1 or ops < 1 or values < 1:
-        raise ValueError("threads/ops/values must all be >= 1")
-    if method is None:
-        method = "quotient" if kind == "lin" else (
-            "union" if kind == "lockfree" else None
-        )
-    if kind == "lin" and method not in ("quotient", "reachability", "both"):
-        raise ValueError(f"unknown lin method {method!r}")
-    if kind == "lockfree" and method not in ("union", "tau-cycle"):
-        raise ValueError(f"unknown lockfree method {method!r}")
-    return {
-        "kind": kind,
-        "key": key,
-        "threads": int(threads),
-        "ops": int(ops),
-        "values": int(values),
-        "max_states": max_states,
-        "method": method,
-        "reduce": bool(reduce),
-        "deadline": deadline,
-    }
-
-
-def request_program_config(request: Dict[str, Any]) -> Tuple[Any, Any, Any]:
-    """``(bench, program, config)`` for a normalized request."""
-    bench = get(request["key"])
-    workload = bench.default_workload(request["values"])
-    program = bench.build(request["threads"])
-    config = ClientConfig(
-        num_threads=request["threads"],
-        ops_per_thread=request["ops"],
-        workload=workload,
-        max_states=request["max_states"],
-    )
-    return bench, program, config
-
-
 def service_fingerprint(request: Dict[str, Any]) -> Dict[str, Any]:
     """The cache-identity of a request (see module docstring).
 
     Reuses the checkpoint fingerprint for the exploration identity and
-    adds the property being checked.  Deliberately excluded: resource
-    caps (``max_states``, ``deadline``) and the ``reduce`` performance
-    toggle -- none of them can change a *decided* verdict, and only
-    decided verdicts are ever cached.
+    adds the property being checked.  Deliberately excluded: the
+    resource caps (``max_states``, ``deadline``) -- neither can change a
+    *decided* verdict, and only decided verdicts are ever cached.
     """
     _bench, program, config = request_program_config(request)
     return {

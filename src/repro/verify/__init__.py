@@ -7,6 +7,9 @@
   abstract program, divergence-sensitive)
 * :func:`check_linearizability_reachability` -- the independent second
   verdict engine (BEEH reduction to state reachability)
+
+:mod:`repro.verify.job` runs them for ``lin``, ``lockfree`` and the
+verification daemon: one exploration, one dispatch, one report.
 """
 
 from ..util.lazy import lazy_exports
@@ -15,7 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "linearizability": [
         "LinearizabilityResult",
         "check_linearizability",
-        "check_linearizability_both",
     ],
     "reachability": [
         "ReachabilityResult",

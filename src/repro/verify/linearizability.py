@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Hashable, List, Optional, Union
 
 from ..core import AnyLTS, branching_partition, quotient_lts, trace_refines
 from ..lang import ClientConfig, ObjectProgram, SpecObject, explore, spec_lts
@@ -130,8 +130,8 @@ def check_linearizability(
     expanding only the states the product search touched.
 
     ``impl_system``, when given, is a pre-explored object system to
-    check instead of exploring here (the ``lin --method both``
-    shared-exploration path -- see :func:`check_linearizability_both`);
+    check instead of exploring here (the verdict job,
+    :func:`repro.verify.job.run_job`, explores once and shares it);
     ``on_the_fly`` is ignored with a shared system.
     """
     if on_the_fly and impl_system is None:
@@ -156,8 +156,6 @@ def check_linearizability(
     try:
         if impl_system is not None:
             impl = impl_system
-            if stats is not None:
-                stats.count("shared_impl_states", impl.num_states)
         else:
             impl = explore(program, config, stats=stats, budget=budget)
         impl_states = impl.num_states
@@ -222,100 +220,3 @@ def check_linearizability(
         refinement_seconds=t3 - t2,
         stats=stats,
     )
-
-
-def check_linearizability_both(
-    program: ObjectProgram,
-    spec: SpecObject,
-    num_threads: int = 2,
-    ops_per_thread: int = 2,
-    workload: Optional[Workload] = None,
-    max_states: Optional[int] = None,
-    stats_quotient: Optional[Stats] = None,
-    stats_reachability: Optional[Stats] = None,
-    reduce: bool = True,
-    budget: Optional[RunBudget] = None,
-    spec_checkpoint: Optional[CheckpointSink] = None,
-    spec_resume: Optional[Checkpoint] = None,
-) -> Tuple[LinearizabilityResult, "ReachabilityResult"]:
-    """Run both verdict engines over one shared exploration.
-
-    ``lin --method both`` used to explore the same object system twice
-    -- once per engine.  This helper explores exactly once and hands the
-    frozen system to both pipelines via their ``impl_system`` parameter;
-    each engine's report then carries the shared exploration time.  The
-    two engines must see the same state count by construction -- that
-    invariant is asserted here because a disagreement between their
-    verdicts is only meaningful when their inputs are identical.
-
-    Exhaustion during the shared exploration yields *two* UNKNOWN
-    results carrying the same exhaustion record, mirroring what two
-    independent exhausted pipelines would have returned.
-    """
-    from .reachability import ReachabilityResult, check_linearizability_reachability
-
-    if workload is None:
-        raise ValueError("a workload (method/argument universe) is required")
-    config = ClientConfig(
-        num_threads=num_threads,
-        ops_per_thread=ops_per_thread,
-        workload=workload,
-        max_states=max_states,
-    )
-    t0 = time.perf_counter()
-    try:
-        impl = explore(program, config, stats=stats_quotient, budget=budget)
-    except BudgetExhausted as exc:
-        elapsed = time.perf_counter() - t0
-        quotient_result = LinearizabilityResult(
-            object_name=program.name,
-            linearizable=None,
-            counterexample=None,
-            impl_states=0,
-            impl_quotient_states=0,
-            spec_states=0,
-            spec_quotient_states=0,
-            num_threads=num_threads,
-            ops_per_thread=ops_per_thread,
-            explore_seconds=elapsed,
-            quotient_seconds=0.0,
-            refinement_seconds=0.0,
-            stats=stats_quotient,
-            exhaustion=exc.exhaustion,
-        )
-        reachability_result = ReachabilityResult(
-            object_name=program.name,
-            linearizable=None,
-            counterexample=None,
-            impl_states=0,
-            product_states=0,
-            monitor_states=0,
-            num_threads=num_threads,
-            ops_per_thread=ops_per_thread,
-            explore_seconds=elapsed,
-            check_seconds=0.0,
-            stats=stats_reachability,
-            exhaustion=exc.exhaustion,
-        )
-        return quotient_result, reachability_result
-    explore_seconds = time.perf_counter() - t0
-    quotient_result = check_linearizability(
-        program, spec, num_threads, ops_per_thread, workload=workload,
-        max_states=max_states, stats=stats_quotient, reduce=reduce,
-        budget=budget, spec_checkpoint=spec_checkpoint,
-        spec_resume=spec_resume, impl_system=impl,
-    )
-    reachability_result = check_linearizability_reachability(
-        program, spec, num_threads, ops_per_thread, workload=workload,
-        max_states=max_states, stats=stats_reachability, budget=budget,
-        impl_system=impl,
-    )
-    if quotient_result.impl_states != reachability_result.impl_states:
-        raise AssertionError(
-            "shared exploration diverged between engines: quotient saw "
-            f"{quotient_result.impl_states} states, reachability "
-            f"{reachability_result.impl_states}"
-        )
-    quotient_result.explore_seconds += explore_seconds
-    reachability_result.explore_seconds += explore_seconds
-    return quotient_result, reachability_result

@@ -105,9 +105,10 @@ def check_lock_freedom_auto(
     the exhaustion record attached -- it never raises.
 
     ``impl_system``, when given, is a pre-explored object system to
-    check instead of exploring here (the verification service daemon
-    explores once, under checkpoint/resume, and shares the frozen
-    system); it must come from the same program and bounds.
+    check instead of exploring here (the verdict job,
+    :func:`repro.verify.job.run_job`, explores once -- under
+    checkpoint/resume in the daemon -- and shares the frozen system);
+    it must come from the same program and bounds.
     """
     if workload is None:
         raise ValueError("a workload (method/argument universe) is required")
@@ -123,12 +124,7 @@ def check_lock_freedom_auto(
     t0 = time.perf_counter()
     try:
         if impl_system is not None:
-            # A pre-explored object system (the service daemon explores
-            # once -- with checkpoint/resume -- and shares the result,
-            # mirroring check_linearizability's impl_system path).
             impl = impl_system
-            if stats is not None:
-                stats.count("shared_impl_states", impl.num_states)
         else:
             impl = explore(program, config, stats=stats, budget=budget)
         impl_states = impl.num_states

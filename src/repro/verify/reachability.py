@@ -531,10 +531,10 @@ def check_linearizability_reachability(
     actually touched.
 
     ``impl_system``, when given, is a pre-explored object system to
-    check instead of exploring here -- used by
-    :func:`~repro.verify.linearizability.check_linearizability_both` so
-    ``lin --method both`` explores once and shares the result.  It must
-    come from the same program/bounds; ``on_the_fly`` is ignored with a
+    check instead of exploring here -- the verdict job
+    (:func:`repro.verify.job.run_job`) explores once and shares it, so
+    ``lin --method both`` explores once for both engines.  It must come
+    from the same program/bounds; ``on_the_fly`` is ignored with a
     shared system (there is nothing left to stream).
 
     With a :class:`~repro.util.metrics.Stats` sink the pipeline records
@@ -570,8 +570,6 @@ def check_linearizability_reachability(
         else:
             if impl_system is not None:
                 impl = impl_system
-                if stats is not None:
-                    stats.count("shared_impl_states", impl.num_states)
             else:
                 impl = explore(program, config, stats=stats, budget=budget)
             impl_states = impl.num_states

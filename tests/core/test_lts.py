@@ -134,6 +134,19 @@ def test_builder_interns_rich_keys():
     assert builder.state_keys == [("heap", (1, 2)), ("heap", (2, 3))]
 
 
+def test_builder_keeps_bool_int_twins_apart():
+    # ("g", False) == ("g", 0), but the two are different states.
+    builder = LTSBuilder()
+    assert builder.intern(("g", (False,))) == (0, True)
+    assert builder.intern(("g", (0,))) == (1, True)
+    assert builder.intern(("g", (0.0,))) == (2, True)
+    assert builder.intern(("g", (0,))) == (1, False)
+    assert builder.intern(("g", (False,))) == (0, False)
+    assert builder.known(("g", (0.0,)))
+    assert not builder.known(("g", (0j,)))
+    assert [type(key[1][0]) for key in builder.state_keys] == [bool, int, float]
+
+
 def test_to_dot_renders_and_caps():
     lts = make_lts(2, 0, [(0, "a", 1), (0, "tau", 1)])
     dot = to_dot(lts)

@@ -328,3 +328,17 @@ def test_step_cache_never_serves_a_bool_int_twin(order):
     assert views == {release: {bool}, zero: {int}}
     # Only the False flavour lets thread 1 take the lock.
     assert ("ret", 1, "take", None) in labels_of(cached)
+
+
+@pytest.mark.parametrize("order", ["release-first", "zero-first"])
+def test_state_table_keeps_bool_int_twins_apart(order):
+    # The False and 0 flavours of the flag are different states (only
+    # False lets Lock through), so the system must not depend on which
+    # flavour the DFS reaches first.
+    workload = [("take", ()), ("release", ()), ("zero", ())]
+    if order == "zero-first":
+        workload = [("take", ()), ("zero", ()), ("release", ())]
+    lts = explore(lock_twins_program(), ClientConfig(2, 1, workload))
+    assert (lts.num_states, lts.num_transitions) == (71, 128)
+    deadlocks = [s for s in range(lts.num_states) if not list(lts.successors(s))]
+    assert len(deadlocks) == 6

@@ -2,7 +2,7 @@
 
 The retry knobs must never change *what* the daemon answers -- only how
 stubbornly the client dials.  The parity test pins that: the same job
-submitted with and without ``--retries/--retry-backoff`` exits with the
+submitted with and without ``--connect-attempts/--retry-backoff`` exits with the
 same code, which is also the direct pipeline's code.
 """
 
@@ -33,10 +33,10 @@ def service(tmp_path_factory):
 def test_zero_retries_rejected(capsys):
     code = main([
         "submit", "lin", "newcas", "--socket", "/nonexistent.sock",
-        "--retries", "0",
+        "--connect-attempts", "0",
     ])
     assert code == EXIT_UNKNOWN
-    assert "--retries" in capsys.readouterr().err
+    assert "--connect-attempts" in capsys.readouterr().err
 
 
 def test_malformed_retry_backoff_rejected(capsys):
@@ -52,13 +52,13 @@ def test_unreachable_daemon_is_unknown_after_retries(tmp_path, capsys):
     missing = str(tmp_path / "nobody.sock")
     code = main([
         "submit", "lin", "newcas", "--socket", missing,
-        "--retries", "3", "--retry-backoff", "0.01:0.02",
+        "--connect-attempts", "3", "--retry-backoff", "0.01:0.02",
         "--connect-timeout", "0.5",
     ])
     assert code == EXIT_UNKNOWN
     err = capsys.readouterr().err
     assert "cannot connect" in err
-    assert "3 attempt(s)" in err  # --retries reached the dialer
+    assert "3 attempt(s)" in err  # --connect-attempts reached the dialer
 
 
 def test_retry_flags_preserve_exit_code_parity(service):
@@ -71,6 +71,6 @@ def test_retry_flags_preserve_exit_code_parity(service):
     argv = ["submit", "lin", "newcas", "--socket", service,
             "--threads", "2", "--ops", "1"]
     plain = main(list(argv))
-    retried = main(argv + ["--retries", "5", "--retry-backoff", "0.05:0.5"])
+    retried = main(argv + ["--connect-attempts", "5", "--retry-backoff", "0.05:0.5"])
     assert plain == expected
     assert retried == expected

@@ -110,7 +110,7 @@ def test_lin_job_verdict_and_second_submission_served_from_cache(tmp_path):
 def test_explore_and_lockfree_kinds(tmp_path):
     from repro.lang import explore
     from repro.objects import get
-    from repro.service.messages import request_program_config
+    from repro.verify.job import request_program_config
 
     daemon, endpoint = _start(_config(tmp_path))
     try:

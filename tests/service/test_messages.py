@@ -74,12 +74,10 @@ def test_cache_key_is_deterministic():
 
 def test_cache_key_ignores_resource_caps_and_perf_toggles():
     base = request_cache_key(_request())
-    # None of these can change a *decided* verdict, so none may change
-    # the key: max_states / deadline are caps, reduce is proven
-    # verdict-preserving.
+    # Neither can change a *decided* verdict, so neither may change
+    # the key: max_states / deadline are caps.
     assert request_cache_key(_request(max_states=5000)) == base
     assert request_cache_key(_request(deadline=1.5)) == base
-    assert request_cache_key(_request(reduce=False)) == base
 
 
 @pytest.mark.parametrize("override", [

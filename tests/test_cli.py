@@ -610,3 +610,62 @@ def test_fuzz_accepts_every_mutation():
     parser = build_parser()
     for name in MUTATIONS:
         assert parser.parse_args(["fuzz", "--mutate", name]).mutate == name
+
+
+# ----------------------------------------------------------------------
+# bounds, and the degrade ladder of the one verdict job
+# ----------------------------------------------------------------------
+
+def _bound_commands(tmp_path):
+    out = str(tmp_path / "unused.aut")
+    return {
+        "verify": ["verify", "newcas"],
+        "lin": ["lin", "newcas"],
+        "lockfree": ["lockfree", "treiber"],
+        "explore": ["explore", "newcas", "--out", out],
+        "quotient": ["quotient", "newcas", "--out", out],
+        "submit": ["submit", "lin", "newcas", "--socket", "/nonexistent.sock"],
+    }
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("field", ["--threads", "--ops", "--values"])
+@pytest.mark.parametrize(
+    "command", ["verify", "lin", "lockfree", "explore", "quotient", "submit"]
+)
+def test_bounds_below_one_are_usage_errors(command, field, value, tmp_path,
+                                           capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_bound_commands(tmp_path)[command] + [field, value])
+    assert exc.value.code == 2
+    assert f"argument {field}: must be >= 1, got {value}" in capsys.readouterr().err
+
+
+def test_lockfree_degrade_reaches_true(capsys):
+    code = main(["lockfree", "newcas", "--max-states", "600", "--degrade"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "lock-free: UNKNOWN" in out
+    assert "degraded verdict: TRUE" in out
+
+
+def test_lockfree_degrade_reaches_false_with_its_lasso(capsys):
+    code = main(["lockfree", "hw_queue", "--max-states", "1000", "--degrade"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "degraded verdict: FALSE" in out
+    assert "\n  -- tau-loop (divergence) --\n" in out
+
+
+def test_lin_both_degrade_reaches_agreement(capsys):
+    code = main(["lin", "newcas", "--max-states", "600", "--degrade",
+                 "--method", "both"])
+    out = capsys.readouterr().out
+    assert code == 0
+    first, rung = out.split("degrade: retrying", 1)
+    assert "linearizable [quotient]: UNKNOWN" in first
+    assert "linearizable [reachability]: UNKNOWN" in first
+    assert "linearizable: UNKNOWN  (both engines agree)" in first
+    assert "degraded verdict [quotient]: TRUE" in rung
+    assert "degraded verdict [reachability]: TRUE" in rung
+    assert "degraded verdict: TRUE  (both engines agree)" in rung

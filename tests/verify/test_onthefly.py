@@ -34,9 +34,9 @@ from repro.util.budget import BudgetExhausted
 from repro.util.metrics import Stats
 from repro.verify import (
     check_linearizability,
-    check_linearizability_both,
     check_linearizability_reachability,
 )
+from repro.verify.job import build_request, run_job
 
 #: (threads, ops) per object; default 2x2, heavy objects at 2x1 (same
 #: policy as the full-exploration parity suite).
@@ -265,18 +265,18 @@ def test_random_early_exit_witnesses_are_valid(drawn):
 
 @pytest.mark.parametrize("key", ["newcas", "hm_list_buggy"])
 def test_both_shares_one_exploration(key):
-    bench = get(key)
-    workload = bench.default_workload()
-    sq, sr = Stats(), Stats()
-    quotient, reach = check_linearizability_both(
-        bench.build(2), bench.spec(),
-        num_threads=2, ops_per_thread=2, workload=workload,
-        stats_quotient=sq, stats_reachability=sr,
+    sinks = {}
+    result = run_job(
+        build_request("lin", key, threads=2, ops=2, method="both"),
+        sink=lambda name: sinks.setdefault(name, Stats()),
     )
-    assert quotient.verdict == reach.verdict
-    assert quotient.impl_states == reach.impl_states
+    quotient, reach = result["quotient"], result["reachability"]
+    assert quotient["verdict"] == reach["verdict"]
+    assert quotient["impl_states"] == reach["impl_states"]
+    sq = sinks["linearizability t=2 ops=2 v=2"]
+    sr = sinks["reachability t=2 ops=2 v=2"]
     # both engines must record that they consumed the shared system
     assert any("shared_impl_states" in k for k in sq.counters), sq.counters
     assert any("shared_impl_states" in k for k in sr.counters), sr.counters
     # both results carry the one shared exploration's wall-clock time
-    assert quotient.explore_seconds > 0 and reach.explore_seconds > 0
+    assert quotient["seconds"] > 0 and reach["seconds"] > 0
