@@ -38,7 +38,15 @@ from .util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
+
+class InputError(Exception):
+    """A file the user gave does not hold what the command needs: an
+    unparsable ``.aut`` system, or a checkpoint that is unreadable or
+    belongs to another run.  The CLI reports it on one ``error:`` line
+    and exits 2."""
+
+
 _subpackages, __getattr__, __dir__ = lazy_exports(__name__, {
     name: [name] for name in ("core", "lang", "objects", "util", "verify")
 })
-__all__ = [*_subpackages, "__version__"]
+__all__ = [*_subpackages, "InputError", "__version__"]

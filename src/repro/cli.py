@@ -22,11 +22,15 @@ progress made, and exit 2.  ``--degrade`` descends the
 smaller configurations -- stopping at the first verdict that completes
 within budget.  Exit codes are 0/1/2 for
 TRUE/FALSE/UNKNOWN and 130 after a SIGINT -- partial ``--stats`` /
-``--json`` output is flushed either way.  ``explore`` additionally
-supports ``--checkpoint PATH`` / ``--resume PATH`` and ``--workers N``
-to shard exploration across worker processes with crash recovery
-(byte-identical output; ``--fault-plan`` injects failures on purpose).
-``lin`` accepts
+``--json`` output is flushed either way.  Input errors exit 2 as well,
+with one ``error:`` line on stderr and no traceback: a bound below 1,
+a file that cannot be read or written, an ``.aut`` file that does not
+parse, a checkpoint that is unreadable or belongs to another run
+(:class:`repro.InputError`; :func:`main` maps them in one place).
+``explore`` additionally supports ``--checkpoint PATH`` /
+``--resume PATH`` and ``--workers N`` to shard exploration across
+worker processes with crash recovery (byte-identical output;
+``--fault-plan`` injects failures on purpose).  ``lin`` accepts
 ``--method {quotient,reachability,both}`` to pick the verdict engine:
 the Theorem 5.3 quotient pipeline, the independent BEEH
 reachability backend, or both -- ``both`` cross-checks the verdicts
@@ -62,6 +66,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
+from . import InputError
 from .objects import BENCHMARKS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -560,8 +565,11 @@ def _compare_governed(args, left, right, stats, budget) -> int:
 
 def cmd_bugs(_args) -> int:
     import runpy
+    from pathlib import Path
 
-    runpy.run_path("examples/bug_hunting.py", run_name="__main__")
+    # The script ships in the source tree, next to ``src/``.
+    script = Path(__file__).resolve().parents[2] / "examples" / "bug_hunting.py"
+    runpy.run_path(str(script), run_name="__main__")
     return 0
 
 
@@ -859,12 +867,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--state-dir", default=".repro-service", metavar="DIR",
                        help="durable state: result cache + job checkpoints "
                             "(default .repro-service)")
-    serve.add_argument("--queue-size", type=int, default=8, metavar="N",
+    serve.add_argument("--queue-size", type=_positive_int, default=8, metavar="N",
                        help="max in-flight jobs before submissions are "
                             "rejected with backpressure (default 8)")
-    serve.add_argument("--job-workers", type=int, default=2, metavar="N",
+    serve.add_argument("--job-workers", type=_positive_int, default=2, metavar="N",
                        help="concurrent job-runner threads (default 2)")
-    serve.add_argument("--cache-entries", type=int, default=256, metavar="N",
+    serve.add_argument("--cache-entries", type=_positive_int, default=256,
+                       metavar="N",
                        help="LRU cap on cached results (default 256)")
     serve.add_argument("--heartbeat", type=float, default=2.0,
                        metavar="SECONDS",
@@ -929,6 +938,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args)
+    except (OSError, InputError) as exc:
+        # A file that cannot be read or written, or does not hold what
+        # the command needs: a usage error (exit 2, as argparse's own),
+        # never a traceback with exit 1, the FALSE verdict's code.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # Second Ctrl-C (or one outside an install_sigint window): flush
         # whatever metrics were collected, then report the POSIX 130.

@@ -27,8 +27,8 @@ lossy quote-to-apostrophe rewrite used previously.
 
 :func:`read_aut` validates the header: transitions whose endpoints are
 not below the declared state count, and an initial state out of range,
-raise :class:`ValueError` naming the offending line (previously the
-LTS silently grew extra states).
+raise :class:`AutFormatError` (a :class:`ValueError`) naming the
+offending line (previously the LTS silently grew extra states).
 """
 
 from __future__ import annotations
@@ -38,7 +38,13 @@ import io
 import re
 from typing import Any, Dict, Hashable, List, TextIO, Tuple, Union
 
+from .. import InputError
 from .lts import LTS, TAU, AnyLTS
+
+
+class AutFormatError(InputError, ValueError):
+    """An ``.aut`` input that does not parse, naming the offending line."""
+
 
 #: Plain-text spellings parsed as the silent action.
 _TAU_SPELLINGS = ("i", "tau", "I")
@@ -159,7 +165,7 @@ _EDGE = re.compile(r'\(\s*(\d+)\s*,\s*(".*"|[^,]*?)\s*,\s*(\d+)\s*\)\s*$')
 def read_aut(source: Union[str, TextIO]) -> LTS:
     """Read an LTS in Aldebaran format from a path or file object.
 
-    Raises :class:`ValueError` (naming the offending line) on a
+    Raises :class:`AutFormatError` (naming the offending line) on a
     malformed header or transition, on a transition whose endpoints are
     not below the header's declared state count, on an out-of-range
     initial state, and on a transition-count mismatch.
@@ -173,14 +179,14 @@ def read_aut(source: Union[str, TextIO]) -> LTS:
         if (stripped := line.strip())
     ]
     if not lines:
-        raise ValueError("empty AUT input")
+        raise AutFormatError("empty AUT input")
     first_lineno, first = lines[0]
     header = _HEADER.match(first)
     if not header:
-        raise ValueError(f"line {first_lineno}: bad AUT header: {first!r}")
+        raise AutFormatError(f"line {first_lineno}: bad AUT header: {first!r}")
     init, num_transitions, num_states = (int(g) for g in header.groups())
     if init >= num_states:
-        raise ValueError(
+        raise AutFormatError(
             f"line {first_lineno}: AUT header's initial state {init} is out "
             f"of range (declared {num_states} states)"
         )
@@ -192,11 +198,11 @@ def read_aut(source: Union[str, TextIO]) -> LTS:
     for lineno, line in lines[1:]:
         edge = _EDGE.match(line)
         if not edge:
-            raise ValueError(f"line {lineno}: bad AUT transition: {line!r}")
+            raise AutFormatError(f"line {lineno}: bad AUT transition: {line!r}")
         src_text, label_text, dst_text = edge.groups()
         src, dst = int(src_text), int(dst_text)
         if src >= num_states or dst >= num_states:
-            raise ValueError(
+            raise AutFormatError(
                 f"line {lineno}: AUT transition endpoint out of range "
                 f"(declared {num_states} states): {line!r}"
             )
@@ -208,7 +214,7 @@ def read_aut(source: Union[str, TextIO]) -> LTS:
             aid = action_ids[label_text] = lts.action_id(parse_label(text))
         lts.add_transition_by_id(src, aid, dst)
     if lts.num_transitions != num_transitions:
-        raise ValueError(
+        raise AutFormatError(
             f"AUT header promises {num_transitions} transitions, "
             f"found {lts.num_transitions}"
         )

@@ -28,13 +28,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .. import InputError
 from ..core.lts import LTSBuilder
 
 #: Bumped whenever the on-disk layout changes.
 CHECKPOINT_SCHEMA = "repro.checkpoint/v2"
 
 
-class CheckpointError(Exception):
+class CheckpointError(InputError):
     """A checkpoint file is unreadable or has the wrong schema."""
 
 

@@ -60,8 +60,9 @@ class SpecContext:
     A state key is ``(abstract_state, thread_records)``; a thread runs
     each method as three steps: the call, one atomic tau applying the
     sequential method (one edge per outcome), and the return.  The
-    budget phase is ``"spec"``; ``max_states=None`` leaves generation
-    uncapped.
+    budget phase is ``"spec"``; ``max_states`` caps the states
+    generated, and ``None`` or a cap ``<= 0`` leaves generation
+    uncapped (as ``0`` does for :class:`~repro.lang.client.ClientConfig`).
     """
 
     phase = "spec"
@@ -89,7 +90,7 @@ class SpecContext:
         self.num_threads = num_threads
         self.ops_per_thread = ops_per_thread
         self.workload = workload
-        self.max_states = max_states
+        self.max_states = max_states if max_states and max_states > 0 else None
         self._budgets = budgets
 
     def initial_key(self) -> Tuple[Any, Tuple[Any, ...]]:

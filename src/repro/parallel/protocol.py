@@ -17,6 +17,15 @@ makes payload corruption a *recoverable* failure instead of a poisoned
 merge -- the fault-injection suite corrupts frames on purpose and
 asserts the run still converges to the serial result.
 
+Only a *trusted* reader -- the supervisor and its forked workers, whose
+state keys hold DSL objects such as ``Ref`` -- unpickles arbitrary
+payloads.  Every other reader (the service daemon's client sockets,
+:class:`~repro.service.channel.SocketFrameChannel`, the result cache)
+decodes plain data only: dicts, lists, tuples, sets, strings, bytes,
+numbers, booleans and ``None``.  A payload that names any global -- a
+class, or a function such as ``exec`` that a crafted ``__reduce__``
+would call -- raises :class:`ProtocolError` before anything is called.
+
 Two read paths exist because the two sides block differently:
 
 * workers own their pipe and just block -- :func:`read_frame`;
@@ -27,6 +36,7 @@ Two read paths exist because the two sides block differently:
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 import zlib
@@ -95,26 +105,38 @@ def _read_exact(stream: BinaryIO, count: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
-def _decode_payload(header: bytes, payload: bytes) -> Any:
+class _PlainDataUnpickler(pickle.Unpickler):
+    """Rebuilds plain data only: every global is refused."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        raise pickle.UnpicklingError(f"global {module}.{name} refused")
+
+
+def _decode_payload(header: bytes, payload: bytes, trusted: bool) -> Any:
     magic, length, crc = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
     if zlib.crc32(payload) != crc:
         raise ProtocolError("payload checksum mismatch")
     try:
-        return pickle.loads(payload)
-    except Exception as exc:  # corrupt-but-crc-clean cannot happen; be safe
+        if trusted:
+            return pickle.loads(payload)
+        return _PlainDataUnpickler(io.BytesIO(payload)).load()
+    except Exception as exc:
         raise ProtocolError(f"payload does not unpickle: {exc}") from exc
 
 
 def read_frame(
-    stream: BinaryIO, max_frame_bytes: int = MAX_FRAME_BYTES
+    stream: BinaryIO,
+    max_frame_bytes: int = MAX_FRAME_BYTES,
+    trusted: bool = False,
 ) -> Optional[Any]:
     """Blocking read of one frame; ``None`` on clean EOF.
 
     A length prefix above ``max_frame_bytes`` raises
     :class:`ProtocolError` *before* any payload allocation, so a
-    corrupt header can never OOM the receiver.
+    corrupt header can never OOM the receiver.  Only a ``trusted``
+    read unpickles globals (see the module docstring).
     """
     header = _read_exact(stream, _HEADER.size)
     if header is None:
@@ -126,7 +148,7 @@ def read_frame(
     payload = _read_exact(stream, length)
     if payload is None and length:
         raise ProtocolError("EOF inside a frame")
-    return _decode_payload(header, payload or b"")
+    return _decode_payload(header, payload or b"", trusted)
 
 
 class FrameDecoder:
@@ -144,14 +166,19 @@ class FrameDecoder:
     ``max_frame_bytes`` caps the *claimed* payload length; an oversized
     prefix raises before any allocation, closing the
     OOM-on-corrupt-header hole for pipe workers and sockets alike.
+    Only a ``trusted`` decoder unpickles globals (see the module
+    docstring).
     """
 
-    __slots__ = ("_buffer", "_max_frame_bytes", "_poisoned")
+    __slots__ = ("_buffer", "_max_frame_bytes", "_poisoned", "_trusted")
 
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+    def __init__(
+        self, max_frame_bytes: int = MAX_FRAME_BYTES, trusted: bool = False
+    ) -> None:
         self._buffer = bytearray()
         self._max_frame_bytes = max_frame_bytes
         self._poisoned: Optional[str] = None
+        self._trusted = trusted
 
     @property
     def poisoned(self) -> bool:
@@ -184,7 +211,7 @@ class FrameDecoder:
             payload = bytes(self._buffer[_HEADER.size:end])
             del self._buffer[:end]
             try:
-                messages.append(_decode_payload(header, payload))
+                messages.append(_decode_payload(header, payload, self._trusted))
             except ProtocolError as exc:
                 raise self._poison(exc)
 

@@ -146,7 +146,9 @@ class _Worker:
     pid: int
     cmd: Any                     # buffered writer over the command pipe
     res_fd: int
-    decoder: FrameDecoder = field(default_factory=FrameDecoder)
+    decoder: FrameDecoder = field(
+        default_factory=lambda: FrameDecoder(trusted=True)
+    )
     shard: Optional[Tuple[int, List[Any]]] = None
     last_frame: float = 0.0
 

@@ -91,7 +91,7 @@ def worker_main(
     try:
         write_frame(out, (MSG_HELLO, worker_index, os.getpid()))
         while True:
-            message = read_frame(commands)
+            message = read_frame(commands, trusted=True)
             if message is None or message[0] == MSG_STOP:
                 break
             if message[0] != MSG_SHARD:

@@ -383,8 +383,8 @@ def onthefly_disagreements(
     """Cross-check the fused on-the-fly lane against the classic search.
 
     The *fused product search*
-    (:func:`~repro.verify.reachability.reachability_search_streaming`
-    over a demand-driven :class:`~repro.lang.StreamingExplorer`) must
+    (:func:`~repro.verify.reachability.reachability_search` over a
+    demand-driven :class:`~repro.lang.StreamingExplorer`) must
     return the verdict of the classic full-exploration reachability
     search for the same program and bounds, and its violation witness
     must be an implementation trace the specification cannot produce --
@@ -392,10 +392,7 @@ def onthefly_disagreements(
     mutation (caught deterministically by ``canary_mark``).
     """
     from ..lang import ExpansionContext, StreamingExplorer
-    from ..verify.reachability import (
-        reachability_search,
-        reachability_search_streaming,
-    )
+    from ..verify.reachability import reachability_search
 
     out: List[Disagreement] = []
     classic = reachability_search(impl, spec, budget=budget)
@@ -403,7 +400,7 @@ def onthefly_disagreements(
     explorer = StreamingExplorer(
         ExpansionContext(program, config), budget=budget, cache_edges=True
     )
-    fused = reachability_search_streaming(explorer, spec, budget=budget)
+    fused = reachability_search(explorer, spec, budget=budget)
     if fused.holds != classic.holds:
         out.append(Disagreement(
             kind="verdict",

@@ -24,7 +24,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "ReachabilitySearch",
         "check_linearizability_reachability",
         "reachability_search",
-        "reachability_search_streaming",
     ],
     "lockfree": [
         "AbstractLockFreedomResult",

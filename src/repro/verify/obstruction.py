@@ -12,7 +12,9 @@ For a bounded object system a violation is a silent cycle all of whose
 steps belong to one thread -- the thread spins even with every other
 thread paused.  Thread ownership of internal steps is recovered from
 the transition annotations (``"t<k>.<line>"``), which every shared-
-memory instruction of the benchmark models carries.
+memory instruction of the benchmark models carries.  The cycle search
+and its lasso are lock-freedom's (:mod:`repro.core.divergence`),
+restricted to one thread's silent steps.
 
 Examples: the HW queue's dequeue spins on an empty queue entirely on
 its own (not even obstruction-free), while the Treiber stack's retry
@@ -30,12 +32,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
-from collections import deque
-
-from ..core.divergence import Lasso, Step, _shortest_path
-from ..core.graphs import tarjan_scc
+from ..core.divergence import Lasso, find_silent_lasso, silent_cycle_states
 from ..core.lts import LTS, TAU_ID
 from ..lang import ClientConfig, ObjectProgram, explore
 from ..lang.client import Workload
@@ -59,62 +58,14 @@ def transition_thread(lts: LTS, aid: int, annotation) -> Optional[int]:
     return None
 
 
+def _thread_steps(lts: LTS, tid: int) -> Callable[[Any], bool]:
+    """Accepts the annotation of a silent step of thread ``tid``."""
+    return lambda annotation: transition_thread(lts, TAU_ID, annotation) == tid
+
+
 def solo_tau_cycle_states(lts: LTS, tid: int) -> List[int]:
     """States on a silent cycle consisting solely of thread ``tid`` steps."""
-    n = lts.num_states
-    succ: List[List[int]] = [[] for _ in range(n)]
-    self_loop = [False] * n
-    for src, aid, dst, ann in lts.transitions_with_annotations():
-        if aid == TAU_ID and transition_thread(lts, aid, ann) == tid:
-            succ[src].append(dst)
-            if src == dst:
-                self_loop[src] = True
-    comp_of, num_comps = tarjan_scc(n, lambda s: succ[s])
-    size = [0] * num_comps
-    for state in range(n):
-        size[comp_of[state]] += 1
-    return [
-        state for state in range(n)
-        if size[comp_of[state]] > 1 or self_loop[state]
-    ]
-
-
-def _solo_cycle_from(lts: LTS, state: int, tid: int) -> List[Step]:
-    """A silent cycle through ``state`` using only thread ``tid`` steps."""
-    adj: List[List] = [[] for _ in range(lts.num_states)]
-    for src, aid, dst, ann in lts.transitions_with_annotations():
-        if aid == TAU_ID and transition_thread(lts, aid, ann) == tid:
-            adj[src].append((dst, ann))
-    for dst, ann in adj[state]:
-        if dst == state:
-            return [Step(state, ("tau",), state, ann)]
-    parent: dict = {}
-    queue = deque()
-    for dst, ann in adj[state]:
-        if dst not in parent:
-            parent[dst] = (state, ann)
-            queue.append(dst)
-    found = False
-    while queue and not found:
-        cur = queue.popleft()
-        for dst, ann in adj[cur]:
-            if dst == state:
-                parent[state] = (cur, ann)
-                found = True
-                break
-            if dst not in parent:
-                parent[dst] = (cur, ann)
-                queue.append(dst)
-    steps: List[Step] = []
-    cur = state
-    while True:
-        prev, ann = parent[cur]
-        steps.append(Step(prev, ("tau",), cur, ann))
-        cur = prev
-        if cur == state:
-            break
-    steps.reverse()
-    return steps
+    return silent_cycle_states(lts, _thread_steps(lts, tid))
 
 
 @dataclass
@@ -187,20 +138,10 @@ def check_obstruction_freedom(
             for tid in range(1, num_threads + 1):
                 if budget is not None:
                     budget.check("check", states=impl_states, thread=tid)
-                on_cycle = set(solo_tau_cycle_states(impl, tid))
-                if not on_cycle:
-                    continue
-                stem = _shortest_path(impl, [impl.init], on_cycle)
-                if stem is None:
-                    continue  # unreachable solo cycle
-                spinning_thread = tid
-                entry = stem[-1].dst if stem else impl.init
-                if entry not in on_cycle:
-                    entry = impl.init
-                diagnostic = Lasso(
-                    stem=stem, cycle=_solo_cycle_from(impl, entry, tid)
-                )
-                break
+                diagnostic = find_silent_lasso(impl, _thread_steps(impl, tid))
+                if diagnostic is not None:
+                    spinning_thread = tid
+                    break
     except BudgetExhausted as exc:
         return ObstructionFreedomResult(
             object_name=program.name,

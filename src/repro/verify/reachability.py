@@ -7,8 +7,8 @@ implementation with an instrumented specification monitor and ask
 whether a violation state is reachable.  This module is that reduction,
 built as a backend fully independent of the paper's quotient pipeline
 (:mod:`repro.verify.linearizability`): no partition refinement, no
-quotients, no specification LTS -- just the exploration core and a
-breadth-first product search.
+quotients, no specification LTS -- just the exploration core and one
+product search.
 
 The monitor tracks, after each visible prefix, the set of *spec
 configurations* ``(abstract_state, pending/linearized statuses)`` that
@@ -32,8 +32,10 @@ engine verdict-for-verdict (the cross-check behind ``lin --method
 both`` and the differential fuzz harness).
 
 The product search walks ``(implementation state, monitor set)`` pairs
-over the same :class:`~repro.core.lts.FrozenLTS` exploration core,
-with the antichain subsumption of :mod:`repro.core.traces`: a pair
+over the same exploration core -- an explored
+:class:`~repro.core.lts.FrozenLTS`, or the
+:class:`~repro.lang.StreamingExplorer` on demand -- with the antichain
+subsumption of :mod:`repro.core.traces`: a pair
 ``(s, M)`` is pruned when some visited ``(s, M')`` has ``M' ⊆ M``,
 because monitor sets evolve monotonically (``M' ⊆ M`` implies
 ``post(M') ⊆ post(M)`` for every suffix) and therefore every violation
@@ -54,6 +56,7 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 from ..core.lts import TAU_ID, AnyLTS
@@ -75,13 +78,14 @@ from ..util.metrics import Stats
 #: than thread 1 (spurious violations on linearizable objects);
 #: ``_SKIP_VIOLATION_STATE`` makes the search treat the empty monitor
 #: set as a dead end instead of a violation (the engine can never
-#: report FALSE).  ``_SKIP_FRONTIER_CHECK`` makes the *streaming* search
-#: ignore violations whose destination implementation state has not
-#: been expanded yet -- exactly the plausible-looking bug of checking
-#: product pairs only after their impl state leaves the frontier, which
-#: silently turns shallow FALSE verdicts into TRUE.  All must stay
-#: ``True``/``False`` as below in production; the fuzz harness flips
-#: them to prove the cross-engine check catches whole-engine bugs.
+#: report FALSE).  ``_SKIP_FRONTIER_CHECK`` makes the search over a
+#: stream ignore violations whose destination implementation state has
+#: not been expanded yet -- exactly the plausible-looking bug of
+#: checking product pairs only after their impl state leaves the
+#: frontier, which silently turns shallow FALSE verdicts into TRUE.
+#: All must stay ``True``/``False`` as below in production; the fuzz
+#: harness flips them to prove the cross-engine check catches
+#: whole-engine bugs.
 _DROP_MONITOR_TRANSITION = False
 _SKIP_VIOLATION_STATE = False
 _SKIP_FRONTIER_CHECK = False
@@ -176,11 +180,12 @@ def _parse_history_label(label: Hashable) -> Tuple[str, int, str, Any]:
 class ReachabilitySearch:
     """Raw outcome of the monitor-product reachability search.
 
-    ``states_expanded`` / ``states_interned`` are only filled by the
-    streaming (on-the-fly) search: how many implementation states the
-    fused product search actually demanded from the explorer, and how
-    many it discovered (interned), respectively.  The classic search
-    over a pre-explored system leaves them ``None``.
+    ``states_expanded`` / ``states_interned`` are only filled when the
+    search streams its implementation (:func:`reachability_search` over
+    a :class:`~repro.lang.StreamingExplorer`): how many implementation
+    states the fused product search actually demanded from the
+    explorer, and how many it discovered (interned), respectively.  A
+    search over an explored system leaves them ``None``.
     """
 
     holds: bool
@@ -192,23 +197,38 @@ class ReachabilitySearch:
 
 
 def reachability_search(
-    impl: AnyLTS,
+    impl: Union[AnyLTS, StreamingExplorer],
     spec: SpecObject,
     stats: Optional[Stats] = None,
     budget: Optional[RunBudget] = None,
 ) -> ReachabilitySearch:
-    """Decide linearizability of an explored object system by reachability.
+    """Decide linearizability of an object system by reachability.
 
-    ``impl`` must be an object-system LTS whose visible labels are the
+    ``impl`` is an object system whose visible labels are the
     ``("call", t, m, args)`` / ``("ret", t, m, value)`` history tuples
-    the most-general client produces (:func:`repro.lang.explore`);
-    silent steps keep the monitor unchanged.  Returns whether no
-    violation (empty monitor set) is reachable, plus a violating visible
-    history when one is.
+    the most-general client produces: an explored LTS
+    (:func:`repro.lang.explore`) or a
+    :class:`~repro.lang.StreamingExplorer` built with
+    ``cache_edges=True``.  Silent steps keep the monitor unchanged.
+    Returns whether no violation (empty monitor set) is reachable, plus
+    a violating visible history when one is.
+
+    Over an explored system the frontier is FIFO (breadth-first), so a
+    witness is a shortest violating history.  Over a stream it is LIFO
+    (depth-first) and successors are expanded on demand: antichain
+    subsumption prunes a product pair *before* its implementation state
+    is expanded, and a violation ends the run without a full
+    exploration.  DFS commits to deep suffixes early, which makes
+    shallow bugs cheap; its witness is *a* violating history, not
+    necessarily a shortest one.  A TRUE verdict exhausts every
+    reachable pair either way.
 
     ``stats`` (optional) times the search under a ``reachability`` stage
-    and records product/monitor state counts; ``budget`` (optional) is
-    checked once per dequeued pair under phase ``"reachability"``.
+    and records product/monitor state counts (plus the stream's
+    ``states_expanded``/``states_interned``); ``budget`` (optional) is
+    checked once per popped pair under phase ``"reachability"``, or the
+    interleaved ``"explore+reachability"`` when streaming (demand
+    expansions inside the explorer still report phase ``"explore"``).
     """
     if stats is None:
         return _search(impl, spec, budget)
@@ -216,22 +236,42 @@ def reachability_search(
         result = _search(impl, spec, budget)
         stats.count("product_states", result.product_states)
         stats.count("monitor_states", result.monitor_states)
+        if result.states_expanded is not None:
+            stats.count("states_expanded", result.states_expanded)
+            stats.count("states_interned", result.states_interned)
     return result
 
 
 def _search(
-    impl: AnyLTS, spec: SpecObject, budget: Optional[RunBudget]
+    impl: Union[AnyLTS, StreamingExplorer],
+    spec: SpecObject,
+    budget: Optional[RunBudget],
 ) -> ReachabilitySearch:
+    streaming = isinstance(impl, StreamingExplorer)
+    if streaming:
+        # The only place a streamed state gets expanded: a product pair
+        # the antichain subsumes is never popped, so it never costs an
+        # expansion of a fresh implementation state.
+        successors = impl.successors_of
+        init, phase = impl.init_id, PHASE_EXPLORE_REACHABILITY
+    else:
+        labels = impl.action_labels
+
+        def successors(state: int) -> List[Tuple[int, Hashable, int]]:
+            return [(aid, labels[aid], dst) for aid, dst in impl.successors(state)]
+
+        init, phase = impl.init, "reachability"
     init_mset = initial_monitor(spec)
     monitor_sets: Set[MonitorSet] = {init_mset}
-    start = (impl.init, init_mset)
+    start = (init, init_mset)
     # Antichain of visited monitor sets per implementation state.
-    visited: Dict[int, List[MonitorSet]] = {impl.init: [init_mset]}
+    visited: Dict[int, List[MonitorSet]] = {init: [init_mset]}
     parents: Dict[
         Tuple[int, MonitorSet],
         Tuple[Optional[Tuple[int, MonitorSet]], Optional[Hashable]],
     ] = {start: (None, None)}
-    queue: deque = deque([start])
+    frontier: deque = deque([start])
+    pop = frontier.pop if streaming else frontier.popleft
     # The monitor transition function only depends on (mset, action), so
     # product states sharing a monitor set share the computed successor.
     post_cache: Dict[Tuple[MonitorSet, int], MonitorSet] = {}
@@ -247,168 +287,34 @@ def _search(
         chain[:] = [existing for existing in chain if not (mset <= existing)]
         chain.append(mset)
 
-    while queue:
-        if budget is not None:
-            budget.check(
-                "reachability",
-                pairs=len(parents),
-                queued=len(queue),
-                monitors=len(monitor_sets),
-            )
-        node = queue.popleft()
-        state, mset = node
-        for aid, dst in impl.successors(state):
-            if aid == TAU_ID:
-                if subsumed(dst, mset):
-                    continue
-                record(dst, mset)
-                succ = (dst, mset)
-                parents[succ] = (node, None)
-                queue.append(succ)
-                continue
-            label = impl.action_labels[aid]
-            key = (mset, aid)
-            new_mset = post_cache.get(key)
-            if new_mset is None:
-                kind, tid, mname, payload = _parse_history_label(label)
-                if kind == "call":
-                    new_mset = monitor_after_call(spec, mset, tid, mname, payload)
-                else:
-                    new_mset = monitor_after_return(
-                        spec, mset, tid, mname, payload
-                    )
-                post_cache[key] = new_mset
-                monitor_sets.add(new_mset)
-            if not new_mset:
-                if _SKIP_VIOLATION_STATE:
-                    continue
-                # Violation: reconstruct the offending visible history.
-                trace: List[Hashable] = [label]
-                cursor: Optional[Tuple[int, MonitorSet]] = node
-                while cursor is not None:
-                    parent, step_label = parents[cursor]
-                    if step_label is not None:
-                        trace.append(step_label)
-                    cursor = parent
-                trace.reverse()
-                return ReachabilitySearch(
-                    holds=False,
-                    counterexample=trace,
-                    product_states=len(parents),
-                    monitor_states=len(monitor_sets),
-                )
-            if subsumed(dst, new_mset):
-                continue
-            record(dst, new_mset)
-            succ = (dst, new_mset)
-            parents[succ] = (node, label)
-            queue.append(succ)
-    return ReachabilitySearch(
-        holds=True,
-        counterexample=None,
-        product_states=len(parents),
-        monitor_states=len(monitor_sets),
-    )
-
-
-def reachability_search_streaming(
-    explorer: StreamingExplorer,
-    spec: SpecObject,
-    stats: Optional[Stats] = None,
-    budget: Optional[RunBudget] = None,
-) -> ReachabilitySearch:
-    """On-the-fly variant of :func:`reachability_search`.
-
-    Composes the specification monitor with *exploration*: the product
-    search pulls implementation successors on demand from a
-    :class:`~repro.lang.StreamingExplorer` (``cache_edges=True``), so
-    monitor sets are computed per frontier state, antichain subsumption
-    prunes a product pair *before* its implementation state is ever
-    expanded, and a violation terminates the run immediately -- without
-    the up-front full exploration of the classic pipeline.  The witness
-    reconstruction path is the classic one (parent pointers).
-
-    The search order is depth-first (the classic search is breadth-
-    first): for FALSE verdicts any violating path is a valid witness and
-    DFS commits to deep suffixes early, which is what makes shallow
-    bugs cheap; for TRUE verdicts every reachable pair is exhausted
-    either way, so the verdict is order-independent.  Consequently the
-    witness is *a* violating history, not necessarily a shortest one.
-
-    ``budget`` is checked once per popped pair under the interleaved
-    phase ``"explore+reachability"`` (demand expansions inside the
-    explorer still report phase ``"explore"``).
-    """
-    if stats is None:
-        return _search_streaming(explorer, spec, budget)
-    with stats.stage("reachability"):
-        result = _search_streaming(explorer, spec, budget)
-        stats.count("product_states", result.product_states)
-        stats.count("monitor_states", result.monitor_states)
-        stats.count("states_expanded", result.states_expanded)
-        stats.count("states_interned", result.states_interned)
-    return result
-
-
-def _search_streaming(
-    explorer: StreamingExplorer,
-    spec: SpecObject,
-    budget: Optional[RunBudget],
-) -> ReachabilitySearch:
-    init_mset = initial_monitor(spec)
-    monitor_sets: Set[MonitorSet] = {init_mset}
-    init = explorer.init_id
-    start = (init, init_mset)
-    visited: Dict[int, List[MonitorSet]] = {init: [init_mset]}
-    parents: Dict[
-        Tuple[int, MonitorSet],
-        Tuple[Optional[Tuple[int, MonitorSet]], Optional[Hashable]],
-    ] = {start: (None, None)}
-    stack: List[Tuple[int, MonitorSet]] = [start]
-    post_cache: Dict[Tuple[MonitorSet, int], MonitorSet] = {}
-
-    def subsumed(state: int, mset: MonitorSet) -> bool:
-        for existing in visited.get(state, ()):
-            if existing <= mset:
-                return True
-        return False
-
-    def record(state: int, mset: MonitorSet) -> None:
-        chain = visited.setdefault(state, [])
-        chain[:] = [existing for existing in chain if not (mset <= existing)]
-        chain.append(mset)
-
-    def outcome(holds: bool, trace: Optional[List[Hashable]]) -> ReachabilitySearch:
+    def outcome(trace: Optional[List[Hashable]]) -> ReachabilitySearch:
         return ReachabilitySearch(
-            holds=holds,
+            holds=trace is None,
             counterexample=trace,
             product_states=len(parents),
             monitor_states=len(monitor_sets),
-            states_expanded=explorer.states_expanded,
-            states_interned=explorer.num_states,
+            states_expanded=impl.states_expanded if streaming else None,
+            states_interned=impl.num_states if streaming else None,
         )
 
-    while stack:
+    while frontier:
         if budget is not None:
             budget.check(
-                PHASE_EXPLORE_REACHABILITY,
+                phase,
                 pairs=len(parents),
-                queued=len(stack),
+                queued=len(frontier),
                 monitors=len(monitor_sets),
             )
-        node = stack.pop()
+        node = pop()
         state, mset = node
-        # The only place implementation states get expanded: a product
-        # pair that is never popped (because the antichain subsumed it)
-        # never costs an expansion of a fresh impl state.
-        for aid, label, dst in explorer.successors_of(state):
+        for aid, label, dst in successors(state):
             if aid == TAU_ID:
                 if subsumed(dst, mset):
                     continue
                 record(dst, mset)
                 succ = (dst, mset)
                 parents[succ] = (node, None)
-                stack.append(succ)
+                frontier.append(succ)
                 continue
             key = (mset, aid)
             new_mset = post_cache.get(key)
@@ -425,7 +331,10 @@ def _search_streaming(
             if not new_mset:
                 if _SKIP_VIOLATION_STATE:
                     continue
-                if _SKIP_FRONTIER_CHECK and not explorer.is_expanded(dst):
+                if (
+                    _SKIP_FRONTIER_CHECK and streaming
+                    and not impl.is_expanded(dst)
+                ):
                     continue
                 # Violation: reconstruct the offending visible history.
                 trace: List[Hashable] = [label]
@@ -436,14 +345,14 @@ def _search_streaming(
                         trace.append(step_label)
                     cursor = parent
                 trace.reverse()
-                return outcome(False, trace)
+                return outcome(trace)
             if subsumed(dst, new_mset):
                 continue
             record(dst, new_mset)
             succ = (dst, new_mset)
             parents[succ] = (node, label)
-            stack.append(succ)
-    return outcome(True, None)
+            frontier.append(succ)
+    return outcome(None)
 
 
 @dataclass
@@ -526,9 +435,9 @@ def check_linearizability_reachability(
     agreement a meaningful cross-check (``lin --method both``).
 
     ``on_the_fly=True`` fuses exploration with the product search
-    (:func:`reachability_search_streaming`): same verdict, but a
-    violation is reported after expanding only the states the search
-    actually touched.
+    (:func:`reachability_search` over a streaming explorer): same
+    verdict, but a violation is reported after expanding only the
+    states the search actually touched.
 
     ``impl_system``, when given, is a pre-explored object system to
     check instead of exploring here -- the verdict job
@@ -563,7 +472,7 @@ def check_linearizability_reachability(
                 cache_edges=True,
             )
             t1 = time.perf_counter()
-            search = reachability_search_streaming(
+            search = reachability_search(
                 explorer, spec, stats=stats, budget=budget,
             )
             impl_states = explorer.num_states

@@ -28,6 +28,7 @@ __all__ = [
     "tau_heavy_lts_strategy",
     "naive_branching_bisimulation",
     "naive_weak_bisimulation",
+    "ExecOnUnpickle",
 ]
 
 
@@ -39,3 +40,13 @@ def naive_branching_bisimulation(lts: LTS) -> Set[Tuple[int, int]]:
 def naive_weak_bisimulation(lts: LTS) -> Set[Tuple[int, int]]:
     """Greatest weak bisimulation by naive fixpoint (Milner)."""
     return weak_bisimulation_relation(lts)
+
+
+class ExecOnUnpickle:
+    """A hostile payload: unpickling it calls ``exec(code)``."""
+
+    def __init__(self, code: str) -> None:
+        self.code = code
+
+    def __reduce__(self):
+        return (exec, (self.code,))

@@ -120,6 +120,14 @@ def test_nondeterministic_spec_supported():
 _WORKLOAD = [("enq", (1,)), ("deq", ())]
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_spec_cap_below_one_is_no_cap(cap):
+    # The object system's rule (ClientConfig): a cap <= 0 is no cap.
+    full = spec_lts(queue_spec(), 2, 2, _WORKLOAD)
+    uncapped = spec_lts(queue_spec(), 2, 2, _WORKLOAD, cap)
+    assert dumps_aut(uncapped) == dumps_aut(full)
+
+
 def test_spec_checkpoint_resume_bit_identical(tmp_path):
     full = spec_lts(queue_spec(), 2, 2, _WORKLOAD)
     path = str(tmp_path / "spec.ckpt")

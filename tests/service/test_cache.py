@@ -10,7 +10,9 @@ import os
 
 import pytest
 
+from repro.parallel.protocol import encode_frame
 from repro.service.cache import ResultCache
+from tests.helpers import ExecOnUnpickle
 
 
 def _result(tag):
@@ -109,6 +111,22 @@ def test_corrupt_entry_quarantined_and_recomputable(tmp_path):
     # The recomputed result stores and serves cleanly.
     cache.put(_key(1), _result("recomputed"))
     assert cache.get(_key(1)) == _result("recomputed")
+
+
+def test_entry_naming_a_global_is_quarantined_not_run(tmp_path):
+    marker = tmp_path / "ran"
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.put(_key(1), _result("a"))
+    path = os.path.join(cache.entries_dir, f"{_key(1)}.res")
+    with open(path, "wb") as handle:
+        handle.write(encode_frame(
+            ExecOnUnpickle(f"open({str(marker)!r}, 'w').close()")
+        ))
+
+    assert cache.get(_key(1)) is None  # a miss, so the daemon recomputes
+    assert not marker.exists(), "the cache ran code from an entry file"
+    assert cache.counters["corrupt_entries"] == 1
+    assert os.listdir(cache.quarantine_dir) == [f"{_key(1)}.res"]
 
 
 def test_truncated_entry_is_corruption_too(tmp_path):

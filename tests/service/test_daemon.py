@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.parallel.protocol import encode_frame
 from repro.service import (
     DaemonConfig,
     ServiceClient,
@@ -20,6 +21,7 @@ from repro.service import (
 )
 from repro.service.messages import build_request
 from repro.util.budget import EXIT_INTERRUPTED, REASON_INTERRUPTED
+from tests.helpers import ExecOnUnpickle
 
 
 def _config(tmp_path, name="svc", **overrides):
@@ -192,6 +194,25 @@ def test_protocol_garbage_poisons_only_that_connection(tmp_path):
         with ServiceClient.connect(endpoint) as good:
             assert good.ping()
             assert good.submit_and_wait(_request())["verdict"] == "TRUE"
+    finally:
+        _stop(daemon)
+
+
+def test_frame_naming_a_global_is_refused_not_run(tmp_path):
+    marker = tmp_path / "ran"
+    hostile = ExecOnUnpickle(f"open({str(marker)!r}, 'w').close()")
+    daemon, endpoint = _start(_config(tmp_path))
+    try:
+        with ServiceClient.connect(endpoint) as bad:
+            bad.channel.sock.sendall(encode_frame(("submit", hostile)))
+            reply = bad.channel.recv(timeout=10.0)
+            assert not marker.exists(), "the daemon ran code from a frame"
+            assert reply[0] == "rejected"
+            assert "protocol fault" in reply[1] and "refused" in reply[1]
+        assert _wait_for(lambda: daemon.counters["protocol_errors"] == 1)
+        # The daemon keeps serving.
+        with ServiceClient.connect(endpoint) as good:
+            assert good.ping()
     finally:
         _stop(daemon)
 

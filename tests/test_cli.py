@@ -669,3 +669,87 @@ def test_lin_both_degrade_reaches_agreement(capsys):
     assert "degraded verdict [quotient]: TRUE" in rung
     assert "degraded verdict [reachability]: TRUE" in rung
     assert "degraded verdict: TRUE  (both engines agree)" in rung
+
+
+# ----------------------------------------------------------------------
+# input errors, the spec's state cap, and `bugs` outside the repo root
+# ----------------------------------------------------------------------
+
+def _input_error_commands(tmp_path):
+    ok = tmp_path / "ok.aut"
+    ok.write_text("des (0, 0, 1)\n")
+    undeclared = tmp_path / "undeclared.aut"
+    undeclared.write_text('des (0, 1, 2)\n(0, "a", 5)\n')
+    garbage = tmp_path / "garbage.ckpt"
+    garbage.write_text("garbage\n")
+    # A checkpoint of another program: newcas stopped by its state cap.
+    other = tmp_path / "newcas.ckpt"
+    assert main(["explore", "newcas", "--ops", "1", "--max-states", "5",
+                 "--out", str(tmp_path / "n.aut"),
+                 "--checkpoint", str(other)]) == 2
+    missing = str(tmp_path / "missing")
+    out = str(tmp_path / "t.aut")
+    state = ["--socket", str(tmp_path / "s.sock"),
+             "--state-dir", str(tmp_path / "state")]
+    return {
+        "compare-missing": ["compare", missing, str(ok)],
+        "compare-undeclared-state": ["compare", str(undeclared), str(ok)],
+        "explore-resume-missing": ["explore", "treiber", "--out", out,
+                                   "--resume", missing],
+        "explore-resume-garbage": ["explore", "treiber", "--out", out,
+                                   "--resume", str(garbage)],
+        "explore-resume-other": ["explore", "treiber", "--out", out,
+                                 "--resume", str(other)],
+        "lin-spec-resume-garbage": ["lin", "treiber", "--ops", "1",
+                                    "--spec-resume", str(garbage)],
+        "lin-spec-resume-other": ["lin", "treiber", "--ops", "1",
+                                  "--spec-resume", str(other)],
+        "serve-queue-size": ["serve", *state, "--queue-size", "0"],
+        "serve-job-workers": ["serve", *state, "--job-workers", "0"],
+        "serve-cache-entries": ["serve", *state, "--cache-entries", "0"],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "compare-missing", "compare-undeclared-state", "explore-resume-missing",
+    "explore-resume-garbage", "explore-resume-other",
+    "lin-spec-resume-garbage", "lin-spec-resume-other",
+    "serve-queue-size", "serve-job-workers", "serve-cache-entries",
+])
+def test_input_errors_exit_two_with_one_error_line(case, tmp_path, capsys):
+    argv = _input_error_commands(tmp_path)[case]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("method", ["quotient", "reachability", "both"])
+def test_state_cap_below_one_leaves_the_spec_uncapped(cap, method, capsys):
+    # As for the object system (ClientConfig): a cap <= 0 is no cap.
+    code = main(["lin", "newcas", "--ops", "1", "--max-states", cap,
+                 "--method", method])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "linearizable: TRUE" in out
+    assert "UNKNOWN" not in out
+
+
+def test_bugs_runs_from_any_directory(tmp_path, monkeypatch):
+    import runpy
+
+    ran = []
+    monkeypatch.setattr(
+        runpy, "run_path", lambda path, run_name: ran.append(path)
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["bugs"]) == 0
+    [script] = ran
+    assert os.path.isfile(script)
+    assert os.path.basename(script) == "bug_hunting.py"
