@@ -144,14 +144,17 @@ class LTS:
         self._append(src, aid, dst, annotation)
 
     def _append(self, src: int, aid: int, dst: int, annotation: Any) -> None:
-        needed = max(src, dst) + 1
-        if needed > self._num_states:
-            self._num_states = needed
+        # Explorers append one edge per transition between states they
+        # have already added, so both checks below are usually false.
+        count = self._num_states
+        if src >= count or dst >= count:
+            self._num_states = (src if src > dst else dst) + 1
         self._src.append(src)
         self._act.append(aid)
         self._dst.append(dst)
         self._ann.append(annotation)
-        self._invalidate()
+        if self._succ is not None or self._pred is not None or self._trans_set is not None:
+            self._invalidate()
 
     def _invalidate(self) -> None:
         self._succ = None
@@ -639,14 +642,23 @@ def _same_content(a: Any, b: Any) -> bool:
         return True
     if type(a) is not type(b):
         return False
-    if isinstance(a, tuple):
-        if len(a) != len(b):
+    if not isinstance(a, tuple):
+        return a == b
+    if len(a) != len(b):
+        return False
+    # Scalars are compared here; only nested tuples (``Ref`` included)
+    # cost a call.
+    for x, y in zip(a, b):
+        if x is y:
+            continue
+        if type(x) is not type(y):
             return False
-        for x, y in zip(a, b):
-            if x is not y and not _same_content(x, y):
+        if isinstance(x, tuple):
+            if not _same_content(x, y):
                 return False
-        return True
-    return a == b
+        elif x != y:
+            return False
+    return True
 
 
 class LTSBuilder:

@@ -516,27 +516,42 @@ class StreamingExplorer:
         if self.checkpoint is not None and self.checkpoint.due():
             self.checkpoint.save(self.snapshot())
 
-    def _expand(self, sid: int, key: StateKey) -> List[Event]:
+    def _expand(self, sid: int, events: Optional[List[Event]]) -> None:
+        """Intern the successors of ``sid`` and add its edges, in order.
+
+        ``events``, when given, collects the ``(src_id, label, dst_id)``
+        events :meth:`expand_next` returns; :meth:`drain` builds none.
+        """
         builder = self.builder
         intern, add = builder.intern, builder.lts.add_transition
-        stack = self._stack
+        push = self._stack.append
         cache: Optional[List[Tuple[int, Any, int]]] = (
             [] if self._edges is not None else None
         )
-        events: List[Event] = []
-        for label, dst_key, annotation in self.context.expand(key):
+        for label, dst_key, annotation in self.context.expand(builder.state_keys[sid]):
             dst, is_new = intern(dst_key)
             add(sid, label, dst, annotation)
             if is_new:
-                stack.append(dst)
-            events.append((sid, label, dst))
+                push(dst)
+            if events is not None:
+                events.append((sid, label, dst))
             if cache is not None:
                 cache.append((builder.lts.lookup_action(label), label, dst))
         self._expanded.add(sid)
         self.states_expanded += 1
         if cache is not None:
             self._edges[sid] = cache
-        return events
+
+    def _pop(self) -> Optional[int]:
+        """The next unexpanded frontier state, after a safe point per pop;
+        ``None`` when drained."""
+        stack, expanded = self._stack, self._expanded
+        while stack:
+            self._safe_point()
+            sid = stack.pop()
+            if sid not in expanded:  # else expanded on demand via successors_of
+                return sid
+        return None
 
     def expand_next(self) -> Optional[List[Event]]:
         """Expand the next frontier state; ``None`` when drained.
@@ -545,15 +560,12 @@ class StreamingExplorer:
         state expansion -- exactly the edges (and order) the classic
         loop body would have added for that state.
         """
-        keys, stack = self.builder.state_keys, self._stack
-        while stack:
-            self._safe_point()
-            sid = stack.pop()
-            if sid in self._expanded:
-                # Already expanded on demand via successors_of.
-                continue
-            return self._expand(sid, keys[sid])
-        return None
+        sid = self._pop()
+        if sid is None:
+            return None
+        events: List[Event] = []
+        self._expand(sid, events)
+        return events
 
     def successors_of(self, sid: int) -> List[Tuple[int, Any, int]]:
         """Demand-driven ``(action_id, label, dst_id)`` edges of ``sid``.
@@ -570,13 +582,16 @@ class StreamingExplorer:
         if sid in self._expanded:  # pragma: no cover - defensive
             raise ValueError(f"state {sid} expanded before edge caching")
         self._safe_point()
-        self._expand(sid, self.builder.state_keys[sid])
+        self._expand(sid, None)
         return self._edges[sid]
 
     def drain(self) -> None:
         """Consume the rest of the stream (classic exploration)."""
-        while self.expand_next() is not None:
-            pass
+        pop, expand = self._pop, self._expand
+        sid = pop()
+        while sid is not None:
+            expand(sid, None)
+            sid = pop()
 
     def run(self, stats: Optional["Stats"] = None) -> LTS:
         """Drain the stream and return the frozen system.

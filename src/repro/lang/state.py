@@ -18,7 +18,12 @@ candidates for reallocation, keeping ABA scenarios observable.
 
 Values inside globals, locals and node fields may be nested tuples
 (e.g. a pointer-with-mark-bit word, or an array of slots); references
-are located and rewritten at any nesting depth.
+are located and rewritten at any nesting depth.  A node's free flag is
+a bool, never a reference, so scans pass over whole nodes.
+:func:`canonicalize` renumbers only what moves: the globals, nodes and
+thread records whose references keep their numbers come back as the
+very objects it was given, so later identity tests (the step cache,
+:func:`canonicalize_successor`, the state table) hit more often.
 
 Exploration canonicalizes every successor of a state it expands, and
 most steps leave the heap's canonical numbering as it was.
@@ -43,31 +48,50 @@ ThreadRecord = Tuple[int, int, Tuple[Any, ...], int]
 StateKey = Tuple[Tuple[Any, ...], Heap, Tuple[ThreadRecord, ...]]
 
 
-def _scan(value: Any, visit) -> None:
-    """Call ``visit`` on every reference nested inside ``value``."""
-    if type(value) is Ref:
-        visit(value)
-    elif type(value) is tuple:
-        for item in value:
-            _scan(item, visit)
+def _number(values: Tuple[Any, ...], remap: Dict[int, int], order: List[int]) -> None:
+    """Number every reference nested in ``values`` on its first visit.
 
-
-def _rewrite(value: Any, remap: Dict[int, int]) -> Any:
-    """Rewrite every nested reference through ``remap``.
-
-    Returns the *same* object when nothing inside it changes, so
-    unchanged tuples are shared rather than copied.
+    ``remap`` maps an old node index to its new number and ``order``
+    lists the old indices by new number.  A node's free flag is a bool,
+    so a whole node may be passed.
     """
-    kind = type(value)
-    if kind is Ref:
-        new_index = remap[value[1]]
-        return value if new_index == value[1] else Ref(new_index)
-    if kind is tuple:
-        rewritten = [_rewrite(item, remap) for item in value]
-        if all(new is old for new, old in zip(rewritten, value)):
-            return value
-        return tuple(rewritten)
-    return value
+    for value in values:
+        kind = type(value)
+        if kind is Ref:
+            index = value[1]
+            if index not in remap:
+                remap[index] = len(order)
+                order.append(index)
+        elif kind is tuple:
+            _number(value, remap, order)
+
+
+def _renumber(values: Tuple[Any, ...], remap: Dict[int, int]) -> Tuple[Any, ...]:
+    """``values`` with every nested reference renumbered through ``remap``.
+
+    Returns ``values`` itself when none of its references moves, so
+    unchanged globals, nodes, locals and nested tuples are shared
+    rather than copied.
+    """
+    changed = None
+    for pos, value in enumerate(values):
+        kind = type(value)
+        if kind is Ref:
+            index = remap[value[1]]
+            if index == value[1]:
+                continue
+            value = Ref(index)
+        elif kind is tuple:
+            renumbered = _renumber(value, remap)
+            if renumbered is value:
+                continue
+            value = renumbered
+        else:
+            continue
+        if changed is None:
+            changed = list(values)
+        changed[pos] = value
+    return values if changed is None else tuple(changed)
 
 
 def canonicalize(
@@ -75,51 +99,41 @@ def canonicalize(
     heap: Heap,
     threads: Tuple[ThreadRecord, ...],
 ) -> StateKey:
-    """Canonical renaming + garbage collection of the heap (see module doc)."""
+    """Canonical renaming + garbage collection of the heap (see module doc).
+
+    Renumbers only what moves: the globals, every node and every thread
+    record whose references keep their numbers are returned as the
+    input objects, and an already canonical state comes back as-is.
+    """
     remap: Dict[int, int] = {}
     order: List[int] = []
-
-    def visit(ref: Ref) -> None:
-        index = ref[1]
-        if index not in remap:
-            remap[index] = len(order)
-            order.append(index)
-
-    for value in globals_:
-        _scan(value, visit)
+    _number(globals_, remap, order)
     for record in threads:
-        _scan(record[2], visit)
+        _number(record[2], remap, order)
     cursor = 0
     while cursor < len(order):
-        node = heap[order[cursor]]
+        _number(heap[order[cursor]], remap, order)
         cursor += 1
-        for value in node[1:]:
-            _scan(value, visit)
 
-    count = len(order)
-    if count == len(heap):
-        # Fast path: the reachability order already matches the heap
-        # layout, so the state is canonical as-is.
-        identity = True
-        for index in range(count):
-            if order[index] != index:
-                identity = False
+    if len(order) == len(heap):
+        for new, old in enumerate(order):
+            if new != old:
                 break
-        if identity:
+        else:
             return (globals_, heap, threads)
-    elif not count and not heap:
-        return (globals_, (), threads)
 
-    new_heap = tuple(
-        heap[old][:1] + tuple(_rewrite(v, remap) for v in heap[old][1:])
-        for old in order
+    new_threads = []
+    for record in threads:
+        locals_ = record[2]
+        renumbered = _renumber(locals_, remap)
+        if renumbered is not locals_:
+            record = (record[0], record[1], renumbered, record[3])
+        new_threads.append(record)
+    return (
+        _renumber(globals_, remap),
+        tuple([_renumber(heap[old], remap) for old in order]),
+        tuple(new_threads),
     )
-    new_globals = tuple(_rewrite(v, remap) for v in globals_)
-    new_threads = tuple(
-        (mi, pc, _rewrite(locals_, remap), budget)
-        for (mi, pc, locals_, budget) in threads
-    )
-    return (new_globals, new_heap, new_threads)
 
 
 def _scan_in_order(values: Tuple[Any, ...], count: int) -> int:
@@ -221,7 +235,7 @@ def canonicalize_successor(
         return (globals_, heap, threads)
     cursor = 0
     while cursor < count:
-        count = _scan_in_order(heap[cursor][1:], count)
+        count = _scan_in_order(heap[cursor], count)
         if count < 0:
             return canonicalize(globals_, heap, threads)
         cursor += 1

@@ -23,6 +23,8 @@ class Ref(tuple):
     __slots__ = ()
 
     def __new__(cls, index: int) -> "Ref":
+        if type(index) is int and 0 <= index < _SHARED_REF_COUNT:
+            return _SHARED_REFS[index]
         return tuple.__new__(cls, ("ref", index))
 
     @property
@@ -39,6 +41,11 @@ class Ref(tuple):
     def __repr__(self) -> str:
         return f"Ref({self[1]})"
 
+
+#: One shared reference per small index, built at import: equal
+#: references are then one object, which identity tests short-cut.
+_SHARED_REF_COUNT = 256
+_SHARED_REFS = tuple(tuple.__new__(Ref, ("ref", index)) for index in range(_SHARED_REF_COUNT))
 
 #: The null pointer.
 NULL: Optional[Ref] = None

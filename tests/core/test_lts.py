@@ -243,3 +243,41 @@ def test_to_dot_escapes_backslashes_and_newlines():
     assert "new\\nline" in dot     # newline becomes the two chars \n
     for line in dot.splitlines():
         assert "\n" not in line.replace("\\n", "")
+
+
+@pytest.mark.parametrize("mutation", [
+    "add_transition", "add_transition_new_state", "add_transition_by_id",
+    "add_state", "add_states",
+])
+def test_every_mutation_shows_in_the_next_query(mutation):
+    # successors, predecessors and has_transition are built lazily and
+    # cached; each mutation must drop them, also when an edge joins
+    # states that already exist (no growth of the state count).
+    lts = make_lts(3, 0, [(0, "a", 1)])
+    a = lts.lookup_action("a")
+    assert lts.successors(1) == []
+    assert lts.predecessors(0) == []
+    assert lts.predecessors(2) == []
+    assert not lts.has_transition(1, a, 0)
+    if mutation == "add_transition":
+        lts.add_transition(1, "a", 0)
+        edge = (1, a, 0)
+    elif mutation == "add_transition_new_state":
+        lts.add_transition(2, "b", 3)
+        edge = (2, lts.lookup_action("b"), 3)
+    elif mutation == "add_transition_by_id":
+        lts.add_transition_by_id(1, a, 2)
+        edge = (1, a, 2)
+    else:
+        if mutation == "add_state":
+            assert lts.add_state() == 3
+        else:
+            lts.add_states(2)
+        assert lts.successors(lts.num_states - 1) == []
+        assert lts.predecessors(lts.num_states - 1) == []
+        assert not lts.has_transition(lts.num_states - 1, a, 0)
+        return
+    src, aid, dst = edge
+    assert lts.successors(src) == [(aid, dst)]
+    assert lts.predecessors(dst) == [(aid, src)]
+    assert lts.has_transition(src, aid, dst)

@@ -251,3 +251,86 @@ def test_same_content_is_type_exact():
     assert not _same_content((0,), (0.0,))
     assert not _same_content(Ref(0), ("ref", 0))
     assert not _same_content((1, 2), (1, 2, 3))
+
+
+# ----------------------------------------------------------------------
+# canonicalize against a reference: the full rebuild it replaced
+# ----------------------------------------------------------------------
+
+def reference_canonicalize(globals_, heap, threads):
+    """The earlier ``canonicalize``, which rebuilt every part of a state
+    whose numbering changed; also returns the old index of each kept
+    node, in new order."""
+    remap, order = {}, []
+
+    def scan(value):
+        if type(value) is Ref:
+            if value[1] not in remap:
+                remap[value[1]] = len(order)
+                order.append(value[1])
+        elif type(value) is tuple:
+            for item in value:
+                scan(item)
+
+    def rewrite(value):
+        if type(value) is Ref:
+            index = remap[value[1]]
+            return value if index == value[1] else Ref(index)
+        if type(value) is tuple:
+            rewritten = [rewrite(item) for item in value]
+            if all(new is old for new, old in zip(rewritten, value)):
+                return value
+            return tuple(rewritten)
+        return value
+
+    for value in globals_:
+        scan(value)
+    for record in threads:
+        scan(record[2])
+    cursor = 0
+    while cursor < len(order):
+        for value in heap[order[cursor]][1:]:
+            scan(value)
+        cursor += 1
+    if order == list(range(len(heap))):
+        return (globals_, heap, threads), order
+    key = (
+        tuple(rewrite(v) for v in globals_),
+        tuple(heap[old][:1] + tuple(rewrite(v) for v in heap[old][1:])
+              for old in order),
+        tuple((mi, pc, rewrite(locals_), budget)
+              for (mi, pc, locals_, budget) in threads),
+    )
+    return key, order
+
+
+@COMMON
+@given(st.one_of(state_strategy(), st.builds(lambda case: case[1], successor_strategy())))
+def test_canonicalize_matches_reference_and_keeps_what_does_not_move(state):
+    expected, order = reference_canonicalize(*state)
+    got = canonicalize(*state)
+    assert _same_content(got, expected)
+    # Every globals tuple, node and thread record whose references keep
+    # their numbers is the input object itself, not a copy.
+    globals_, heap, threads = state
+    if _same_content(expected[0], globals_):
+        assert got[0] is globals_
+    for new, old in enumerate(order):
+        if _same_content(expected[1][new], heap[old]):
+            assert got[1][new] is heap[old]
+    for record, expected_record, got_record in zip(threads, expected[2], got[2]):
+        if _same_content(expected_record, record):
+            assert got_record is record
+
+
+def test_canonicalize_shares_the_globals_and_nodes_a_move_leaves_alone():
+    # Thread 0 reaches node 1 first, so nodes 0 and 1 swap numbers; the
+    # globals, node 0's fields and thread 1 hold no reference.
+    heap = ((False, 7), (False, Ref(0)))
+    state = ((5, None), heap, ((0, 0, (Ref(1),), 1), (-1, -1, (), 0)))
+    got = canonicalize(*state)
+    assert got == ((5, None), ((False, Ref(1)), (False, 7)),
+                   ((0, 0, (Ref(0),), 1), (-1, -1, (), 0)))
+    assert got[0] is state[0]
+    assert got[1][1] is heap[0]
+    assert got[2][1] is state[2][1]

@@ -753,3 +753,48 @@ def test_bugs_runs_from_any_directory(tmp_path, monkeypatch):
     [script] = ran
     assert os.path.isfile(script)
     assert os.path.basename(script) == "bug_hunting.py"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["lin", "newcas", "--threads", "2", "--ops", "1"], 0),
+    (["compare", "missing.aut", "missing.aut"], 2),
+    (["lin", "newcas", "--threads", "0"], 2),
+    (["lin", "hm_list_buggy", "--on-the-fly"], 1),
+])
+def test_gc_threshold_does_not_leak(argv, expected, tmp_path, monkeypatch):
+    # The command runs under its own gen-0 threshold and hands the
+    # caller's back on every way out: success, a usage error (returned,
+    # or argparse's SystemExit) and a FALSE verdict.
+    import gc
+
+    monkeypatch.chdir(tmp_path)
+    saved = gc.get_threshold()
+    caller = (1234, 5, 6)
+    gc.set_threshold(*caller)
+    try:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert gc.get_threshold() == caller
+    finally:
+        gc.set_threshold(*saved)
+    assert code == expected
+
+
+def test_command_runs_under_a_higher_gc_threshold(monkeypatch):
+    import gc
+
+    from repro import cli
+
+    seen = []
+
+    def record(_args):
+        seen.append(gc.get_threshold())
+        return 0
+
+    monkeypatch.setitem(cli.HANDLERS, "list", record)
+    before = gc.get_threshold()
+    assert main(["list"]) == 0
+    [during] = seen
+    assert during[0] > before[0] and during[1:] == before[1:]
