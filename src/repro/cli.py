@@ -504,6 +504,15 @@ def cmd_compare(args) -> int:
     from .util.budget import BudgetExhausted
     from .util.metrics import stage
 
+    if args.divergence and args.relation in ("strong", "trace"):
+        args.usage_error(
+            f"--divergence does not apply to --relation {args.relation}"
+        )
+    if args.reduce and args.relation != "branching":
+        args.usage_error(
+            f"--reduce applies to --relation branching only, "
+            f"not {args.relation}"
+        )
     sinks, sink = _make_sinks(args)
     stats = sink("compare")
     budget = _budget_from(args)
@@ -546,7 +555,10 @@ def _compare_governed(args, left, right, stats, budget) -> int:
     elif args.relation == "weak":
         from .core import compare_weak
 
-        outcome = compare_weak(left, right, stats=stats, budget=budget)
+        outcome = compare_weak(
+            left, right, divergence=args.divergence, stats=stats,
+            budget=budget,
+        )
     else:
         from .core import compare_strong
 
@@ -554,10 +566,11 @@ def _compare_governed(args, left, right, stats, budget) -> int:
     name = args.relation + ("-divergence" if args.divergence else "")
     print(f"{name} bisimilar: {outcome.equivalent}")
     if not outcome.equivalent and args.relation == "branching":
-        from .core import explain_inequivalence
+        from .core import explain_states
 
-        explanation = explain_inequivalence(
-            left, right, divergence=args.divergence, budget=budget
+        explanation = explain_states(
+            outcome.union, outcome.init_a, outcome.init_b,
+            divergence=args.divergence, budget=budget,
         )
         if explanation:
             print(explanation.render())
@@ -822,12 +835,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--relation", choices=["branching", "weak", "strong", "trace"],
         default="branching",
     )
-    compare.add_argument("--divergence", action="store_true")
+    compare.add_argument("--divergence", action="store_true",
+                         help="divergence-sensitive (branching and weak "
+                              "only)")
     compare.add_argument("--reduce", action="store_true",
                          help="compress silent structure before a "
-                              "branching comparison")
+                              "branching comparison (branching only)")
     _add_stats(compare)
     _add_budget(compare)
+    # Flag combinations are checked by cmd_compare, reported as
+    # argparse's own usage errors (exit 2).
+    compare.set_defaults(usage_error=compare.error)
 
     commands.add_parser("bugs", help="re-run the paper's bug hunts")
 

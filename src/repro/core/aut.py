@@ -19,9 +19,10 @@ and parsed back to the same tuples.
 Rendering and parsing are exact inverses: a label whose natural
 rendering would be misread on input -- a plain string label ``"i"`` or
 ``"tau"`` (which would come back as the silent action), a label
-containing ``!`` or ``"``, surrounding whitespace, or a tuple whose
-gate-offer form is ambiguous -- is written as a quoted Python literal
-(``"'i'"``) and restored verbatim by :func:`parse_label`.  The file
+containing ``!``, ``"`` or a line break (``\n``, ``\r``), surrounding
+whitespace, or a tuple whose gate-offer form is ambiguous -- is written
+as a quoted Python literal (``"'i'"``) and restored verbatim by
+:func:`parse_label`.  The file
 layer escapes ``"`` and ``\\`` inside label fields instead of the
 lossy quote-to-apostrophe rewrite used previously.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 import ast
 import io
 import re
+from itertools import islice
 from typing import Any, Dict, Hashable, List, TextIO, Tuple, Union
 
 from .. import InputError
@@ -55,17 +57,19 @@ def render_label(label: Hashable) -> str:
 
     Guaranteed inverse of :func:`parse_label` for the silent action,
     strings, and (nested) tuples of strings / literals: if the natural
-    rendering would not parse back to ``label``, a quoted-literal form
-    is emitted instead.
+    rendering would not parse back to ``label``, or holds a line break
+    that would split its line of an ``.aut`` file, a quoted-literal
+    form is emitted instead.
     """
     if label == TAU:
         return "i"
     text = _render_plain(label)
-    try:
-        if parse_label(text) == label:
-            return text
-    except ValueError:
-        pass
+    if "\n" not in text and "\r" not in text:
+        try:
+            if parse_label(text) == label:
+                return text
+        except ValueError:
+            pass
     return _quote(repr(label))
 
 
@@ -173,14 +177,13 @@ def read_aut(source: Union[str, TextIO]) -> LTS:
     if isinstance(source, str):
         with open(source) as handle:
             return read_aut(handle)
-    lines = [
-        (lineno, stripped)
-        for lineno, line in enumerate(source, start=1)
-        if (stripped := line.strip())
-    ]
-    if not lines:
+    # The file's own line splitting: a label may hold characters that
+    # str.splitlines() would also break at (\x0b, \x0c, \x85, ...).
+    lines = list(source)
+    header_at = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if header_at is None:
         raise AutFormatError("empty AUT input")
-    first_lineno, first = lines[0]
+    first_lineno, first = header_at + 1, lines[header_at].strip()
     header = _HEADER.match(first)
     if not header:
         raise AutFormatError(f"line {first_lineno}: bad AUT header: {first!r}")
@@ -193,11 +196,20 @@ def read_aut(source: Union[str, TextIO]) -> LTS:
     lts = LTS()
     lts.add_states(num_states)
     lts.init = init
+    srcs: List[int] = []
+    aids: List[int] = []
+    dsts: List[int] = []
+    match_edge = _EDGE.match
     # A file has few distinct labels: parse each raw label field once.
     action_ids: Dict[str, int] = {}
-    for lineno, line in lines[1:]:
-        edge = _EDGE.match(line)
-        if not edge:
+    for lineno, line in enumerate(
+        islice(lines, first_lineno, None), start=first_lineno + 1
+    ):
+        line = line.strip()
+        if not line:
+            continue
+        edge = match_edge(line)
+        if edge is None:
             raise AutFormatError(f"line {lineno}: bad AUT transition: {line!r}")
         src_text, label_text, dst_text = edge.groups()
         src, dst = int(src_text), int(dst_text)
@@ -212,12 +224,15 @@ def read_aut(source: Union[str, TextIO]) -> LTS:
             if text.startswith('"') and text.endswith('"') and len(text) >= 2:
                 text = _unescape(text[1:-1])
             aid = action_ids[label_text] = lts.action_id(parse_label(text))
-        lts.add_transition_by_id(src, aid, dst)
-    if lts.num_transitions != num_transitions:
+        srcs.append(src)
+        aids.append(aid)
+        dsts.append(dst)
+    if len(srcs) != num_transitions:
         raise AutFormatError(
             f"AUT header promises {num_transitions} transitions, "
-            f"found {lts.num_transitions}"
+            f"found {len(srcs)}"
         )
+    lts.add_transitions_by_id(srcs, aids, dsts)
     return lts
 
 

@@ -39,6 +39,7 @@ from .graphs import tarjan_scc
 from .lts import TAU_ID, AnyLTS, FrozenLTS, disjoint_union, ensure_frozen
 from .partition import BlockMap, normalize, num_blocks
 from .splitter import branching_splitter
+from ..util.metrics import stage
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
@@ -195,7 +196,8 @@ def compare_branching(
     Two object systems are branching bisimilar iff their initial states
     are related in the disjoint union (Section IV / Definition 5.5).
     """
-    union, init_a, init_b = disjoint_union(a, b)
+    with stage(stats, "union"):
+        union, init_a, init_b = disjoint_union(a, b)
     block_of = branching_partition(
         union, divergence=divergence, stats=stats, reduce=reduce,
         budget=budget,

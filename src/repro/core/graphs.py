@@ -7,7 +7,7 @@ block) and for divergence detection (tau-cycles).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 
 def tarjan_scc(num_nodes: int, successors: Callable[[int], Iterable[int]]) -> Tuple[List[int], int]:
@@ -106,3 +106,49 @@ def reachability_closure(num_nodes: int, successors: Sequence[Sequence[int]]) ->
                     reach |= comp_reach[comp_of[dst]]
     frozen = [frozenset(reach) for reach in comp_reach]
     return [frozen[comp_of[node]] for node in range(num_nodes)]
+
+
+class LazyReachabilityClosure:
+    """:func:`reachability_closure`, one node at a time, on first use.
+
+    ``closures[node]`` equals ``reachability_closure(n, successors)[node]``
+    and is computed by the first lookup of ``node``, by a search that
+    stops at every node whose closure is known.  The members of one SCC
+    share one set, as in the eager function: a later member's search
+    reaches an earlier one, and a known closure that contains the
+    searching node belongs to its own SCC.
+    """
+
+    __slots__ = ("_successors", "_closure")
+
+    def __init__(self, successors: Sequence[Sequence[int]]) -> None:
+        self._successors = successors
+        self._closure: List[Optional[frozenset]] = [None] * len(successors)
+
+    def __getitem__(self, node: int) -> frozenset:
+        closure = self._closure[node]
+        if closure is None:
+            closure = self._close(node)
+        return closure
+
+    def _close(self, root: int) -> frozenset:
+        successors = self._successors
+        closure = self._closure
+        reach = {root}
+        stack = [root]
+        while stack:
+            for dst in successors[stack.pop()]:
+                if dst in reach:
+                    continue
+                known = closure[dst]
+                if known is None:
+                    reach.add(dst)
+                    stack.append(dst)
+                elif root in known:
+                    # dst reaches root: one SCC, one closure.
+                    closure[root] = known
+                    return known
+                else:
+                    reach |= known
+        shared = closure[root] = frozenset(reach)
+        return shared

@@ -22,10 +22,11 @@ The container comes in two forms:
 * :class:`FrozenLTS` -- the immutable analysis form produced by
   :meth:`LTS.freeze`: transitions live in dense CSR (compressed sparse
   row) ``array('q')`` index/offset layouts, sorted by ``(src, action,
-  dst)`` with duplicates merged, plus a mirrored predecessor CSR and a
-  cached silent-edge slice.  Membership tests are binary searches, the
-  per-source successor slice is contiguous, and every equivalence
-  engine in :mod:`repro.core` runs on this form.
+  dst)`` with duplicates merged, plus a cached silent-edge slice and a
+  mirrored predecessor CSR built on the first predecessor query.
+  Membership tests are binary searches, the per-source successor slice
+  is contiguous, and every equivalence engine in :mod:`repro.core` runs
+  on this form.
 
 Both forms answer the same read-only query API, so code that only
 inspects a system accepts either; :func:`ensure_frozen` is the cheap
@@ -37,7 +38,21 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
+from itertools import compress, islice
+from operator import eq
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 #: The canonical label of the silent action.
 TAU: Tuple[str, ...] = ("tau",)
@@ -142,6 +157,45 @@ class LTS:
                 f"(have {len(self.action_labels)} actions)"
             )
         self._append(src, aid, dst, annotation)
+
+    def add_transitions_by_id(
+        self,
+        srcs: Sequence[int],
+        aids: Sequence[int],
+        dsts: Sequence[int],
+        annotations: Optional[Sequence[Any]] = None,
+    ) -> None:
+        """Append parallel columns of edges with already-interned action ids.
+
+        The bulk form of :meth:`add_transition_by_id`: the ``i``-th edge
+        is ``srcs[i] --aids[i]--> dsts[i]`` annotated ``annotations[i]``
+        (``None`` for no annotations at all).  Action ids are checked
+        and the state space grown once for the whole batch.
+        """
+        count = len(srcs)
+        if len(aids) != count or len(dsts) != count or (
+            annotations is not None and len(annotations) != count
+        ):
+            raise ValueError("transition columns differ in length")
+        if not count:
+            return
+        low, high = min(aids), max(aids)
+        if low < 0 or high >= len(self.action_labels):
+            raise ValueError(
+                f"action id {low if low < 0 else high} is not interned "
+                f"(have {len(self.action_labels)} actions)"
+            )
+        top = max(max(srcs), max(dsts))
+        if top >= self._num_states:
+            self._num_states = top + 1
+        self._src.extend(srcs)
+        self._act.extend(aids)
+        self._dst.extend(dsts)
+        if annotations is None:
+            self._ann.extend([None] * count)
+        else:
+            self._ann.extend(annotations)
+        self._invalidate()
 
     def _append(self, src: int, aid: int, dst: int, annotation: Any) -> None:
         # Explorers append one edge per transition between states they
@@ -270,12 +324,13 @@ class FrozenLTS:
 
     Layout: the deduplicated transitions sorted by ``(src, action,
     dst)`` live in three parallel ``array('q')`` columns with an
-    ``n+1``-entry row-offset array per source state, and the mirror
-    (sorted by ``(dst, action, src)``) backs the predecessor queries.
-    Within a source's slice the silent action (id 0) sorts first, so
-    the tau out-edges of a state are a prefix of its slice and the
-    silent sub-relation is available as two flat arrays without any
-    per-query filtering.
+    ``n+1``-entry row-offset array per source state.  The mirror
+    (sorted by ``(dst, action, src)``) that backs the predecessor
+    queries is built on the first :meth:`predecessors` call: no
+    equivalence engine asks for it.  Within a source's slice the silent
+    action (id 0) sorts first, so the tau out-edges of a state are a
+    prefix of its slice and the silent sub-relation is available as two
+    flat arrays without any per-query filtering.
 
     The read-only query API is identical to :class:`LTS`; mutation
     methods do not exist, and :meth:`action_id` refuses to intern new
@@ -307,60 +362,64 @@ class FrozenLTS:
         n = source.num_states
         self._num_states: int = n
 
-        triples = sorted(zip(source._src, source._act, source._dst,
-                             range(source.num_transitions)))
-        anns = source._ann
-        any_ann = any(a is not None for a in anns)
+        eann: Optional[List[Optional[Tuple[Any, ...]]]] = None
+        if any(a is not None for a in source._ann):
+            esrc, eact, edst, eann = _merge_annotated(source)
+        else:
+            triples = sorted(zip(source._src, source._act, source._dst))
+            if any(map(eq, triples, islice(triples, 1, None))):
+                # Sorted, so duplicates are adjacent; keep the first.
+                triples = list(dict.fromkeys(triples))
+            esrc = array("q", [t[0] for t in triples])
+            eact = array("q", [t[1] for t in triples])
+            edst = array("q", [t[2] for t in triples])
+        self._set_edges(esrc, eact, edst, eann)
 
-        esrc = array("q")
-        eact = array("q")
-        edst = array("q")
-        eann: Optional[List[Optional[Tuple[Any, ...]]]] = [] if any_ann else None
-        last: Optional[Tuple[int, int, int]] = None
-        for src, act, dst, index in triples:
-            key = (src, act, dst)
-            if key == last:
-                if eann is not None:
-                    ann = anns[index]
-                    if ann is not None:
-                        merged = eann[-1] or ()
-                        if ann not in merged:
-                            eann[-1] = merged + (ann,)
-                continue
-            last = key
-            esrc.append(src)
-            eact.append(act)
-            edst.append(dst)
-            if eann is not None:
-                ann = anns[index]
-                eann.append((ann,) if ann is not None else None)
+    @classmethod
+    def _from_sorted_columns(
+        cls,
+        init: int,
+        action_labels: Sequence[Hashable],
+        num_states: int,
+        esrc: array,
+        eact: array,
+        edst: array,
+    ) -> "FrozenLTS":
+        """A frozen system whose CSR columns the caller already holds.
+
+        The columns must be sorted by ``(src, action, dst)`` and free of
+        duplicates, and ``action_labels`` distinct with ``TAU`` first;
+        nothing is checked.  The edges carry no annotations.
+        """
+        self = cls.__new__(cls)
+        self.init = init
+        self.action_labels = list(action_labels)
+        self._action_ids = {label: aid for aid, label in enumerate(self.action_labels)}
+        self._num_states = num_states
+        self._set_edges(esrc, eact, edst, None)
+        return self
+
+    def _set_edges(
+        self,
+        esrc: array,
+        eact: array,
+        edst: array,
+        eann: Optional[List[Optional[Tuple[Any, ...]]]],
+    ) -> None:
         self._esrc = esrc
         self._eact = eact
         self._edst = edst
         self._eann = eann
+        self._ptr = _offsets(self._num_states, esrc)
 
-        self._ptr = _offsets(n, esrc)
+        # Built by the first predecessors() call.
+        self._pact: Optional[array] = None
+        self._psrc: Optional[array] = None
+        self._pptr: Optional[array] = None
 
-        mirror = sorted(zip(edst, eact, esrc))
-        pdst = array("q")
-        pact = array("q")
-        psrc = array("q")
-        for dst, act, src in mirror:
-            pdst.append(dst)
-            pact.append(act)
-            psrc.append(src)
-        self._pact = pact
-        self._psrc = psrc
-        self._pptr = _offsets(n, pdst)
-
-        tau_src = array("q")
-        tau_dst = array("q")
-        for src, act, dst in zip(esrc, eact, edst):
-            if act == TAU_ID:
-                tau_src.append(src)
-                tau_dst.append(dst)
-        self._tau_src = tau_src
-        self._tau_dst = tau_dst
+        silent = [aid == TAU_ID for aid in eact]
+        self._tau_src = array("q", compress(esrc, silent))
+        self._tau_dst = array("q", compress(edst, silent))
         self._tau_adj: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------
@@ -446,7 +505,16 @@ class FrozenLTS:
         return [(eact[i], edst[i]) for i in range(lo, hi)]
 
     def predecessors(self, state: int) -> List[Tuple[int, int]]:
-        """All ``(action_id, src)`` pairs entering ``state``."""
+        """All ``(action_id, src)`` pairs entering ``state``.
+
+        The first call builds the mirrored CSR (sorted by ``(dst,
+        action, src)``) that every later call reads.
+        """
+        if self._pptr is None:
+            mirror = sorted(zip(self._edst, self._eact, self._esrc))
+            self._pact = array("q", [m[1] for m in mirror])
+            self._psrc = array("q", [m[2] for m in mirror])
+            self._pptr = _offsets(self._num_states, [m[0] for m in mirror])
         lo, hi = self._pptr[state], self._pptr[state + 1]
         pact, psrc = self._pact, self._psrc
         return [(pact[i], psrc[i]) for i in range(lo, hi)]
@@ -557,7 +625,40 @@ def tau_successor_lists(lts: AnyLTS) -> List[List[int]]:
     return adj
 
 
-def _offsets(num_states: int, sorted_column: array) -> array:
+def _merge_annotated(
+    source: LTS,
+) -> Tuple[array, array, array, List[Optional[Tuple[Any, ...]]]]:
+    """Sorted, duplicate-free CSR columns of an annotated builder.
+
+    The annotations of merged duplicates are kept as a tuple of the
+    distinct non-``None`` values, in insertion order.
+    """
+    triples = sorted(zip(source._src, source._act, source._dst,
+                         range(source.num_transitions)))
+    anns = source._ann
+    esrc = array("q")
+    eact = array("q")
+    edst = array("q")
+    eann: List[Optional[Tuple[Any, ...]]] = []
+    last: Optional[Tuple[int, int, int]] = None
+    for src, act, dst, index in triples:
+        key = (src, act, dst)
+        ann = anns[index]
+        if key == last:
+            if ann is not None:
+                merged = eann[-1] or ()
+                if ann not in merged:
+                    eann[-1] = merged + (ann,)
+            continue
+        last = key
+        esrc.append(src)
+        eact.append(act)
+        edst.append(dst)
+        eann.append((ann,) if ann is not None else None)
+    return esrc, eact, edst, eann
+
+
+def _offsets(num_states: int, sorted_column: Sequence[int]) -> array:
     """Row-offset array of a CSR layout from its sorted leading column."""
     counts = [0] * (num_states + 1)
     for value in sorted_column:
@@ -616,16 +717,43 @@ def disjoint_union(a: AnyLTS, b: AnyLTS) -> Tuple[FrozenLTS, int, int]:
     is ``init_a``.  This is the construction used when two object
     systems are compared for (divergence-sensitive) branching
     bisimilarity (Section V of the paper).
+
+    The rows of each system's :meth:`transitions_with_annotations` are
+    copied as columns.  Labels are interned at their first use, ``a``'s
+    rows before ``b``'s, so the union's action ids are those of adding
+    the rows one by one.
     """
     out = LTS()
     out.add_states(a.num_states + b.num_states)
     offset = a.num_states
-    for src, aid, dst, ann in a.transitions_with_annotations():
-        out.add_transition(src, a.action_labels[aid], dst, ann)
-    for src, aid, dst, ann in b.transitions_with_annotations():
-        out.add_transition(src + offset, b.action_labels[aid], dst + offset, ann)
+    for part, shift in ((a, 0), (b, offset)):
+        src, act, dst, ann = _row_columns(part)
+        labels = part.action_labels
+        ids = {aid: out.action_id(labels[aid]) for aid in dict.fromkeys(act)}
+        if any(old != new for old, new in ids.items()):
+            act = list(map(ids.__getitem__, act))
+        if shift:
+            src = list(map(shift.__add__, src))
+            dst = list(map(shift.__add__, dst))
+        out.add_transitions_by_id(src, act, dst, ann)
     out.init = a.init
     return out.freeze(), a.init, b.init + offset
+
+
+def _row_columns(
+    lts: AnyLTS,
+) -> Tuple[Sequence[int], Sequence[int], Sequence[int], Optional[Sequence[Any]]]:
+    """The rows of ``lts.transitions_with_annotations()`` as columns.
+
+    The annotation column is ``None`` for a frozen system that keeps no
+    annotations.
+    """
+    if isinstance(lts, LTS):
+        return lts._src, lts._act, lts._dst, lts._ann
+    if lts._eann is None:
+        return lts._esrc, lts._eact, lts._edst, None
+    src, act, dst, ann = zip(*lts.transitions_with_annotations())
+    return src, act, dst, ann
 
 
 def _same_content(a: Any, b: Any) -> bool:

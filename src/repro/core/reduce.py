@@ -51,6 +51,7 @@ it only when no initial partition is given.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
@@ -274,17 +275,15 @@ def _reduce(
         )
     out_codes = np.unique(out_codes)
 
-    out = LTS()
-    for label in frozen.action_labels[1:]:
-        out.action_id(label)
-    out.add_states(num_terminals)
-    out.init = int(new_id[rep[comp_of[frozen.init]]])
-    stride = A * num_terminals
-    for code in out_codes.tolist():
-        src, rem = divmod(code, stride)
-        aid, dst = divmod(rem, num_terminals)
-        out.add_transition_by_id(src, aid, dst)
-    reduced = out.freeze()
+    # The codes are sorted and unique, so they decode to CSR columns.
+    out_src, rems = np.divmod(out_codes, A * num_terminals)
+    out_act, out_dst = np.divmod(rems, num_terminals)
+    reduced = FrozenLTS._from_sorted_columns(
+        int(new_id[rep[comp_of[frozen.init]]]),
+        frozen.action_labels,
+        num_terminals,
+        *(array("q", column.tolist()) for column in (out_src, out_act, out_dst)),
+    )
 
     first_state = np.full(C, n, dtype=np.int64)
     np.minimum.at(first_state, comp_of, np.arange(n, dtype=np.int64))

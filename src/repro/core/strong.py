@@ -14,6 +14,7 @@ from .lts import AnyLTS, disjoint_union, ensure_frozen
 from .partition import BlockMap, num_blocks
 from .branching import Comparison
 from .splitter import strong_splitter
+from ..util.metrics import stage
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
@@ -45,7 +46,8 @@ def compare_strong(
     budget: Optional["RunBudget"] = None,
 ) -> Comparison:
     """Decide whether two LTSs are strongly bisimilar."""
-    union, init_a, init_b = disjoint_union(a, b)
+    with stage(stats, "union"):
+        union, init_a, init_b = disjoint_union(a, b)
     block_of = strong_partition(union, stats=stats, budget=budget)
     return Comparison(
         equivalent=block_of[init_a] == block_of[init_b],

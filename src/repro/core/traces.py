@@ -30,7 +30,7 @@ from typing import (
     Tuple,
 )
 
-from .graphs import reachability_closure
+from .graphs import LazyReachabilityClosure, reachability_closure
 from .lts import TAU_ID, AnyLTS, tau_successor_lists
 from .partition import BlockMap, partition_from_key, refine_to_fixpoint
 
@@ -99,7 +99,8 @@ def _trace_refines(
     stats: Optional["Stats"],
     budget: Optional["RunBudget"] = None,
 ) -> RefinementResult:
-    spec_closures = state_tau_closures(spec)
+    # Closed on first use: the search reads a fraction of the states.
+    spec_closures = LazyReachabilityClosure(tau_successor_lists(spec))
 
     # Specification visible steps, indexed by (state, impl action id).
     label_to_impl_aid: Dict[Hashable, int] = {}

@@ -24,6 +24,7 @@ from .lts import TAU_ID, AnyLTS, disjoint_union, ensure_frozen, tau_successor_li
 from .partition import BlockMap, num_blocks
 from .branching import Comparison
 from .splitter import weak_splitter
+from ..util.metrics import stage
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
@@ -121,7 +122,8 @@ def compare_weak(
     budget: Optional["RunBudget"] = None,
 ) -> Comparison:
     """Decide whether two LTSs are weakly bisimilar."""
-    union, init_a, init_b = disjoint_union(a, b)
+    with stage(stats, "union"):
+        union, init_a, init_b = disjoint_union(a, b)
     block_of = weak_partition(
         union, divergence=divergence, stats=stats, budget=budget
     )

@@ -1,9 +1,16 @@
 """Aldebaran (.aut) format round-trip tests."""
 
+import io
+import re
+from contextlib import nullcontext
+
 import pytest
 
-from repro.core import TAU, make_lts
+from repro.core import LTS, TAU, make_lts
 from repro.core.aut import (
+    _EDGE,
+    _HEADER,
+    AutFormatError,
     _unescape,
     dumps_aut,
     loads_aut,
@@ -175,3 +182,122 @@ def test_out_of_range_transition_endpoint_rejected():
 def test_out_of_range_initial_state_rejected():
     with pytest.raises(ValueError, match=r"line 1.*initial state 4.*2 states"):
         loads_aut('des (4, 0, 2)')
+
+
+@pytest.mark.parametrize("label", [
+    "a\nb", ("call", 1, "a\nb"), "a\rb", "a\r\nb", "\n",
+    # Not line breaks to a text file: these stay raw and must keep
+    # round-tripping (read_aut keeps the file's own line splitting).
+    "a\x0bb", "a\x0cb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b",
+    "a\u2028b", "a\u2029b",
+])
+def test_labels_with_line_breaks_round_trip_through_a_file(label, tmp_path):
+    lts = make_lts(2, 0, [(0, label, 1), (1, "tau", 0)])
+    path = str(tmp_path / "system.aut")
+    write_aut(lts, path)
+    for back in (read_aut(path), loads_aut(dumps_aut(lts))):
+        assert back.action_labels == lts.action_labels
+        assert list(back.transitions()) == list(lts.transitions())
+    with open(path) as handle:
+        assert len(handle.readlines()) == 3
+
+
+def _per_line_read_aut(source):
+    """Reference: ``read_aut`` as one ``add_transition_by_id`` per line."""
+    lines = [
+        (lineno, stripped)
+        for lineno, line in enumerate(source, start=1)
+        if (stripped := line.strip())
+    ]
+    if not lines:
+        raise AutFormatError("empty AUT input")
+    first_lineno, first = lines[0]
+    header = _HEADER.match(first)
+    if not header:
+        raise AutFormatError(f"line {first_lineno}: bad AUT header: {first!r}")
+    init, num_transitions, num_states = (int(g) for g in header.groups())
+    if init >= num_states:
+        raise AutFormatError(
+            f"line {first_lineno}: AUT header's initial state {init} is out "
+            f"of range (declared {num_states} states)"
+        )
+    lts = LTS()
+    lts.add_states(num_states)
+    lts.init = init
+    for lineno, line in lines[1:]:
+        edge = _EDGE.match(line)
+        if not edge:
+            raise AutFormatError(f"line {lineno}: bad AUT transition: {line!r}")
+        src_text, label_text, dst_text = edge.groups()
+        src, dst = int(src_text), int(dst_text)
+        if src >= num_states or dst >= num_states:
+            raise AutFormatError(
+                f"line {lineno}: AUT transition endpoint out of range "
+                f"(declared {num_states} states): {line!r}"
+            )
+        text = label_text
+        if text.startswith('"') and text.endswith('"') and len(text) >= 2:
+            text = _unescape(text[1:-1])
+        lts.add_transition_by_id(src, lts.action_id(parse_label(text)), dst)
+    if lts.num_transitions != num_transitions:
+        raise AutFormatError(
+            f"AUT header promises {num_transitions} transitions, "
+            f"found {lts.num_transitions}"
+        )
+    return lts
+
+
+_AUT_INPUTS = {
+    "empty": "",
+    "blank-only": "\n  \n\t\n",
+    "no-header": "not a header",
+    "garbage-edge": 'des (0, 1, 2)\ngarbage',
+    "count-mismatch": 'des (0, 5, 2)\n(0, "a", 1)',
+    "too-many-edges": 'des (0, 0, 2)\n(0, "a", 1)\n',
+    "endpoint-out-of-range": 'des (0, 1, 2)\n(0, "a", 5)',
+    "later-endpoint-out-of-range": 'des (0, 2, 2)\n(0, "a", 1)\n(7, "b", 0)',
+    "range-error-before-garbage": 'des (0, 2, 2)\n(0, "a", 9)\nfoo\n',
+    "init-out-of-range": 'des (4, 0, 2)',
+    "blank-before-header": '\n   \ndes (0, 1, 2)\n(0, "a", 1)\n',
+    "blank-before-bad-header": '\n\n  \nnot a header\n(0, "a", 1)\n',
+    "trailing-garbage": 'des (0, 1, 2)\n(0, "a", 1)\n\nfoo bar\n',
+    "trailing-blank-lines": 'des (0, 1, 2)\n(0, "a", 1)\n\n \n',
+    "blank-lines-between": 'des (0, 2, 2)\n\n(0, "a", 1)\n\t\n(1, i, 0)\n',
+    "crlf": 'des (0, 2, 2)\r\n(0, "a", 1)\r\n(1, "i", 0)\r\n',
+    "missing-paren": 'des (0, 1, 2)\n(0, "a", 1\n',
+    "negative-endpoint": 'des (0, 1, 2)\n(-1, "a", 1)\n',
+    "header-twice": 'des (0, 1, 2)\ndes (0, 1, 2)\n',
+    "vertical-tab-label": 'des (0, 1, 2)\n(0, "a\x0bb", 1)\n',
+    "form-feed-padding": '\x0cdes (0, 1, 2)\x0c\n(0, "a", 1)\x0b\n',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AUT_INPUTS))
+def test_read_aut_decides_like_the_per_line_reader(case, tmp_path):
+    text = _AUT_INPUTS[case]
+    path = tmp_path / "input.aut"
+    path.write_text(text)
+    sources = (
+        lambda: io.StringIO(text),
+        lambda: open(path),
+        lambda: nullcontext(io.StringIO(text).readlines()),  # any line iterable
+    )
+    for source in sources:
+        with source() as handle:
+            try:
+                expected = _per_line_read_aut(handle)
+            except AutFormatError as exc:
+                expected = exc
+        with source() as handle:
+            if isinstance(expected, AutFormatError):
+                with pytest.raises(
+                    AutFormatError, match=f"^{re.escape(str(expected))}$"
+                ):
+                    read_aut(handle)
+                continue
+            got = read_aut(handle)
+        assert (got.init, got.num_states) == (expected.init, expected.num_states)
+        assert got.action_labels == expected.action_labels
+        assert list(got.transitions_with_annotations()) == list(
+            expected.transitions_with_annotations()
+        )

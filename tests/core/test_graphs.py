@@ -1,6 +1,11 @@
 """Graph utility tests: Tarjan SCC and reachability closures."""
 
-from repro.core.graphs import reachability_closure, scc_has_cycle, tarjan_scc
+from repro.core.graphs import (
+    LazyReachabilityClosure,
+    reachability_closure,
+    scc_has_cycle,
+    tarjan_scc,
+)
 
 
 def succ_fn(adjacency):
@@ -82,3 +87,20 @@ def test_deep_graph_no_recursion_limit():
     adjacency = {i: [i + 1] for i in range(n - 1)}
     comp_of, count = tarjan_scc(n, succ_fn(adjacency))
     assert count == n
+
+
+def test_lazy_closure_closes_only_what_is_looked_up():
+    successors = [[1], [2], [1, 3], [], [0]]
+    lazy = LazyReachabilityClosure(successors)
+    assert lazy[2] == frozenset({1, 2, 3})
+    # 1 and 2 form an SCC: one shared set, found through 2's closure.
+    assert lazy[1] is lazy[2]
+    assert lazy[4] == frozenset({0, 1, 2, 3, 4})
+    assert lazy._closure[0] is None and lazy._closure[3] is None
+    assert lazy[3] == frozenset({3})
+
+
+def test_lazy_closure_of_a_deep_chain_has_no_recursion_limit():
+    n = 50_000
+    lazy = LazyReachabilityClosure([[i + 1] for i in range(n - 1)] + [[]])
+    assert lazy[0] == frozenset(range(n))

@@ -1,6 +1,8 @@
 """Unit tests for the LTS container (Definition 2.1 infrastructure)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import (
     LTS,
@@ -13,6 +15,7 @@ from repro.core import (
     make_lts,
     to_dot,
 )
+from repro.core.aut import dumps_aut
 
 
 def test_tau_is_action_zero():
@@ -247,7 +250,7 @@ def test_to_dot_escapes_backslashes_and_newlines():
 
 @pytest.mark.parametrize("mutation", [
     "add_transition", "add_transition_new_state", "add_transition_by_id",
-    "add_state", "add_states",
+    "add_transitions_by_id", "add_state", "add_states",
 ])
 def test_every_mutation_shows_in_the_next_query(mutation):
     # successors, predecessors and has_transition are built lazily and
@@ -268,6 +271,9 @@ def test_every_mutation_shows_in_the_next_query(mutation):
     elif mutation == "add_transition_by_id":
         lts.add_transition_by_id(1, a, 2)
         edge = (1, a, 2)
+    elif mutation == "add_transitions_by_id":
+        lts.add_transitions_by_id([1], [a], [2])
+        edge = (1, a, 2)
     else:
         if mutation == "add_state":
             assert lts.add_state() == 3
@@ -281,3 +287,151 @@ def test_every_mutation_shows_in_the_next_query(mutation):
     assert lts.successors(src) == [(aid, dst)]
     assert lts.predecessors(dst) == [(aid, src)]
     assert lts.has_transition(src, aid, dst)
+
+
+# ----------------------------------------------------------------------
+# bulk columns: add_transitions_by_id, the column-copying union, and the
+# predecessor mirror built on first use
+# ----------------------------------------------------------------------
+
+def test_add_transitions_by_id_appends_columns():
+    lts = LTS()
+    a = lts.action_id("a")
+    lts.add_transition(0, "a", 1, annotation="first")
+    lts.add_transitions_by_id([1, 2], [TAU_ID, a], [2, 4], ["t1", None])
+    assert lts.num_states == 5
+    assert list(lts.transitions_with_annotations()) == [
+        (0, a, 1, "first"), (1, TAU_ID, 2, "t1"), (2, a, 4, None),
+    ]
+    lts.add_transitions_by_id([4], [a], [0])
+    assert lts.annotation(3) is None
+    lts.add_transitions_by_id([], [], [])
+    assert lts.num_transitions == 4
+
+
+@pytest.mark.parametrize("columns", [
+    ([0], [99], [1], None),
+    ([0], [-1], [1], None),
+    ([0, 1], [0], [1, 0], None),
+    ([0], [0], [1], [None, None]),
+])
+def test_add_transitions_by_id_rejects_bad_columns(columns):
+    lts = make_lts(2, 0, [(0, "a", 1)])
+    with pytest.raises(ValueError):
+        lts.add_transitions_by_id(*columns)
+    assert lts.num_transitions == 1
+
+
+def _per_edge_union(a, b):
+    """Reference: the union built by re-adding every row, one by one."""
+    out = LTS()
+    out.add_states(a.num_states + b.num_states)
+    offset = a.num_states
+    for src, aid, dst, ann in a.transitions_with_annotations():
+        out.add_transition(src, a.action_labels[aid], dst, ann)
+    for src, aid, dst, ann in b.transitions_with_annotations():
+        out.add_transition(src + offset, b.action_labels[aid], dst + offset, ann)
+    out.init = a.init
+    return out.freeze(), a.init, b.init + offset
+
+
+def _assert_union_matches_reference(a, b):
+    union, init_a, init_b = disjoint_union(a, b)
+    expected, expected_a, expected_b = _per_edge_union(a, b)
+    assert (init_a, init_b, union.init) == (expected_a, expected_b, expected.init)
+    assert union.num_states == expected.num_states
+    assert [(type(label), label) for label in union.action_labels] == [
+        (type(label), label) for label in expected.action_labels
+    ]
+    assert dumps_aut(union) == dumps_aut(expected)
+    assert [union.edge_annotations(i) for i in range(union.num_transitions)] == [
+        expected.edge_annotations(i) for i in range(expected.num_transitions)
+    ]
+
+
+def _ghost_label_system():
+    lts = LTS()
+    lts.action_id("ghost")  # interned, used by no edge
+    lts.add_transition(0, "y", 1)
+    lts.add_transition(1, TAU, 0)
+    return lts
+
+
+def _merged_annotation_system():
+    from repro.lang import ClientConfig, explore
+    from repro.objects import get
+
+    bench = get("hw_queue")
+    system = explore(bench.build(2), ClientConfig(2, 1, bench.default_workload()))
+    assert any(
+        len(system.edge_annotations(i)) > 1
+        for i in range(system.num_transitions)
+    ), "the fixture lost its merged duplicate edge"
+    return system
+
+
+@pytest.mark.parametrize("case", [
+    "second-only-label", "shared-labels-other-order", "unused-interned-label",
+    "merged-annotations", "merged-annotations-second", "frozen-and-builder",
+])
+def test_disjoint_union_matches_the_per_edge_union(case):
+    if case == "second-only-label":
+        a = make_lts(2, 0, [(0, "x", 1)])
+        b = make_lts(2, 1, [(0, "y", 1), (1, "x", 0)])
+    elif case == "shared-labels-other-order":
+        a = make_lts(2, 0, [(0, "p", 1), (1, "q", 0)])
+        b = make_lts(3, 0, [(0, "q", 1), (1, "p", 2), (2, "tau", 2)])
+    elif case == "unused-interned-label":
+        a = _ghost_label_system()
+        b = make_lts(2, 0, [(0, "ghost", 1), (1, "y", 0)])
+    elif case == "merged-annotations":
+        a = _merged_annotation_system()
+        b = a
+    elif case == "merged-annotations-second":
+        a = make_lts(2, 0, [(0, "z", 1)])
+        b = _merged_annotation_system()
+    else:
+        a = make_lts(3, 2, [(2, "b", 0), (0, "a", 1), (0, "a", 1)]).freeze()
+        b = _ghost_label_system()
+    _assert_union_matches_reference(a, b)
+    _assert_union_matches_reference(b, a)
+
+
+_LABELS = st.sampled_from(["tau", "a", "b", "c", 1, True, ("call", 1, "m")])
+
+
+@st.composite
+def _annotated_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    lts = LTS()
+    lts.add_states(n)
+    lts.init = draw(st.integers(0, n - 1))
+    for label in draw(st.lists(_LABELS, max_size=3)):
+        lts.action_id(TAU if label == "tau" else label)
+    for src, label, dst, ann in draw(st.lists(st.tuples(
+        st.integers(0, n - 1), _LABELS, st.integers(0, n - 1),
+        st.sampled_from([None, None, "t1", "t2"]),
+    ), max_size=10)):
+        lts.add_transition(src, TAU if label == "tau" else label, dst, ann)
+    return lts.freeze() if draw(st.booleans()) else lts
+
+
+@given(_annotated_systems(), _annotated_systems())
+def test_disjoint_union_matches_the_per_edge_union_on_random_systems(a, b):
+    _assert_union_matches_reference(a, b)
+
+
+def test_freeze_builds_no_predecessor_mirror():
+    frozen = make_lts(3, 0, [(0, "a", 1), (1, "tau", 2)]).freeze()
+    assert frozen._pptr is None and frozen._psrc is None
+    assert frozen.predecessors(2) == [(TAU_ID, 1)]
+    assert frozen._pptr is not None
+
+
+@given(_annotated_systems())
+def test_predecessors_match_a_scan_of_the_edges(lts):
+    frozen = lts.freeze()
+    for state in range(frozen.num_states):
+        assert frozen.predecessors(state) == sorted(
+            (aid, src) for src, aid, dst in frozen.transitions() if dst == state
+        )

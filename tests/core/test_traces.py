@@ -1,5 +1,11 @@
 """Trace refinement tests (Definition 2.2) and counterexample validity."""
 
+import glob
+import os
+
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.core import (
     make_lts,
     language_partition,
@@ -9,6 +15,10 @@ from repro.core import (
     state_tau_closures,
     TAU_ID,
 )
+from repro.core import traces
+from repro.core.graphs import LazyReachabilityClosure, reachability_closure
+from repro.core.lts import tau_successor_lists
+from repro.util.metrics import Stats
 
 from tests.helpers import bounded_traces, is_trace_of
 
@@ -125,3 +135,71 @@ def test_language_partition_epsilon_compression():
     blocks = language_partition(lts, symbol)
     assert blocks[0] == blocks[1]
     assert blocks[0] != blocks[2]
+
+
+# ----------------------------------------------------------------------
+# tau-closures on demand
+# ----------------------------------------------------------------------
+
+@st.composite
+def _tau_cyclic_systems(draw):
+    """Small LTSs, tau-dense, with at least one tau-cycle."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    edges = draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.sampled_from(["tau", "tau", "a", "b"]),
+        st.integers(0, n - 1),
+    ), max_size=20))
+    start = draw(st.integers(0, n - 1))
+    length = draw(st.integers(1, n))
+    cycle = [(start + k) % n for k in range(length)]
+    edges += [(cycle[k], "tau", cycle[(k + 1) % length]) for k in range(length)]
+    return make_lts(n, draw(st.integers(0, n - 1)), edges)
+
+
+@given(_tau_cyclic_systems(), st.randoms(use_true_random=False))
+def test_closures_on_demand_match_state_tau_closures(lts, rng):
+    eager = state_tau_closures(lts)
+    for system in (lts, lts.freeze()):
+        lazy = LazyReachabilityClosure(tau_successor_lists(system))
+        order = list(range(lts.num_states))
+        rng.shuffle(order)
+        for state in order:
+            assert lazy[state] == eager[state]
+        # One set per tau-SCC, as in the eager closures.
+        for s in range(lts.num_states):
+            for t in range(lts.num_states):
+                assert (lazy[s] is lazy[t]) == (eager[s] is eager[t])
+
+
+def _corpus_pairs():
+    from repro.core import branching_partition, quotient_lts
+    from repro.core.aut import read_aut
+    from repro.lang import ClientConfig, explore
+    from repro.objects import get
+
+    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus")
+    systems = [read_aut(path) for path in sorted(glob.glob(os.path.join(corpus, "*.aut")))]
+    pairs = [(impl, spec) for impl in systems for spec in systems]
+    for key in ("hw_queue", "ms_queue", "treiber"):
+        bench = get(key)
+        system = explore(bench.build(2), ClientConfig(2, 1, bench.default_workload()))
+        quotient = quotient_lts(system, branching_partition(system)).lts
+        pairs += [(system, quotient), (quotient, system)]
+    return pairs
+
+
+def test_trace_refines_with_closures_on_demand_matches_eager_closures(monkeypatch):
+    def run(impl, spec):
+        stats = Stats()
+        result = trace_refines(impl, spec, stats=stats)
+        return result.holds, result.counterexample, stats.counters
+
+    pairs = _corpus_pairs()
+    on_demand = [run(impl, spec) for impl, spec in pairs]
+    monkeypatch.setattr(
+        traces, "LazyReachabilityClosure",
+        lambda successors: reachability_closure(len(successors), successors),
+    )
+    assert [run(impl, spec) for impl, spec in pairs] == on_demand
+    assert any(not holds for holds, _, _ in on_demand)
+    assert any(holds for holds, _, _ in on_demand)

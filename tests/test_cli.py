@@ -88,6 +88,67 @@ def test_compare_weak_and_strong(tmp_path, capsys):
     assert main(["compare", a, b, "--relation", "strong"]) == 1
 
 
+def _write_spin_pair(tmp_path):
+    # Weakly bisimilar; only the left system diverges after "x".
+    from repro.core import make_lts
+    from repro.core.aut import write_aut
+
+    a = str(tmp_path / "spin.aut")
+    b = str(tmp_path / "stop.aut")
+    write_aut(make_lts(2, 0, [(0, "x", 1), (1, "tau", 1)]), a)
+    write_aut(make_lts(2, 0, [(0, "x", 1)]), b)
+    return a, b
+
+
+def test_compare_weak_divergence_is_divergence_sensitive(tmp_path, capsys):
+    a, b = _write_spin_pair(tmp_path)
+    assert main(["compare", a, b, "--relation", "weak"]) == 0
+    assert "weak bisimilar: True" in capsys.readouterr().out
+    assert main(["compare", a, b, "--relation", "weak", "--divergence"]) == 1
+    assert "weak-divergence bisimilar: False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--relation", "strong", "--divergence"],
+    ["--relation", "trace", "--divergence"],
+    ["--relation", "weak", "--reduce"],
+    ["--relation", "strong", "--reduce"],
+    ["--relation", "trace", "--reduce"],
+])
+def test_compare_rejects_flags_its_relation_ignores(flags, tmp_path, capsys):
+    a, b = _write_spin_pair(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", a, b, *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "repro compare: error:" in err
+    assert flags[2] in err and flags[1] in err
+
+
+@pytest.mark.parametrize("relation", ["branching", "weak", "strong"])
+def test_compare_stats_time_the_union(relation, tmp_path, capsys):
+    import json
+
+    a, b = _write_spin_pair(tmp_path)
+    path = str(tmp_path / "stats.json")
+    main(["compare", a, b, "--relation", relation, "--json", path])
+    stages = [entry["stage"] for entry in
+              json.loads(open(path).read())["pipelines"]["compare"]["stages"]]
+    assert stages[:3] == ["parse", "union", "refinement"]
+
+
+def test_lockfree_stats_time_the_union_under_check(tmp_path, capsys):
+    import json
+
+    path = str(tmp_path / "stats.json")
+    assert main(["lockfree", "newcas", "--ops", "1", "--json", path]) == 0
+    pipelines = json.loads(open(path).read())["pipelines"]
+    [stages] = [[entry["stage"] for entry in pipeline["stages"]]
+                for pipeline in pipelines.values()]
+    assert "check/union" in stages
+    assert stages.index("check/union") < stages.index("check/refinement")
+
+
 def test_unknown_benchmark_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "not_a_benchmark"])
