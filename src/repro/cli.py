@@ -3,7 +3,7 @@
 Subcommands::
 
     list                         the 14 benchmarks and expected verdicts
-    verify <key>                 run linearizability + progress checks
+    verify <key>                 linearizability + progress, one exploration
     lin <key>                    linearizability only (three-valued verdict)
     lockfree <key>               lock-freedom only (three-valued verdict)
     explore <key> --out F.aut    export the object system (AUT format)
@@ -22,10 +22,12 @@ progress made, and exit 2.  ``--degrade`` descends the
 smaller configurations -- stopping at the first verdict that completes
 within budget.  Exit codes are 0/1/2 for
 TRUE/FALSE/UNKNOWN and 130 after a SIGINT -- partial ``--stats`` /
-``--json`` output is flushed either way.  Input errors exit 2 as well,
-with one ``error:`` line on stderr and no traceback: a bound below 1,
-a file that cannot be read or written, an ``.aut`` file that does not
-parse, a checkpoint that is unreadable or belongs to another run
+``--json`` output is flushed either way; ``verify`` exits 1 if any of
+its properties is FALSE, else 2 if any is UNKNOWN.  Input errors exit
+2 as well, with one ``error:`` line on stderr and no traceback: a
+bound below 1, a file that cannot be read or written, an ``.aut`` file
+that does not parse or is not text, a checkpoint that is unreadable or
+belongs to another run
 (:class:`repro.InputError`; :func:`main` maps them in one place).
 ``explore`` additionally supports ``--checkpoint PATH`` /
 ``--resume PATH`` and ``--workers N`` to shard exploration across
@@ -39,11 +41,11 @@ runs the streaming reachability search whatever the method (it is
 disabled under ``both``).  ``serve`` runs the
 persistent verification daemon (bounded job queue, crash-safe result
 cache, graceful SIGTERM checkpointing) and ``submit`` sends it a
-``lin`` / ``lockfree`` / ``explore`` request over a TCP or Unix-domain
-socket, with the same report and exit code as the direct commands
-(plus exit 2 when the service itself is unreachable or rejects the
-job): ``lin``, ``lockfree`` and the daemon run one verdict job
-(:mod:`repro.verify.job`).  See docs/ROBUSTNESS.md and
+``lin`` / ``lockfree`` / ``verify`` / ``explore`` request over a TCP or
+Unix-domain socket, with the same report and exit code as the direct
+commands (plus exit 2 when the service itself is unreachable or rejects
+the job): ``lin``, ``lockfree``, ``verify`` and the daemon run one
+verdict job (:mod:`repro.verify.job`).  See docs/ROBUSTNESS.md and
 docs/TESTING.md.
 
 Examples::
@@ -231,10 +233,6 @@ def _make_sinks(args):
     return sinks, sink
 
 
-def _report_exhaustion(name: str, result) -> None:
-    print(f"{name}: UNKNOWN -- {result.exhaustion.render()}")
-
-
 def _exhausted_exit(args, sinks, exc, note: Optional[str] = None) -> int:
     """Print the UNKNOWN verdict of a raised budget exhaustion and the
     ``note``, flush ``--stats`` / ``--json``, and return the exit code:
@@ -250,88 +248,11 @@ def _exhausted_exit(args, sinks, exc, note: Optional[str] = None) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import (
-        check_linearizability,
-        check_lock_freedom_auto,
-        check_obstruction_freedom,
-    )
-
-    bench, program, config = _program_config(args)
-    workload = config.workload
-    sinks, sink = _make_sinks(args)
-    budget = _budget_from(args)
-
-    print(f"== {bench.title} | {args.threads} threads x {args.ops} ops ==")
-    verdicts = []
-    with budget.install_sigint():
-        lin = check_linearizability(
-            program, bench.spec(),
-            num_threads=args.threads, ops_per_thread=args.ops,
-            workload=workload, max_states=args.max_states,
-            stats=sink("linearizability"), budget=budget,
-        )
-        if lin.exhaustion is not None:
-            _report_exhaustion("linearizable", lin)
-        else:
-            print(f"states {lin.impl_states} -> quotient "
-                  f"{lin.impl_quotient_states} ({lin.reduction_factor:.1f}x)")
-            print(f"linearizable: {lin.linearizable}  "
-                  f"({lin.total_seconds:.2f}s)")
-            if not lin.linearizable:
-                print(lin.render_counterexample())
-        verdicts.append(lin)
-
-        if bench.expect_lock_free is None:
-            print("lock-freedom: skipped (lock-based algorithm)")
-            _emit_stats(args, sinks)
-            return _combined_exit(verdicts)
-
-        lock = check_lock_freedom_auto(
-            program,
-            num_threads=args.threads, ops_per_thread=args.ops,
-            workload=workload, max_states=args.max_states,
-            stats=sink("lock-freedom"), budget=budget,
-        )
-        if lock.exhaustion is not None:
-            _report_exhaustion("lock-free", lock)
-        else:
-            print(f"lock-free: {lock.lock_free}  ({lock.seconds:.2f}s)")
-            if not lock.lock_free:
-                print(lock.render_diagnostic())
-        verdicts.append(lock)
-
-        obstruction = check_obstruction_freedom(
-            program,
-            num_threads=args.threads, ops_per_thread=args.ops,
-            workload=workload, max_states=args.max_states,
-            stats=sink("obstruction-freedom"), budget=budget,
-        )
-        if obstruction.exhaustion is not None:
-            _report_exhaustion("obstruction-free", obstruction)
-        else:
-            print(f"obstruction-free: {obstruction.obstruction_free}  "
-                  f"({obstruction.seconds:.2f}s)")
-            if not obstruction.obstruction_free:
-                print(obstruction.render_diagnostic())
-        verdicts.append(obstruction)
-    _emit_stats(args, sinks)
-    return _combined_exit(verdicts)
-
-
-def _combined_exit(results) -> int:
-    """FALSE (1) dominates UNKNOWN (2) dominates TRUE (0); SIGINT wins."""
-    from .util.budget import EXIT_INTERRUPTED, EXIT_UNKNOWN
-    from .verify.job import exhaustion_dict, exit_code
-
-    codes = [exit_code(result.verdict, exhaustion_dict(result.exhaustion))
-             for result in results]
-    if EXIT_INTERRUPTED in codes:
-        return EXIT_INTERRUPTED
-    if 1 in codes:
-        return 1
-    if EXIT_UNKNOWN in codes:
-        return EXIT_UNKNOWN
-    return 0
+    """Linearizability, lock-freedom and obstruction-freedom of one
+    exploration, with budget governance."""
+    print(f"== {BENCHMARKS[args.key].title} | {args.threads} threads x "
+          f"{args.ops} ops ==")
+    return _run_ladder(args, _request(args, "verify"), {})
 
 
 def cmd_lin(args) -> int:
@@ -403,7 +324,8 @@ def _run_ladder(args, request: Dict, spec_files: Dict, on_the_fly: bool = False)
 
     sinks, sink = _make_sinks(args)
     budget = _budget_from(args)
-    steps = args.degrade_steps if args.degrade else 0
+    # ``verify`` has no degrade ladder.
+    steps = args.degrade_steps if getattr(args, "degrade", False) else 0
     with budget.install_sigint():
         result = run_job(request, budget=budget, sink=sink,
                          on_the_fly=on_the_fly, **spec_files)
@@ -567,11 +489,13 @@ def _compare_governed(args, left, right, stats, budget) -> int:
     print(f"{name} bisimilar: {outcome.equivalent}")
     if not outcome.equivalent and args.relation == "branching":
         from .core import explain_states
+        from .util.metrics import stage
 
-        explanation = explain_states(
-            outcome.union, outcome.init_a, outcome.init_b,
-            divergence=args.divergence, budget=budget,
-        )
+        with stage(stats, "explain"):
+            explanation = explain_states(
+                outcome.union, outcome.init_a, outcome.init_b,
+                divergence=args.divergence, budget=budget,
+            )
         if explanation:
             print(explanation.render())
     return 0 if outcome.equivalent else 1
@@ -780,7 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "lockfree":
             method = sub.add_argument(
                 "--method", default="union",
-                help="how to detect divergence (see check_lock_freedom_auto)",
+                help="how to detect divergence: the Theorem 5.9 union "
+                     "comparison, or the equivalent tau-cycle check",
             )
         else:
             method = sub.add_argument(

@@ -53,7 +53,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "traces": [
         "RefinementResult",
         "language_partition",
-        "state_tau_closures",
         "trace_equivalent",
         "trace_partition",
         "trace_refines",

@@ -169,17 +169,21 @@ _EDGE = re.compile(r'\(\s*(\d+)\s*,\s*(".*"|[^,]*?)\s*,\s*(\d+)\s*\)\s*$')
 def read_aut(source: Union[str, TextIO]) -> LTS:
     """Read an LTS in Aldebaran format from a path or file object.
 
-    Raises :class:`AutFormatError` (naming the offending line) on a
-    malformed header or transition, on a transition whose endpoints are
-    not below the header's declared state count, on an out-of-range
-    initial state, and on a transition-count mismatch.
+    Raises :class:`AutFormatError` on input that does not decode as
+    text, and (naming the offending line) on a malformed header or
+    transition, on a transition whose endpoints are not below the
+    header's declared state count, on an out-of-range initial state,
+    and on a transition-count mismatch.
     """
     if isinstance(source, str):
         with open(source) as handle:
             return read_aut(handle)
     # The file's own line splitting: a label may hold characters that
     # str.splitlines() would also break at (\x0b, \x0c, \x85, ...).
-    lines = list(source)
+    try:
+        lines = list(source)
+    except UnicodeDecodeError as exc:
+        raise AutFormatError(f"AUT input is not text: {exc}") from None
     header_at = next((i for i, line in enumerate(lines) if line.strip()), None)
     if header_at is None:
         raise AutFormatError("empty AUT input")

@@ -39,11 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..util.metrics import Stats
 
 
-def state_tau_closures(lts: AnyLTS) -> List[frozenset]:
-    """Per state, the set of states reachable by zero or more taus."""
-    return reachability_closure(lts.num_states, tau_successor_lists(lts))
-
-
 @dataclass
 class RefinementResult:
     """Outcome of a trace-refinement check.

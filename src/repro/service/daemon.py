@@ -2,7 +2,7 @@
 
 One daemon process holds the verification pipelines open as a service:
 clients connect over a TCP or Unix-domain socket, submit ``lin`` /
-``lockfree`` / ``explore`` requests as RPX1 frames, and receive
+``lockfree`` / ``verify`` / ``explore`` requests as RPX1 frames, and receive
 progress and verdict frames back.  The architecture is a single
 ``selectors``-driven I/O loop (accept, read, write, idle heartbeats)
 plus a small pool of job-runner threads, joined by a wakeup pipe so a

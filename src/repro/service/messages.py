@@ -10,11 +10,13 @@ Cache keys build on the fingerprints the checkpoint machinery already
 computes (:func:`repro.lang.checkpoint.fingerprint`): two submissions
 are *the same job* iff they agree on the object program, the client
 bounds/workload, the requested property (``lin`` / ``lockfree`` /
-``explore``) and the verdict-affecting options (``method``).
+``verify`` / ``explore``) and the verdict-affecting options
+(``method``).
 ``max_states`` is excluded for the same reason checkpoints exclude it
 -- a cache hit must never depend on how fast the answer was computed.
 Requests are checked by :func:`repro.verify.job.build_request`, the
-same check the CLI's ``lin`` / ``lockfree`` run.
+same check the CLI's ``lin`` / ``lockfree`` / ``verify`` run; the kinds
+come from its :data:`~repro.verify.job.KINDS` table.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@
 * :func:`check_linearizability_reachability` -- the independent second
   verdict engine (BEEH reduction to state reachability)
 
-:mod:`repro.verify.job` runs them for ``lin``, ``lockfree`` and the
-verification daemon: one exploration, one dispatch, one report.
+:mod:`repro.verify.job` runs them (and obstruction-freedom) for
+``lin``, ``lockfree``, ``verify`` and the verification daemon: one
+exploration, one dispatch, one report.
 """
 
 from ..util.lazy import lazy_exports

@@ -1,8 +1,10 @@
-"""One verdict job: the ``lin`` / ``lockfree`` / ``explore`` request.
+"""One verdict job: the ``lin`` / ``lockfree`` / ``verify`` / ``explore``
+request.
 
-``repro lin``, ``repro lockfree``, ``repro submit`` and the verification
-daemon all run a request through this module, so they check it the same
-way, dispatch it to the same engines and print the same report:
+``repro lin``, ``repro lockfree``, ``repro verify``, ``repro submit`` and
+the verification daemon all run a request through this module, so they
+check it the same way, dispatch it to the same engines and print the
+same report:
 
 * :func:`build_request` checks a request against :data:`KINDS` and
   :data:`METHODS` (the tables the CLI's ``choices`` read too) and
@@ -11,9 +13,10 @@ way, dispatch it to the same engines and print the same report:
 * :func:`run_job` explores the object system once and hands the frozen
   system to the engine(s) through their ``impl_system`` parameter: the
   Theorem 5.3 quotient pipeline, the BEEH reachability search, both of
-  them cross-checked, or the Theorem 5.9 lock-freedom check.  It
-  returns a plain result dict, which crosses the daemon's socket and
-  sits in its cache as is;
+  them cross-checked, the Theorem 5.9 lock-freedom check, or
+  (``verify``) the quotient pipeline, lock-freedom and
+  obstruction-freedom.  It returns a plain result dict, which crosses
+  the daemon's socket and sits in its cache as is;
 * :func:`exit_code` maps a verdict to the exit code, and
   :func:`report_lines` renders a result dict as the report lines.
 
@@ -30,6 +33,7 @@ from ..objects import get
 from ..util.budget import (
     EXIT_DISAGREEMENT,
     EXIT_INTERRUPTED,
+    FALSE,
     REASON_INTERRUPTED,
     TRUE,
     UNKNOWN,
@@ -44,28 +48,40 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..util.metrics import Stats
 
 #: Request kinds.
-KINDS = ("lin", "lockfree", "explore")
+KINDS = ("lin", "lockfree", "verify", "explore")
 
 #: The verdict methods of each kind, the default first.
 METHODS: Dict[str, Tuple[Optional[str], ...]] = {
     "lin": ("quotient", "reachability", "both"),
     "lockfree": ("union", "tau-cycle"),
+    "verify": (None,),
     "explore": (None,),
 }
 
 #: The verdict of a ``both`` job whose two engines decided differently.
 DISAGREE = "DISAGREE"
 
-#: The verdict-line label of each kind.
-LABELS = {"lin": "linearizable", "lockfree": "lock-free", "explore": "explored"}
+#: The verdict-line label of each engine.
+LABELS = {
+    "quotient": "linearizable",
+    "reachability": "linearizable",
+    "lockfree": "lock-free",
+    "obstruction": "obstruction-free",
+    "explore": "explored",
+}
 
 #: The metrics-sink name of each engine.
 _PIPELINES = {
     "quotient": "linearizability",
     "reachability": "reachability",
     "lockfree": "lock-freedom",
+    "obstruction": "obstruction-freedom",
     "explore": "explore",
 }
+
+#: The engines of a ``verify`` job, in report order; a lock-based
+#: object runs the first alone.
+_VERIFY_ENGINES = ("quotient", "lockfree", "obstruction")
 
 
 def build_request(
@@ -170,14 +186,21 @@ def run_job(
     ``verdict`` (``DISAGREE`` when the two ``both`` engines decide
     differently), ``exit_code``, ``exhaustion`` and ``seconds``, and the
     engine's sizes and rendered ``counterexample`` / ``diagnostic``;
-    with ``both``, each engine's part sits under its name.  Budget
-    exhaustion never raises: it yields ``UNKNOWN``.
+    with ``both`` and ``verify``, each engine's part sits under its
+    name.  ``verify`` runs its two progress engines on non-blocking
+    objects only.  Budget exhaustion never raises: it yields
+    ``UNKNOWN``.
     """
     from ..lang.client import explore
 
     kind, method = request["kind"], request["method"]
     bench, program, config = request_program_config(request)
-    if kind != "lin":
+    if kind == "verify":
+        engines = _VERIFY_ENGINES
+        if bench.expect_lock_free is None:
+            # A lock-based object: linearizability alone.
+            engines = engines[:1]
+    elif kind != "lin":
         engines = [kind]
     elif method == "both":
         engines = ["quotient", "reachability"]
@@ -257,11 +280,13 @@ def run_job(
             counterexample=(res.render_counterexample()
                             if res.linearizable is False else None),
         ))
-    if kind == "lockfree":
+    if "lockfree" in stats:
         from .lockfree import check_lock_freedom_auto
 
+        # ``verify`` runs the literal Theorem 5.9 comparison.
         res = check_lock_freedom_auto(
-            program, method=method, stats=stats["lockfree"], **common,
+            program, method=method or "union", stats=stats["lockfree"],
+            **common,
         )
         parts.append(_part(
             "lockfree", res, explored + res.seconds,
@@ -269,6 +294,18 @@ def run_job(
             quotient_states=res.quotient_states,
             diagnostic=(res.render_diagnostic()
                         if res.lock_free is False else None),
+        ))
+    if "obstruction" in stats:
+        from .obstruction import check_obstruction_freedom
+
+        res = check_obstruction_freedom(
+            program, stats=stats["obstruction"], **common,
+        )
+        parts.append(_part(
+            "obstruction", res, explored + res.seconds,
+            impl_states=res.impl_states,
+            diagnostic=(res.render_diagnostic()
+                        if res.obstruction_free is False else None),
         ))
     return _result(request, parts, time.perf_counter() - t0)
 
@@ -287,41 +324,65 @@ def _part(engine: str, res, seconds: float, **fields) -> Dict[str, Any]:
 def _result(request: Dict[str, Any], parts: List[Dict[str, Any]],
             seconds: float) -> Dict[str, Any]:
     """The result dict of a request from its engine parts; ``seconds``
-    is the whole job's (a single engine's part carries its own)."""
+    is the whole job's (a single engine's part carries its own).
+
+    Parts combine by one of two rules.  ``both``: a decided verdict
+    wins over UNKNOWN, and two different decided verdicts are
+    ``DISAGREE``.  ``verify``: FALSE over UNKNOWN over TRUE.  Either
+    way an interrupted part makes the job's exhaustion, hence exit 130.
+    """
     result = {
         field: request[field]
         for field in ("kind", "key", "method", "threads", "ops", "values")
     }
-    if len(parts) == 1:
+    if len(parts) == 1 and request["kind"] != "verify":
         result.update(parts[0])
     else:
-        quotient, reachability = parts
-        verdict, disagree = combined_verdict(
-            quotient["verdict"], reachability["verdict"]
+        # An interrupted part's exhaustion first: it decides the exit code.
+        exhaustions = sorted(
+            (part["exhaustion"] for part in parts if part["exhaustion"]),
+            key=lambda exhaustion: exhaustion["reason"] != REASON_INTERRUPTED,
         )
-        result.update(
-            quotient=quotient,
-            reachability=reachability,
-            disagree=disagree,
-            verdict=DISAGREE if disagree else verdict,
-            exhaustion=quotient["exhaustion"] or reachability["exhaustion"],
-            counterexample=quotient.get("counterexample"),
-            seconds=seconds,
-        )
+        result.update({part["engine"]: part for part in parts},
+                      exhaustion=exhaustions[0] if exhaustions else None,
+                      seconds=seconds)
+        if request["kind"] == "verify":
+            result["verdict"] = min((part["verdict"] for part in parts),
+                                    key=(FALSE, UNKNOWN, TRUE).index)
+        else:
+            quotient, reachability = parts
+            verdict, disagree = combined_verdict(
+                quotient["verdict"], reachability["verdict"]
+            )
+            result.update(
+                disagree=disagree,
+                verdict=DISAGREE if disagree else verdict,
+                counterexample=quotient.get("counterexample"),
+            )
     result["exit_code"] = exit_code(result["verdict"], result["exhaustion"])
     return result
 
 
 def report_lines(result: Dict[str, Any], label: Optional[str] = None) -> List[str]:
-    """The report of a result dict: what ``lin`` / ``lockfree`` print
-    under their header and ``submit`` prints under its notes.
+    """The report of a result dict: what ``lin`` / ``lockfree`` /
+    ``verify`` print under their header and ``submit`` prints under its
+    notes.
 
     ``label`` replaces the verdict-line label (the degrade ladder's
     ``degraded verdict``).
     """
-    label = label or LABELS[result["kind"]]
+    if result["kind"] == "verify":
+        lines = [
+            line
+            for engine in _VERIFY_ENGINES if engine in result
+            for line in _part_lines(result[engine], LABELS[engine])
+        ]
+        if "lockfree" not in result:
+            lines.append("lock-freedom: skipped (lock-based algorithm)")
+        return lines
     if result["method"] != "both":
-        return _part_lines(result, label)
+        return _part_lines(result, label or LABELS[result["engine"]])
+    label = label or LABELS["quotient"]
     quotient, reachability = result["quotient"], result["reachability"]
     lines = (_part_lines(quotient, f"{label} [quotient]")
              + _part_lines(reachability, f"{label} [reachability]"))

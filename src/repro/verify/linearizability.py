@@ -91,7 +91,6 @@ def check_linearizability(
     workload: Optional[Workload] = None,
     max_states: Optional[int] = None,
     stats: Optional[Stats] = None,
-    reduce: bool = True,
     budget: Optional[RunBudget] = None,
     spec_checkpoint: Optional[CheckpointSink] = None,
     spec_resume: Optional[Checkpoint] = None,
@@ -103,9 +102,9 @@ def check_linearizability(
     Generates the object system and the specification system under the
     same most-general client, quotients both under branching
     bisimilarity, and checks trace refinement between the quotients.
-    ``reduce`` (default on) compresses silent structure with
-    :func:`repro.core.reduce.reduce_lts` before each refinement; the
-    partitions it yields are identical, only faster to compute.
+    Each refinement first compresses silent structure with
+    :func:`repro.core.reduce.reduce_lts`; the partitions it yields are
+    identical, only faster to compute.
 
     With a :class:`~repro.util.metrics.Stats` sink the pipeline records
     ``explore`` / ``spec`` / ``quotient`` (with nested ``reduce`` /
@@ -169,13 +168,13 @@ def check_linearizability(
         with stage(stats, "quotient"):
             impl_quotient = quotient_lts(
                 impl,
-                branching_partition(impl, stats=stats, reduce=reduce,
+                branching_partition(impl, stats=stats, reduce=True,
                                     budget=budget),
             )
             impl_quotient_states = impl_quotient.lts.num_states
             spec_quotient = quotient_lts(
                 spec_system,
-                branching_partition(spec_system, stats=stats, reduce=reduce,
+                branching_partition(spec_system, stats=stats, reduce=True,
                                     budget=budget),
             )
             spec_quotient_states = spec_quotient.lts.num_states

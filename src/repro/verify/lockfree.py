@@ -74,7 +74,6 @@ def check_lock_freedom_auto(
     max_states: Optional[int] = None,
     method: str = "union",
     stats: Optional[Stats] = None,
-    reduce: bool = True,
     budget: Optional[RunBudget] = None,
     impl_system=None,
 ) -> LockFreedomResult:
@@ -97,8 +96,9 @@ def check_lock_freedom_auto(
       instead of two -- used for the largest bench instances.  The
       test-suite checks both methods agree on every benchmark.
 
-    ``reduce`` (default on) compresses silent structure before each
-    refinement; it changes timings only, never verdicts.
+    Each refinement first compresses silent structure
+    (:func:`repro.core.reduce.reduce_lts`); that changes timings only,
+    never verdicts.
 
     With a :class:`~repro.util.budget.RunBudget` the check is governed
     end to end: exhaustion yields ``lock_free=None`` (``UNKNOWN``) with
@@ -131,7 +131,7 @@ def check_lock_freedom_auto(
         with stage(stats, "quotient"):
             quotient = quotient_lts(
                 impl,
-                branching_partition(impl, stats=stats, reduce=reduce,
+                branching_partition(impl, stats=stats, reduce=True,
                                     budget=budget),
             )
             quotient_states = quotient.lts.num_states
@@ -141,7 +141,7 @@ def check_lock_freedom_auto(
             if method == "union":
                 comparison = compare_branching(
                     impl, quotient.lts, divergence=True, stats=stats,
-                    reduce=reduce, budget=budget,
+                    reduce=True, budget=budget,
                 )
                 lock_free = comparison.equivalent
             else:
@@ -221,7 +221,6 @@ def check_lock_freedom_abstract(
     workload: Optional[Workload] = None,
     max_states: Optional[int] = None,
     stats: Optional[Stats] = None,
-    reduce: bool = True,
     budget: Optional[RunBudget] = None,
 ) -> AbstractLockFreedomResult:
     """Theorem 5.8: prove ``concrete ~div abstract``, check the abstract.
@@ -247,7 +246,7 @@ def check_lock_freedom_abstract(
         with stage(stats, "check"):
             comparison = compare_branching(
                 concrete, abstract_system, divergence=True, stats=stats,
-                reduce=reduce, budget=budget,
+                reduce=True, budget=budget,
             )
             abstract_lock_free: Optional[bool] = None
             if comparison.equivalent:

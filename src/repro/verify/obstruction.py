@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from ..core.divergence import Lasso, find_silent_lasso, silent_cycle_states
-from ..core.lts import LTS, TAU_ID
+from ..core.lts import LTS, TAU_ID, AnyLTS
 from ..lang import ClientConfig, ObjectProgram, explore
 from ..lang.client import Workload
 from ..util.budget import BudgetExhausted, Exhaustion, RunBudget, verdict_of
@@ -112,12 +112,18 @@ def check_obstruction_freedom(
     max_states: Optional[int] = None,
     stats: Optional[Stats] = None,
     budget: Optional[RunBudget] = None,
+    impl_system: Optional[AnyLTS] = None,
 ) -> ObstructionFreedomResult:
     """Check obstruction-freedom of a (non-blocking) object program.
 
     With a :class:`~repro.util.budget.RunBudget` the check is governed
     end to end: exhaustion yields ``obstruction_free=None``
     (``UNKNOWN``) with the exhaustion record attached -- never raises.
+
+    ``impl_system``, when given, is a pre-explored object system to
+    check instead of exploring here (the verdict job,
+    :func:`repro.verify.job.run_job`, explores once and shares it); it
+    must come from the same program and bounds.
     """
     if workload is None:
         raise ValueError("a workload (method/argument universe) is required")
@@ -132,7 +138,10 @@ def check_obstruction_freedom(
     spinning_thread: Optional[int] = None
     diagnostic: Optional[Lasso] = None
     try:
-        impl = explore(program, config, stats=stats, budget=budget)
+        if impl_system is not None:
+            impl = impl_system
+        else:
+            impl = explore(program, config, stats=stats, budget=budget)
         impl_states = impl.num_states
         with stage(stats, "check"):
             for tid in range(1, num_threads + 1):

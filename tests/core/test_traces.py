@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from repro.core import (
     make_lts,
     language_partition,
+    tau_closures,
     trace_equivalent,
     trace_partition,
     trace_refines,
-    state_tau_closures,
     TAU_ID,
 )
 from repro.core import traces
@@ -101,7 +101,7 @@ def test_render_counterexample():
 
 def test_state_tau_closures():
     lts = make_lts(4, 0, [(0, "tau", 1), (1, "tau", 2), (2, "a", 3)])
-    closures = state_tau_closures(lts)
+    closures = tau_closures(lts)
     assert closures[0] == frozenset({0, 1, 2})
     assert closures[3] == frozenset({3})
 
@@ -158,7 +158,7 @@ def _tau_cyclic_systems(draw):
 
 @given(_tau_cyclic_systems(), st.randoms(use_true_random=False))
 def test_closures_on_demand_match_state_tau_closures(lts, rng):
-    eager = state_tau_closures(lts)
+    eager = tau_closures(lts)
     for system in (lts, lts.freeze()):
         lazy = LazyReachabilityClosure(tau_successor_lists(system))
         order = list(range(lts.num_states))

@@ -1,10 +1,10 @@
 """``submit`` prints the direct command's report, line for line.
 
-``lin``, ``lockfree`` and the daemon run one verdict job
+``lin``, ``lockfree``, ``verify`` and the daemon run one verdict job
 (:mod:`repro.verify.job`) and render its result with one renderer, so a
 served verdict reads exactly like the direct run -- size lines,
-reduction factor, per-engine lines, counterexample or lasso -- except
-for the time fields.
+reduction factor, per-engine lines, counterexample or lasso, the
+lock-based skip line -- except for the time fields.
 """
 
 import re
@@ -19,6 +19,9 @@ CASES = [
     ["lin", "hm_list_buggy"],
     ["lin", "newcas", "--ops", "1", "--method", "both"],
     ["lockfree", "hw_queue", "--ops", "1"],
+    ["verify", "newcas", "--ops", "1"],
+    ["verify", "hw_queue", "--ops", "1"],
+    ["verify", "fine_list", "--ops", "1"],
 ]
 
 _TIME = re.compile(r"\(\d+\.\d\ds\)")

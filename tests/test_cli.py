@@ -22,16 +22,16 @@ def test_verify_ok(capsys):
     code = main(["verify", "newcas", "--threads", "2", "--ops", "1"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "linearizable: True" in out
-    assert "lock-free: True" in out
-    assert "obstruction-free: True" in out
+    assert "linearizable: TRUE" in out
+    assert "lock-free: TRUE" in out
+    assert "obstruction-free: TRUE" in out
 
 
 def test_verify_bug_exit_code(capsys):
     code = main(["verify", "hw_queue", "--threads", "2", "--ops", "1"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "lock-free: False" in out
+    assert "lock-free: FALSE" in out
     assert "divergence" in out
 
 
@@ -137,6 +137,24 @@ def test_compare_stats_time_the_union(relation, tmp_path, capsys):
     assert stages[:3] == ["parse", "union", "refinement"]
 
 
+@pytest.mark.parametrize("same, stages", [(False, ["explain"]), (True, [])])
+def test_compare_stats_time_the_distinguishing_experiment(same, stages,
+                                                          tmp_path, capsys):
+    # A branching FALSE explains itself under an `explain` stage; a TRUE
+    # runs no experiment.
+    import json
+
+    spin, stop = _write_spin_pair(tmp_path)
+    path = str(tmp_path / "stats.json")
+    code = main(["compare", spin, spin if same else stop, "--divergence",
+                 "--json", path])
+    assert code == (0 if same else 1)
+    assert ("distinguishing experiment" in capsys.readouterr().out) != same
+    recorded = [entry["stage"] for entry in
+                json.loads(open(path).read())["pipelines"]["compare"]["stages"]]
+    assert [stage for stage in recorded if stage == "explain"] == stages
+
+
 def test_lockfree_stats_time_the_union_under_check(tmp_path, capsys):
     import json
 
@@ -159,9 +177,9 @@ def test_verify_stats_table(capsys):
                  "--stats"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "-- linearizability --" in out
-    assert "-- lock-freedom --" in out
-    assert "-- obstruction-freedom --" in out
+    assert "-- linearizability t=2 ops=1 v=2 --" in out
+    assert "-- lock-freedom t=2 ops=1 v=2 --" in out
+    assert "-- obstruction-freedom t=2 ops=1 v=2 --" in out
     for stage_name in ("explore", "quotient", "refinement", "check", "total"):
         assert stage_name in out
     # "splits" is the refinement counter of the splitter engine.
@@ -176,7 +194,7 @@ def test_verify_json_dump(tmp_path, capsys):
                  "--json", path])
     out = capsys.readouterr().out
     assert code == 0
-    assert "-- linearizability --" not in out  # table only with --stats
+    assert "-- linearizability" not in out  # table only with --stats
     payload = json.loads(open(path).read())
     assert payload["schema"] == "repro.cli-stats/v1"
     assert payload["command"] == "verify"
@@ -184,9 +202,10 @@ def test_verify_json_dump(tmp_path, capsys):
     assert payload["config"]["threads"] == 2
     pipelines = payload["pipelines"]
     assert set(pipelines) == {
-        "linearizability", "lock-freedom", "obstruction-freedom"
+        "linearizability t=2 ops=1 v=2", "lock-freedom t=2 ops=1 v=2",
+        "obstruction-freedom t=2 ops=1 v=2",
     }
-    lin = pipelines["linearizability"]
+    lin = pipelines["linearizability t=2 ops=1 v=2"]
     assert lin["schema"] == "repro.stats/v1"
     stages = {entry["stage"] for entry in lin["stages"]}
     assert {"explore", "quotient", "quotient/refinement", "check"} <= stages
@@ -194,10 +213,23 @@ def test_verify_json_dump(tmp_path, capsys):
     assert lin["total_seconds"] > 0
 
 
+@pytest.mark.parametrize("key", ["newcas", "hw_queue", "fine_list"])
+def test_verify_explores_once(key, tmp_path, capsys):
+    # The three engines share one exploration, timed in the first sink.
+    import json
+
+    path = str(tmp_path / "stats.json")
+    main(["verify", key, "--ops", "1", "--json", path])
+    pipelines = json.loads(open(path).read())["pipelines"]
+    explores = [name for name, pipeline in pipelines.items()
+                for entry in pipeline["stages"] if entry["stage"] == "explore"]
+    assert explores == ["linearizability t=2 ops=1 v=2"]
+
+
 def test_verify_without_stats_prints_no_table(capsys):
     main(["verify", "newcas", "--threads", "2", "--ops", "1"])
     out = capsys.readouterr().out
-    assert "-- linearizability --" not in out
+    assert "-- linearizability" not in out
     assert "peak_rss_kb" not in out
 
 
@@ -639,6 +671,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
          ["repro.parallel", "repro.testing"], {}),
         (["lockfree", "newcas", "--ops", "1"], 0,
          ["repro.parallel", "repro.testing"], {}),
+        (["verify", "newcas", "--ops", "1"], 0,
+         ["repro.parallel", "repro.testing", "repro.service", "repro.ltl"], {}),
         (["lin", "hm_list_buggy", "--on-the-fly"], 1,
          ["numpy", "pickle", "repro.testing", "repro.parallel",
           "repro.service", "repro.ltl"],
@@ -741,6 +775,8 @@ def _input_error_commands(tmp_path):
     ok.write_text("des (0, 0, 1)\n")
     undeclared = tmp_path / "undeclared.aut"
     undeclared.write_text('des (0, 1, 2)\n(0, "a", 5)\n')
+    not_utf8 = tmp_path / "not_utf8.aut"
+    not_utf8.write_bytes(b"\x80\x81garbage\n")
     garbage = tmp_path / "garbage.ckpt"
     garbage.write_text("garbage\n")
     # A checkpoint of another program: newcas stopped by its state cap.
@@ -755,6 +791,7 @@ def _input_error_commands(tmp_path):
     return {
         "compare-missing": ["compare", missing, str(ok)],
         "compare-undeclared-state": ["compare", str(undeclared), str(ok)],
+        "compare-not-utf8": ["compare", str(not_utf8), str(not_utf8)],
         "explore-resume-missing": ["explore", "treiber", "--out", out,
                                    "--resume", missing],
         "explore-resume-garbage": ["explore", "treiber", "--out", out,
@@ -772,7 +809,8 @@ def _input_error_commands(tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "compare-missing", "compare-undeclared-state", "explore-resume-missing",
+    "compare-missing", "compare-undeclared-state", "compare-not-utf8",
+    "explore-resume-missing",
     "explore-resume-garbage", "explore-resume-other",
     "lin-spec-resume-garbage", "lin-spec-resume-other",
     "serve-queue-size", "serve-job-workers", "serve-cache-entries",
