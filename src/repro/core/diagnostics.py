@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, List, Optional, Tuple
 
 from .branching import DIVERGENCE_MARK, _branching_signatures_ordered
-from .lts import TAU_ID, AnyLTS, disjoint_union
+from .lts import TAU_ID, AnyLTS, FrozenLTS, disjoint_union, ensure_frozen
 from .partition import BlockMap, refine_step
 from ..util.budget import RunBudget
 
@@ -44,7 +44,7 @@ def _sweep_history(
 
 
 def _inert_path_to_move(
-    lts: AnyLTS,
+    lts: FrozenLTS,
     block_of: BlockMap,
     start: int,
     action: int,
@@ -110,7 +110,7 @@ class Explanation:
     """Chain of distinguishing moves (coarse to fine)."""
 
     levels: List[Level]
-    union: AnyLTS
+    union: FrozenLTS
 
     def render(self) -> str:
         lines = ["distinguishing experiment (branching bisimulation):"]
@@ -133,6 +133,7 @@ def explain_states(
     checked once per refinement sweep and once per experiment level
     (phase ``"diagnostics"``).
     """
+    lts = ensure_frozen(lts)
     history = _sweep_history(lts, divergence, budget=budget)
     final = history[-1]
     if final[left] == final[right]:

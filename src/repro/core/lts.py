@@ -12,31 +12,30 @@ internal step); annotations are kept for diagnostics only and never
 contribute to action identity, so all internal steps are a single
 ``tau`` action exactly as the paper requires.
 
-The container comes in two forms:
+The container comes in two forms with one query surface:
 
-* :class:`LTS` -- the mutable *builder*: append transitions, intern
-  actions, grow the state space.  Adjacency is materialized lazily and
-  invalidated on every mutation, so it is the right shape for
-  construction (state-space exploration, ``.aut`` parsing, tests) and
-  the wrong shape for analysis.
-* :class:`FrozenLTS` -- the immutable analysis form produced by
-  :meth:`LTS.freeze`: transitions live in dense CSR (compressed sparse
-  row) ``array('q')`` index/offset layouts, sorted by ``(src, action,
-  dst)`` with duplicates merged, plus a cached silent-edge slice and a
-  mirrored predecessor CSR built on the first predecessor query.
-  Membership tests are binary searches, the per-source successor slice
-  is contiguous, and every equivalence engine in :mod:`repro.core` runs
-  on this form.
+* :class:`LTS` -- the append-only *builder*: add states and edges,
+  intern actions, read the edges back as rows
+  (:meth:`~LTS.transitions`, :meth:`~LTS.transitions_with_annotations`)
+  and :meth:`~LTS.freeze`.  State-space exploration and ``.aut``
+  parsing build this form; it answers no graph queries, so it keeps no
+  derived structure that a mutation could make stale.
+* :class:`FrozenLTS` -- the immutable form every query reads, produced
+  by :meth:`LTS.freeze`: transitions live in dense CSR (compressed
+  sparse row) ``array('q')`` index/offset layouts, sorted by ``(src,
+  action, dst)`` with duplicates merged, plus a cached silent-edge
+  slice.  The per-source successor slice is contiguous, and every
+  equivalence engine in :mod:`repro.core` runs on this form.
 
-Both forms answer the same read-only query API, so code that only
-inspects a system accepts either; :func:`ensure_frozen` is the cheap
-normalization used at every analysis entry point.
+Row readers (:func:`disjoint_union`, :func:`tau_successor_lists`,
+``write_aut``) accept either form; analysis entry points normalize with
+:func:`ensure_frozen`, the identity on a frozen system.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from itertools import compress, islice
 from operator import eq
@@ -62,7 +61,7 @@ TAU_ID: int = 0
 
 
 class LTS:
-    """A finite labelled transition system (the mutable builder form).
+    """A finite labelled transition system being built (append-only).
 
     Attributes
     ----------
@@ -81,9 +80,6 @@ class LTS:
         "_dst",
         "_ann",
         "_num_states",
-        "_succ",
-        "_pred",
-        "_trans_set",
     )
 
     def __init__(self) -> None:
@@ -95,9 +91,6 @@ class LTS:
         self._dst: List[int] = []
         self._ann: List[Any] = []
         self._num_states: int = 0
-        self._succ: Optional[List[List[Tuple[int, int]]]] = None
-        self._pred: Optional[List[List[Tuple[int, int]]]] = None
-        self._trans_set: Optional[set] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -105,7 +98,6 @@ class LTS:
     def add_state(self) -> int:
         """Create a fresh state and return its id."""
         self._num_states += 1
-        self._invalidate()
         return self._num_states - 1
 
     def add_states(self, count: int) -> None:
@@ -113,7 +105,6 @@ class LTS:
         if count < 0:
             raise ValueError("count must be non-negative")
         self._num_states += count
-        self._invalidate()
 
     def action_id(self, label: Hashable) -> int:
         """Intern ``label`` and return its dense action id."""
@@ -195,11 +186,10 @@ class LTS:
             self._ann.extend([None] * count)
         else:
             self._ann.extend(annotations)
-        self._invalidate()
 
     def _append(self, src: int, aid: int, dst: int, annotation: Any) -> None:
         # Explorers append one edge per transition between states they
-        # have already added, so both checks below are usually false.
+        # have already added, so the check below is usually false.
         count = self._num_states
         if src >= count or dst >= count:
             self._num_states = (src if src > dst else dst) + 1
@@ -207,16 +197,9 @@ class LTS:
         self._act.append(aid)
         self._dst.append(dst)
         self._ann.append(annotation)
-        if self._succ is not None or self._pred is not None or self._trans_set is not None:
-            self._invalidate()
-
-    def _invalidate(self) -> None:
-        self._succ = None
-        self._pred = None
-        self._trans_set = None
 
     # ------------------------------------------------------------------
-    # basic queries
+    # reading back
     # ------------------------------------------------------------------
     @property
     def num_states(self) -> int:
@@ -238,77 +221,6 @@ class LTS:
         """Iterate over ``(src, action_id, dst, annotation)`` tuples."""
         return zip(self._src, self._act, self._dst, self._ann)
 
-    def annotation(self, index: int) -> Any:
-        """Return the annotation of the ``index``-th transition."""
-        return self._ann[index]
-
-    def has_transition(self, src: int, aid: int, dst: int) -> bool:
-        """Return whether ``src --aid--> dst`` is a transition."""
-        if self._trans_set is None:
-            self._trans_set = set(zip(self._src, self._act, self._dst))
-        return (src, aid, dst) in self._trans_set
-
-    def successors(self, state: int) -> List[Tuple[int, int]]:
-        """All ``(action_id, dst)`` pairs leaving ``state``."""
-        if self._succ is None:
-            self._build_succ()
-        assert self._succ is not None
-        return self._succ[state]
-
-    def predecessors(self, state: int) -> List[Tuple[int, int]]:
-        """All ``(action_id, src)`` pairs entering ``state``."""
-        if self._pred is None:
-            self._build_pred()
-        assert self._pred is not None
-        return self._pred[state]
-
-    def tau_successors(self, state: int) -> List[int]:
-        """Targets of tau transitions leaving ``state``."""
-        return [dst for aid, dst in self.successors(state) if aid == TAU_ID]
-
-    def visible_successors(self, state: int) -> List[Tuple[int, int]]:
-        """Non-tau ``(action_id, dst)`` pairs leaving ``state``."""
-        return [(aid, dst) for aid, dst in self.successors(state) if aid != TAU_ID]
-
-    def enabled_actions(self, state: int) -> frozenset:
-        """The set of action ids enabled in ``state``."""
-        return frozenset(aid for aid, _ in self.successors(state))
-
-    def _build_succ(self) -> None:
-        succ: List[List[Tuple[int, int]]] = [[] for _ in range(self._num_states)]
-        for src, act, dst in zip(self._src, self._act, self._dst):
-            succ[src].append((act, dst))
-        self._succ = succ
-
-    def _build_pred(self) -> None:
-        pred: List[List[Tuple[int, int]]] = [[] for _ in range(self._num_states)]
-        for src, act, dst in zip(self._src, self._act, self._dst):
-            pred[dst].append((act, src))
-        self._pred = pred
-
-    # ------------------------------------------------------------------
-    # derived systems
-    # ------------------------------------------------------------------
-    def reachable_states(self) -> List[int]:
-        """States reachable from the initial state, in BFS order."""
-        return _reachable_states(self)
-
-    def restrict_reachable(self) -> "LTS":
-        """Return a copy restricted to the states reachable from ``init``."""
-        return _restrict_reachable(self, LTS)
-
-    def relabel(self, mapping: Callable[[Hashable], Hashable]) -> "LTS":
-        """Return a copy with every action label passed through ``mapping``."""
-        return _relabel(self, mapping, LTS)
-
-    def copy(self) -> "LTS":
-        """Return a structural copy."""
-        return self.relabel(lambda label: label)
-
-    def thaw(self) -> "LTS":
-        """Return a mutable copy (symmetric with :meth:`FrozenLTS.thaw`)."""
-        return self.copy()
-
     def freeze(self) -> "FrozenLTS":
         """Build the immutable CSR form of this system.
 
@@ -320,21 +232,17 @@ class LTS:
 
 
 class FrozenLTS:
-    """Immutable CSR form of an LTS (the analysis form).
+    """Immutable CSR form of an LTS (the form every query reads).
 
     Layout: the deduplicated transitions sorted by ``(src, action,
     dst)`` live in three parallel ``array('q')`` columns with an
-    ``n+1``-entry row-offset array per source state.  The mirror
-    (sorted by ``(dst, action, src)``) that backs the predecessor
-    queries is built on the first :meth:`predecessors` call: no
-    equivalence engine asks for it.  Within a source's slice the silent
-    action (id 0) sorts first, so the tau out-edges of a state are a
-    prefix of its slice and the silent sub-relation is available as two
-    flat arrays without any per-query filtering.
+    ``n+1``-entry row-offset array per source state.  Within a source's
+    slice the silent action (id 0) sorts first, so the tau out-edges of
+    a state are a prefix of its slice and the silent sub-relation is
+    available as two flat arrays without any per-query filtering.
 
-    The read-only query API is identical to :class:`LTS`; mutation
-    methods do not exist, and :meth:`action_id` refuses to intern new
-    labels.
+    Mutation methods do not exist, and :meth:`action_id` refuses to
+    intern new labels.
     """
 
     __slots__ = (
@@ -346,9 +254,6 @@ class FrozenLTS:
         "_eact",
         "_edst",
         "_ptr",
-        "_pact",
-        "_psrc",
-        "_pptr",
         "_eann",
         "_tau_src",
         "_tau_dst",
@@ -412,18 +317,13 @@ class FrozenLTS:
         self._eann = eann
         self._ptr = _offsets(self._num_states, esrc)
 
-        # Built by the first predecessors() call.
-        self._pact: Optional[array] = None
-        self._psrc: Optional[array] = None
-        self._pptr: Optional[array] = None
-
         silent = [aid == TAU_ID for aid in eact]
         self._tau_src = array("q", compress(esrc, silent))
         self._tau_dst = array("q", compress(edst, silent))
         self._tau_adj: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------
-    # basic queries (same API as the builder)
+    # queries
     # ------------------------------------------------------------------
     @property
     def num_states(self) -> int:
@@ -478,71 +378,17 @@ class FrozenLTS:
                 for ann in anns:
                     yield src, act, dst, ann
 
-    def edge_annotations(self, index: int) -> Tuple[Any, ...]:
-        """Distinct annotations merged into the ``index``-th CSR edge."""
-        if self._eann is None or self._eann[index] is None:
-            return ()
-        return self._eann[index]
-
-    def has_transition(self, src: int, aid: int, dst: int) -> bool:
-        """Binary search for ``src --aid--> dst`` in the sorted slice."""
-        if not 0 <= src < self._num_states:
-            return False
-        lo, hi = self._ptr[src], self._ptr[src + 1]
-        lo = bisect_left(self._eact, aid, lo, hi)
-        hi = bisect_right(self._eact, aid, lo, hi)
-        index = bisect_left(self._edst, dst, lo, hi)
-        return index < hi and self._edst[index] == dst
-
-    def successor_slice(self, state: int) -> Tuple[int, int]:
-        """CSR bounds ``(lo, hi)`` of the out-edges of ``state``."""
-        return self._ptr[state], self._ptr[state + 1]
-
     def successors(self, state: int) -> List[Tuple[int, int]]:
         """All ``(action_id, dst)`` pairs leaving ``state``."""
         lo, hi = self._ptr[state], self._ptr[state + 1]
         eact, edst = self._eact, self._edst
         return [(eact[i], edst[i]) for i in range(lo, hi)]
 
-    def predecessors(self, state: int) -> List[Tuple[int, int]]:
-        """All ``(action_id, src)`` pairs entering ``state``.
-
-        The first call builds the mirrored CSR (sorted by ``(dst,
-        action, src)``) that every later call reads.
-        """
-        if self._pptr is None:
-            mirror = sorted(zip(self._edst, self._eact, self._esrc))
-            self._pact = array("q", [m[1] for m in mirror])
-            self._psrc = array("q", [m[2] for m in mirror])
-            self._pptr = _offsets(self._num_states, [m[0] for m in mirror])
-        lo, hi = self._pptr[state], self._pptr[state + 1]
-        pact, psrc = self._pact, self._psrc
-        return [(pact[i], psrc[i]) for i in range(lo, hi)]
-
-    def successors_by_action(self, state: int, aid: int) -> List[int]:
-        """Targets of ``state --aid--> .`` (a contiguous CSR sub-slice)."""
-        lo, hi = self._ptr[state], self._ptr[state + 1]
-        lo = bisect_left(self._eact, aid, lo, hi)
-        hi = bisect_right(self._eact, aid, lo, hi)
-        return list(self._edst[lo:hi])
-
     def tau_successors(self, state: int) -> List[int]:
         """Targets of tau transitions leaving ``state`` (slice prefix)."""
         lo, hi = self._ptr[state], self._ptr[state + 1]
         hi = bisect_right(self._eact, TAU_ID, lo, hi)
         return list(self._edst[lo:hi])
-
-    def visible_successors(self, state: int) -> List[Tuple[int, int]]:
-        """Non-tau ``(action_id, dst)`` pairs leaving ``state``."""
-        lo, hi = self._ptr[state], self._ptr[state + 1]
-        lo = bisect_right(self._eact, TAU_ID, lo, hi)
-        eact, edst = self._eact, self._edst
-        return [(eact[i], edst[i]) for i in range(lo, hi)]
-
-    def enabled_actions(self, state: int) -> frozenset:
-        """The set of action ids enabled in ``state``."""
-        lo, hi = self._ptr[state], self._ptr[state + 1]
-        return frozenset(self._eact[lo:hi])
 
     # ------------------------------------------------------------------
     # cached silent sub-relation (shared by every tau-analysis consumer)
@@ -574,19 +420,23 @@ class FrozenLTS:
     # ------------------------------------------------------------------
     def reachable_states(self) -> List[int]:
         """States reachable from the initial state, in BFS order."""
-        return _reachable_states(self)
-
-    def restrict_reachable(self) -> "FrozenLTS":
-        """Restriction to the states reachable from ``init`` (frozen)."""
-        return _restrict_reachable(self, LTS).freeze()
+        if self._num_states == 0:
+            return []
+        seen = [False] * self._num_states
+        seen[self.init] = True
+        order = [self.init]
+        queue = deque(order)
+        while queue:
+            for _aid, dst in self.successors(queue.popleft()):
+                if not seen[dst]:
+                    seen[dst] = True
+                    order.append(dst)
+                    queue.append(dst)
+        return order
 
     def relabel(self, mapping: Callable[[Hashable], Hashable]) -> "FrozenLTS":
         """Copy with every action label passed through ``mapping``."""
-        return _relabel(self, mapping, LTS).freeze()
-
-    def copy(self) -> "FrozenLTS":
-        """Frozen systems are immutable: a copy is the system itself."""
-        return self
+        return _relabel(self, mapping).freeze()
 
     def freeze(self) -> "FrozenLTS":
         """Already frozen: the identity."""
@@ -594,10 +444,10 @@ class FrozenLTS:
 
     def thaw(self) -> LTS:
         """Return a mutable builder copy of this system."""
-        return _relabel(self, lambda label: label, LTS)
+        return _relabel(self, lambda label: label)
 
 
-#: Either form of the container; analysis code accepts both.
+#: Either form: what row readers and freezing entry points accept.
 AnyLTS = Union[LTS, FrozenLTS]
 
 
@@ -612,9 +462,9 @@ def tau_successor_lists(lts: AnyLTS) -> List[List[int]]:
     """Per-state silent successor lists, for every tau analysis.
 
     A frozen system serves its cached :meth:`FrozenLTS.tau_adjacency`.
-    A mutable one is scanned, not frozen: ``read_aut`` returns mutable
-    systems, and a trace comparison of two parsed files must not pay
-    for a CSR build.
+    A builder is scanned, not frozen: ``read_aut`` returns builders,
+    and a trace comparison of two parsed files must not pay for a CSR
+    build.
     """
     if isinstance(lts, FrozenLTS):
         return lts.tau_adjacency()
@@ -671,37 +521,8 @@ def _offsets(num_states: int, sorted_column: Sequence[int]) -> array:
     return ptr
 
 
-def _reachable_states(lts: AnyLTS) -> List[int]:
-    if lts.num_states == 0:
-        return []
-    seen = [False] * lts.num_states
-    seen[lts.init] = True
-    order = [lts.init]
-    queue = deque(order)
-    while queue:
-        s = queue.popleft()
-        for _aid, dst in lts.successors(s):
-            if not seen[dst]:
-                seen[dst] = True
-                order.append(dst)
-                queue.append(dst)
-    return order
-
-
-def _restrict_reachable(lts: AnyLTS, cls: type) -> LTS:
-    order = _reachable_states(lts)
-    remap = {old: new for new, old in enumerate(order)}
-    out = cls()
-    out.add_states(len(order))
-    out.init = remap[lts.init]
-    for src, aid, dst, ann in lts.transitions_with_annotations():
-        if src in remap and dst in remap:
-            out.add_transition(remap[src], lts.action_labels[aid], remap[dst], ann)
-    return out
-
-
-def _relabel(lts: AnyLTS, mapping: Callable[[Hashable], Hashable], cls: type) -> LTS:
-    out = cls()
+def _relabel(lts: FrozenLTS, mapping: Callable[[Hashable], Hashable]) -> LTS:
+    out = LTS()
     out.add_states(lts.num_states)
     out.init = lts.init
     for src, aid, dst, ann in lts.transitions_with_annotations():
@@ -856,12 +677,12 @@ def make_lts(
     num_states: int,
     init: int,
     transitions: Iterable[Tuple[int, Hashable, int]],
-) -> LTS:
+) -> FrozenLTS:
     """Convenience constructor used heavily by the tests.
 
     ``transitions`` is an iterable of ``(src, label, dst)`` where a
     label of ``"tau"`` or :data:`TAU` denotes the silent action.  The
-    result is the mutable builder form; call ``.freeze()`` for CSR.
+    result is frozen, so duplicate transitions are merged.
     """
     lts = LTS()
     lts.add_states(num_states)
@@ -870,7 +691,7 @@ def make_lts(
         if label == "tau":
             label = TAU
         lts.add_transition(src, label, dst)
-    return lts
+    return lts.freeze()
 
 
 def _dot_escape(text: str) -> str:

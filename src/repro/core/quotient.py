@@ -85,7 +85,8 @@ def quotient_lts(lts: AnyLTS, block_of: BlockMap) -> Quotient:
             out.add_transition(qsrc, label, qdst)
         annotations.setdefault(key, set()).add(ann)
 
-    reachable = set(out.reachable_states())
+    frozen = out.freeze()
+    reachable = set(frozen.reachable_states())
     if len(reachable) != out.num_states:
         remap = {old: new for new, old in enumerate(sorted(reachable))}
         trimmed = LTS()
@@ -104,4 +105,4 @@ def quotient_lts(lts: AnyLTS, block_of: BlockMap) -> Quotient:
         return Quotient(
             lts=trimmed.freeze(), block_of=block_map, annotations=new_annotations
         )
-    return Quotient(lts=out.freeze(), block_of=list(block_of), annotations=annotations)
+    return Quotient(lts=frozen, block_of=list(block_of), annotations=annotations)

@@ -96,6 +96,11 @@ def _trace_refines(
 ) -> RefinementResult:
     # Closed on first use: the search reads a fraction of the states.
     spec_closures = LazyReachabilityClosure(tau_successor_lists(spec))
+    # One pass over the rows: a parsed file is never frozen for a trace
+    # check (its CSR build costs more than these lists).
+    impl_succ: List[List[Tuple[int, int]]] = [[] for _ in range(impl.num_states)]
+    for src, aid, dst in impl.transitions():
+        impl_succ[src].append((aid, dst))
 
     # Specification visible steps, indexed by (state, impl action id).
     label_to_impl_aid: Dict[Hashable, int] = {}
@@ -142,7 +147,7 @@ def _trace_refines(
             budget.check("check", pairs=len(parents), queued=len(queue))
         node = queue.popleft()
         state, spec_set = node
-        for aid, dst in impl.successors(state):
+        for aid, dst in impl_succ[state]:
             if aid == TAU_ID:
                 succ = (dst, spec_set)
                 if subsumed(dst, spec_set):

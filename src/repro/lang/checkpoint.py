@@ -32,7 +32,7 @@ from .. import InputError
 from ..core.lts import LTSBuilder
 
 #: Bumped whenever the on-disk layout changes.
-CHECKPOINT_SCHEMA = "repro.checkpoint/v2"
+CHECKPOINT_SCHEMA = "repro.checkpoint/v3"
 
 
 class CheckpointError(InputError):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..core.lts import LTS, TAU, LTSBuilder, _same_content
+from ..core.lts import TAU, FrozenLTS, LTSBuilder, _same_content
 from ..util.budget import REASON_STATES, BudgetExhausted, Exhaustion
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -482,7 +482,7 @@ class StreamingExplorer:
             frontier=list(self._stack),
         )
 
-    def freeze(self) -> LTS:
+    def freeze(self) -> FrozenLTS:
         """CSR form of everything streamed so far (non-destructive)."""
         return self.builder.lts.freeze()
 
@@ -593,7 +593,7 @@ class StreamingExplorer:
             expand(sid, None)
             sid = pop()
 
-    def run(self, stats: Optional["Stats"] = None) -> LTS:
+    def run(self, stats: Optional["Stats"] = None) -> FrozenLTS:
         """Drain the stream and return the frozen system.
 
         ``stats``, when given, times the run under a stage named after
@@ -618,7 +618,7 @@ def explore(
     budget: Optional["RunBudget"] = None,
     checkpoint: Optional[CheckpointSink] = None,
     resume: Optional[Checkpoint] = None,
-) -> LTS:
+) -> FrozenLTS:
     """Generate the object system LTS under the most general client.
 
     Drains a :class:`StreamingExplorer` over the program's
@@ -653,7 +653,7 @@ def maybe_parallel_explore(
     budget: Optional["RunBudget"] = None,
     checkpoint: Optional[CheckpointSink] = None,
     resume: Optional[Checkpoint] = None,
-) -> LTS:
+) -> FrozenLTS:
     """Serial or sharded exploration behind one signature.
 
     ``workers >= 1`` builds a :mod:`repro.parallel` supervisor

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..core.lts import LTS, TAU
+from ..core.lts import TAU, FrozenLTS
 from .checkpoint import Checkpoint, CheckpointSink, spec_fingerprint
 from .client import StreamingExplorer, Workload
 from .state import ModelError
@@ -149,7 +149,7 @@ def spec_lts(
     budget: Optional["RunBudget"] = None,
     checkpoint: Optional[CheckpointSink] = None,
     resume: Optional[Checkpoint] = None,
-) -> LTS:
+) -> FrozenLTS:
     """The linearizable specification LTS under the most general client.
 
     Drains a :class:`~repro.lang.client.StreamingExplorer` over a

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from ..core.lts import LTS, AnyLTS
+from ..core.lts import AnyLTS, FrozenLTS, ensure_frozen
 from ..util.budget import RunBudget
 from .buchi import Buchi, ltl_to_buchi
 from .syntax import AP, Not
@@ -25,13 +25,14 @@ from .syntax import AP, Not
 DEADLOCK: Tuple[str, ...] = ("deadlock",)
 
 
-def stutter_complete(lts: "AnyLTS") -> LTS:
-    """Mutable copy of ``lts`` with a DEADLOCK self-loop on terminal states."""
-    out = lts.thaw()
-    for state in range(lts.num_states):
-        if not lts.successors(state):
+def stutter_complete(lts: AnyLTS) -> FrozenLTS:
+    """Copy of ``lts`` with a DEADLOCK self-loop on terminal states."""
+    frozen = ensure_frozen(lts)
+    out = frozen.thaw()
+    for state in range(frozen.num_states):
+        if not frozen.successors(state):
             out.add_transition(state, DEADLOCK, state)
-    return out
+    return out.freeze()
 
 
 @dataclass
@@ -66,7 +67,7 @@ def _enabled(positive, negative, label: Hashable) -> bool:
 
 
 def check_ltl(
-    lts: LTS, formula, budget: Optional[RunBudget] = None
+    lts: AnyLTS, formula, budget: Optional[RunBudget] = None
 ) -> LtlResult:
     """Check whether every (stutter-completed) execution satisfies ``formula``.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional
 
-from ..core.lts import LTS
+from ..core.lts import AnyLTS
 from ..util.budget import RunBudget
 from .product import DEADLOCK, LtlResult, check_ltl
 from .syntax import AP, Finally, Globally, Implies
@@ -55,7 +55,7 @@ def lock_freedom_formula():
 
 
 def check_lock_freedom_ltl(
-    lts: LTS, budget: Optional[RunBudget] = None
+    lts: AnyLTS, budget: Optional[RunBudget] = None
 ) -> LtlResult:
     """Model-check lock-freedom as an LTL property on the object system.
 

@@ -50,7 +50,7 @@ from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from ..lang.checkpoint import CheckpointSink, load_checkpoint_or_quarantine
 from ..parallel.protocol import FrameDecoder, ProtocolError, encode_frame
-from ..util.budget import EXIT_DISAGREEMENT, UNKNOWN, CancellationToken, RunBudget
+from ..util.budget import UNKNOWN, CancellationToken, RunBudget
 from ..verify.job import exit_code, run_job
 from .cache import ResultCache
 from .channel import SERVICE_MAX_FRAME_BYTES, listen_socket, parse_address
@@ -563,9 +563,10 @@ class VerificationDaemon:
                 )
             with self._lock:
                 job.state = "done"
-                if result["exit_code"] in (0, 1, EXIT_DISAGREEMENT):
-                    # Decided: park it durably and drop the checkpoint
-                    # (nothing left to resume).
+                if result["error"] is None and result["exhaustion"] is None:
+                    # Every part decided: park it durably and drop the
+                    # checkpoint (nothing left to resume).  A FALSE with
+                    # an UNKNOWN part depends on this job's budget.
                     self.cache.put(job.key, result)
                     try:
                         os.remove(self._checkpoint_path(job.key))

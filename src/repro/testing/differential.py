@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core import (
-    LTS,
+    FrozenLTS,
     branching_partition,
     is_refinement,
     quotient_lts,
@@ -107,7 +107,7 @@ SEEDED_RELATIONS: Dict[
 }
 
 
-def parity_seed(lts: LTS) -> BlockMap:
+def parity_seed(lts: FrozenLTS) -> BlockMap:
     """A deterministic non-trivial initial partition (state parity)."""
     return [state % 2 for state in range(lts.num_states)]
 
@@ -119,12 +119,12 @@ class Disagreement:
     kind: str          # "relation", "trace", "law", "verdict", ...
     name: str          # relation or law name
     detail: str
-    lts: Optional[LTS] = None
+    lts: Optional[FrozenLTS] = None
     #: Replay predicate for the shrinker: ``replay(candidate_lts)`` is
     #: True when the candidate still exhibits this disagreement.  Used
     #: by kinds whose check needs context beyond the LTS itself (the
     #: verdict-engine cross-check carries its specification here).
-    replay: Optional[Callable[[LTS], bool]] = None
+    replay: Optional[Callable[[FrozenLTS], bool]] = None
     #: Extra key/value context merged into the corpus ``.meta.json``.
     meta: Optional[Dict[str, object]] = None
 
@@ -133,7 +133,7 @@ class Disagreement:
 
 
 def check_equivalences(
-    lts: LTS,
+    lts: FrozenLTS,
     relations: Optional[List[str]] = None,
     budget: Optional[RunBudget] = None,
 ) -> List[Disagreement]:
@@ -160,7 +160,7 @@ def check_equivalences(
 
 
 def check_seeded_refinement(
-    lts: LTS,
+    lts: FrozenLTS,
     relations: Optional[List[str]] = None,
     oracle_state_limit: int = 40,
     budget: Optional[RunBudget] = None,
@@ -214,7 +214,7 @@ REDUCTION_RELATIONS: Dict[str, bool] = {
 
 
 def check_reduction(
-    lts: LTS,
+    lts: FrozenLTS,
     relations: Optional[List[str]] = None,
     budget: Optional[RunBudget] = None,
 ) -> List[Disagreement]:
@@ -246,7 +246,7 @@ def check_reduction(
 
 
 def check_trace_refinement(
-    impl: LTS, spec: LTS, budget: Optional[RunBudget] = None
+    impl: FrozenLTS, spec: FrozenLTS, budget: Optional[RunBudget] = None
 ) -> List[Disagreement]:
     """Engine vs. brute-force trace inclusion, both the verdict and the
     counterexample (which must be a trace of ``impl`` but not ``spec``)."""
@@ -284,7 +284,7 @@ def check_trace_refinement(
 
 
 def quotient_refinement_verdict(
-    impl: LTS, spec_system: LTS, budget: Optional[RunBudget] = None
+    impl: FrozenLTS, spec_system: FrozenLTS, budget: Optional[RunBudget] = None
 ) -> bool:
     """The quotient engine's linearizability verdict on an explored pair
     (the Theorem 5.3 pipeline minus the exploration stage)."""
@@ -300,9 +300,9 @@ def quotient_refinement_verdict(
 
 
 def verdict_engine_disagreements(
-    impl: LTS,
+    impl: FrozenLTS,
     spec,
-    spec_system: LTS,
+    spec_system: FrozenLTS,
     budget: Optional[RunBudget] = None,
     meta: Optional[Dict[str, object]] = None,
 ) -> List[Disagreement]:
@@ -322,7 +322,7 @@ def verdict_engine_disagreements(
     quotient_holds = quotient_refinement_verdict(impl, spec_system, budget=budget)
     out: List[Disagreement] = []
     if search.holds != quotient_holds:
-        def replay(candidate: LTS) -> bool:
+        def replay(candidate: FrozenLTS) -> bool:
             try:
                 cand = reachability_search(candidate, spec)
                 return cand.holds != quotient_refinement_verdict(
@@ -375,8 +375,8 @@ def onthefly_disagreements(
     program,
     spec,
     config,
-    impl: LTS,
-    spec_system: LTS,
+    impl: FrozenLTS,
+    spec_system: FrozenLTS,
     budget: Optional[RunBudget] = None,
     meta: Optional[Dict[str, object]] = None,
 ) -> List[Disagreement]:
@@ -550,7 +550,7 @@ def _canary_programs():
     ]
 
 
-def check_budget_governance(lts: LTS) -> List[Disagreement]:
+def check_budget_governance(lts: FrozenLTS) -> List[Disagreement]:
     """The engine must honour an already-exhausted run budget.
 
     Runs the branching engine under a zero deadline and demands the
@@ -578,7 +578,7 @@ def check_budget_governance(lts: LTS) -> List[Disagreement]:
 
 
 def check_instance(
-    lts: LTS,
+    lts: FrozenLTS,
     oracle_state_limit: int = 40,
     include_laws: bool = True,
     budget: Optional[RunBudget] = None,
@@ -612,7 +612,7 @@ def check_instance(
 # shrinking
 # ----------------------------------------------------------------------
 
-def shrink_lts(lts: LTS, still_fails: Callable[[LTS], bool]) -> LTS:
+def shrink_lts(lts: FrozenLTS, still_fails: Callable[[FrozenLTS], bool]) -> FrozenLTS:
     """Greedy delta-debugging: drop transitions, then trailing states.
 
     ``still_fails`` must be true of the input; the result is a local
@@ -624,7 +624,7 @@ def shrink_lts(lts: LTS, still_fails: Callable[[LTS], bool]) -> LTS:
     ]
     num_states, init = lts.num_states, lts.init
 
-    def build(n: int, trans: List[Tuple[int, object, int]]) -> LTS:
+    def build(n: int, trans: List[Tuple[int, object, int]]) -> FrozenLTS:
         return make_lts(n, init if init < n else 0, trans)
 
     improved = True
@@ -847,7 +847,7 @@ class FuzzCase:
 
     name: str
     disagreement: Disagreement
-    lts: LTS
+    lts: FrozenLTS
     path: Optional[str] = None
 
 
@@ -883,7 +883,7 @@ class FuzzReport:
 def _generate_instance(
     rng: random.Random, index: int, max_states: int,
     tau_density: float, use_programs: bool,
-) -> Tuple[Optional[LTS], Optional[Tuple]]:
+) -> Tuple[Optional[FrozenLTS], Optional[Tuple]]:
     """Instance mix: mostly raw LTSs, some tau-cycle-heavy, some programs.
 
     Returns ``(lts, context)``; ``context`` is ``(program, workload,
@@ -912,12 +912,12 @@ def _generate_instance(
     ), None
 
 
-def _shrink_disagreement(disagreement: Disagreement) -> LTS:
+def _shrink_disagreement(disagreement: Disagreement) -> FrozenLTS:
     """Shrink the instance while the same check keeps failing."""
     lts = disagreement.lts
     assert lts is not None
 
-    def still_fails(candidate: LTS) -> bool:
+    def still_fails(candidate: FrozenLTS) -> bool:
         if disagreement.kind == "verdict":
             if disagreement.replay is None:
                 return False
@@ -1010,9 +1010,7 @@ def run_fuzz(
             limits.append(instance_deadline)
         if not limits:
             return None
-        # Fuzz instances are small and make few budget checks, so the
-        # clock is read at every one of them rather than every 32nd.
-        return RunBudget(deadline_seconds=max(0.0, min(limits)), check_interval=1)
+        return RunBudget(deadline_seconds=max(0.0, min(limits)))
 
     def handle_found(found: List[Disagreement], case_name: str) -> None:
         report.disagreements.extend(found)

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
-from ..core.lts import LTS, TAU, make_lts
+from ..core.lts import TAU, FrozenLTS, make_lts
 from ..lang.client import ClientConfig, explore
 from ..lang.ops import (
     Branch,
@@ -63,7 +63,7 @@ def random_lts(
     seed: Optional[Union[int, random.Random]] = None,
     shape: Optional[LtsShape] = None,
     **overrides: Any,
-) -> LTS:
+) -> FrozenLTS:
     """Generate a random LTS; ``seed`` (int or Random) fixes the instance.
 
     ``overrides`` are applied on top of ``shape`` (or the default
@@ -160,9 +160,11 @@ def tau_heavy_lts_strategy(max_states: int = 6, max_transitions: int = 12):
         )
         if draw(st.booleans()):
             state = draw(st.integers(min_value=0, max_value=base.num_states - 1))
+            looped = base.thaw()
             # add_transition interns labels verbatim -- the silent action
             # must be passed as TAU, not the "tau" shorthand string.
-            base.add_transition(state, TAU, state)
+            looped.add_transition(state, TAU, state)
+            base = looped.freeze()
         return base
 
     return build()
@@ -281,7 +283,7 @@ def explore_random_program(
     num_threads: int = 2,
     ops_per_thread: int = 1,
     max_states: int = 4000,
-) -> LTS:
+) -> FrozenLTS:
     """Explore a random program into an object-system LTS.
 
     Raises :class:`repro.lang.client.StateExplosion` when the instance

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from ..core import (
-    LTS,
+    FrozenLTS,
     branching_partition,
     compare_branching,
     disjoint_union,
@@ -38,10 +38,10 @@ from ..core import (
 )
 from ..core.lts import TAU
 
-Law = Callable[[LTS], Optional[str]]
+Law = Callable[[FrozenLTS], Optional[str]]
 
 
-def law_quotient_is_branching_bisimilar(lts: LTS) -> Optional[str]:
+def law_quotient_is_branching_bisimilar(lts: FrozenLTS) -> Optional[str]:
     """Theorem 5.2: ``lts`` and its branching quotient are bisimilar."""
     quotient = quotient_lts(lts, branching_partition(lts))
     if not compare_branching(lts, quotient.lts).equivalent:
@@ -49,7 +49,7 @@ def law_quotient_is_branching_bisimilar(lts: LTS) -> Optional[str]:
     return None
 
 
-def law_quotient_is_idempotent(lts: LTS) -> Optional[str]:
+def law_quotient_is_idempotent(lts: FrozenLTS) -> Optional[str]:
     """Quotienting a quotient must be the identity (up to isomorphism)."""
     first = quotient_lts(lts, branching_partition(lts))
     second = quotient_lts(first.lts, branching_partition(first.lts))
@@ -66,7 +66,7 @@ def law_quotient_is_idempotent(lts: LTS) -> Optional[str]:
     return None
 
 
-def law_quotient_has_no_tau_cycles(lts: LTS) -> Optional[str]:
+def law_quotient_has_no_tau_cycles(lts: FrozenLTS) -> Optional[str]:
     """Lemma 5.7: branching quotients are silent-cycle free."""
     quotient = quotient_lts(lts, branching_partition(lts))
     cyclic = tau_cycle_states(quotient.lts)
@@ -75,7 +75,7 @@ def law_quotient_has_no_tau_cycles(lts: LTS) -> Optional[str]:
     return None
 
 
-def law_quotient_preserves_traces(lts: LTS) -> Optional[str]:
+def law_quotient_preserves_traces(lts: FrozenLTS) -> Optional[str]:
     """Theorem 5.2 corollary: source and quotient are trace-equivalent."""
     quotient = quotient_lts(lts, branching_partition(lts))
     if not trace_refines(lts, quotient.lts).holds:
@@ -85,7 +85,7 @@ def law_quotient_preserves_traces(lts: LTS) -> Optional[str]:
     return None
 
 
-def law_equivalences_are_ordered(lts: LTS) -> Optional[str]:
+def law_equivalences_are_ordered(lts: FrozenLTS) -> Optional[str]:
     """strong <= branching-div <= branching <= weak (as refinements)."""
     strong = strong_partition(lts)
     branching = branching_partition(lts)
@@ -100,7 +100,7 @@ def law_equivalences_are_ordered(lts: LTS) -> Optional[str]:
     return None
 
 
-def law_relabeling_invariance(lts: LTS) -> Optional[str]:
+def law_relabeling_invariance(lts: FrozenLTS) -> Optional[str]:
     """Partitions only depend on the *identity* of visible labels.
 
     Applying an injective renaming of the visible alphabet (tau stays
@@ -123,14 +123,14 @@ def law_relabeling_invariance(lts: LTS) -> Optional[str]:
     return None
 
 
-def law_disjoint_union_with_self(lts: LTS) -> Optional[str]:
+def law_disjoint_union_with_self(lts: FrozenLTS) -> Optional[str]:
     """Each state must be equivalent to its own copy in ``lts + lts``.
 
     Comparing a system against an identical copy through the disjoint
     union is how every two-system comparison works (Section IV), so the
     diagonal must land in the diagonal of the partition.
     """
-    union, _, _ = disjoint_union(lts, lts.copy())
+    union, _, _ = disjoint_union(lts, lts)
     offset = lts.num_states
     for name, partition_fn in (
         ("strong", strong_partition),
@@ -159,7 +159,7 @@ ALL_LAWS: List[Tuple[str, Law]] = [
 ]
 
 
-def check_laws(lts: LTS) -> List[Tuple[str, str]]:
+def check_laws(lts: FrozenLTS) -> List[Tuple[str, str]]:
     """Run every law; returns ``(law_name, violation_message)`` pairs."""
     violations = []
     for name, law in ALL_LAWS:

@@ -11,8 +11,9 @@ quadratic-to-quartic and only usable on small systems, which is exactly
 the point -- they are the oracles the fast engine is differentially
 tested against (see :mod:`repro.testing.differential`).
 
-Only the :class:`~repro.core.lts.LTS` container itself is imported from
-the core package; it is the shared data format, not a shared algorithm.
+Only the :class:`~repro.core.lts.FrozenLTS` container itself is imported
+from the core package; it is the shared data format, not a shared
+algorithm.
 """
 
 from __future__ import annotations
@@ -28,21 +29,21 @@ from typing import (
     Tuple,
 )
 
-from ..core.lts import LTS, TAU_ID, make_lts
+from ..core.lts import TAU_ID, FrozenLTS, make_lts
 from ..util.budget import RunBudget
 
 Relation = Set[Tuple[int, int]]
 
 #: Per-pair transfer condition: ``check(s, t, rel)`` decides whether the
 #: moves of ``s`` can be answered by ``t`` under the candidate relation.
-TransferFn = Callable[[LTS, int, int, Relation], bool]
+TransferFn = Callable[[FrozenLTS, int, int, Relation], bool]
 
 
 # ----------------------------------------------------------------------
 # shared plumbing (plain BFS -- deliberately no SCC machinery)
 # ----------------------------------------------------------------------
 
-def tau_reachable(lts: LTS, state: int) -> List[int]:
+def tau_reachable(lts: FrozenLTS, state: int) -> List[int]:
     """States reachable from ``state`` by zero or more silent steps."""
     seen = [state]
     stack = [state]
@@ -55,12 +56,12 @@ def tau_reachable(lts: LTS, state: int) -> List[int]:
     return seen
 
 
-def _all_tau_reach(lts: LTS) -> List[List[int]]:
+def _all_tau_reach(lts: FrozenLTS) -> List[List[int]]:
     return [tau_reachable(lts, s) for s in range(lts.num_states)]
 
 
 def _greatest_fixed_point(
-    lts: LTS,
+    lts: FrozenLTS,
     transfer: TransferFn,
     initial: Optional[List[int]] = None,
     budget: Optional[RunBudget] = None,
@@ -107,7 +108,7 @@ def _greatest_fixed_point(
 # strong bisimulation
 # ----------------------------------------------------------------------
 
-def _strong_transfer(lts: LTS, s: int, t: int, rel: Relation) -> bool:
+def _strong_transfer(lts: FrozenLTS, s: int, t: int, rel: Relation) -> bool:
     for aid, s2 in lts.successors(s):
         if not any(
             aid2 == aid and (s2, t2) in rel for aid2, t2 in lts.successors(t)
@@ -117,7 +118,7 @@ def _strong_transfer(lts: LTS, s: int, t: int, rel: Relation) -> bool:
 
 
 def strong_bisimulation_relation(
-    lts: LTS,
+    lts: FrozenLTS,
     initial: Optional[List[int]] = None,
     budget: Optional[RunBudget] = None,
 ) -> Relation:
@@ -136,7 +137,7 @@ def strong_bisimulation_relation(
 # ----------------------------------------------------------------------
 
 def weak_bisimulation_relation(
-    lts: LTS,
+    lts: FrozenLTS,
     initial: Optional[List[int]] = None,
     budget: Optional[RunBudget] = None,
 ) -> Relation:
@@ -148,7 +149,7 @@ def weak_bisimulation_relation(
     """
     reach = _all_tau_reach(lts)
 
-    def transfer(lts: LTS, s: int, t: int, rel: Relation) -> bool:
+    def transfer(lts: FrozenLTS, s: int, t: int, rel: Relation) -> bool:
         for aid, s2 in lts.successors(s):
             if aid == TAU_ID:
                 if any((s2, t2) in rel for t2 in reach[t]):
@@ -175,7 +176,7 @@ def weak_bisimulation_relation(
 # branching bisimulation (Definition 4.1, van Glabbeek & Weijland)
 # ----------------------------------------------------------------------
 
-def _branching_transfer(lts: LTS, s: int, t: int, rel: Relation) -> bool:
+def _branching_transfer(lts: FrozenLTS, s: int, t: int, rel: Relation) -> bool:
     """``s --a--> s'`` is answered by ``t`` as in Definition 4.1:
 
     either ``a = tau`` and ``(s', t)`` already related, or
@@ -201,7 +202,7 @@ def _branching_transfer(lts: LTS, s: int, t: int, rel: Relation) -> bool:
 
 
 def branching_bisimulation_relation(
-    lts: LTS,
+    lts: FrozenLTS,
     initial: Optional[List[int]] = None,
     budget: Optional[RunBudget] = None,
 ) -> Relation:
@@ -215,7 +216,7 @@ def branching_bisimulation_relation(
 # divergence-sensitive branching bisimulation (Definitions 5.4 / 5.5)
 # ----------------------------------------------------------------------
 
-def diverges_within(lts: LTS, start: int, allowed: Set[int]) -> bool:
+def diverges_within(lts: FrozenLTS, start: int, allowed: Set[int]) -> bool:
     """Whether an infinite silent path from ``start`` stays in ``allowed``.
 
     In a finite system such a path exists iff ``start`` belongs to the
@@ -241,7 +242,7 @@ def diverges_within(lts: LTS, start: int, allowed: Set[int]) -> bool:
     return start in alive
 
 
-def tau_cycle_states_naive(lts: LTS) -> Set[int]:
+def tau_cycle_states_naive(lts: FrozenLTS) -> Set[int]:
     """States lying on a silent cycle (a ``tau``-path back to themselves)."""
     out: Set[int] = set()
     for state in range(lts.num_states):
@@ -257,7 +258,7 @@ DIVERGENCE_LOOP = ("divergence-loop",)
 
 
 def divergence_sensitive_branching_relation(
-    lts: LTS,
+    lts: FrozenLTS,
     initial: Optional[List[int]] = None,
     budget: Optional[RunBudget] = None,
 ) -> Relation:
@@ -297,7 +298,7 @@ def divergence_sensitive_branching_relation(
 # traces and weak-trace inclusion (Definitions 2.1 / 2.2)
 # ----------------------------------------------------------------------
 
-def tau_closure_of_set(lts: LTS, states: Set[int]) -> FrozenSet[int]:
+def tau_closure_of_set(lts: FrozenLTS, states: Set[int]) -> FrozenSet[int]:
     """Close a set of states under silent steps."""
     out: Set[int] = set()
     for state in states:
@@ -305,7 +306,7 @@ def tau_closure_of_set(lts: LTS, states: Set[int]) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def bounded_traces(lts: LTS, start: int, max_len: int) -> Set[Tuple[Hashable, ...]]:
+def bounded_traces(lts: FrozenLTS, start: int, max_len: int) -> Set[Tuple[Hashable, ...]]:
     """All visible traces of length <= ``max_len`` from ``start``."""
     traces: Set[Tuple[Hashable, ...]] = set()
     stack: List[Tuple[int, Tuple[Hashable, ...], int]] = [(start, (), 0)]
@@ -327,7 +328,7 @@ def bounded_traces(lts: LTS, start: int, max_len: int) -> Set[Tuple[Hashable, ..
     return traces
 
 
-def is_trace_of(lts: LTS, trace: List[Hashable]) -> bool:
+def is_trace_of(lts: FrozenLTS, trace: List[Hashable]) -> bool:
     """Whether ``trace`` is a (weak) trace of ``lts``."""
     current = tau_closure_of_set(lts, {lts.init})
     for label in trace:
@@ -347,8 +348,8 @@ def is_trace_of(lts: LTS, trace: List[Hashable]) -> bool:
 
 
 def weak_trace_inclusion(
-    impl: LTS,
-    spec: LTS,
+    impl: FrozenLTS,
+    spec: FrozenLTS,
     budget: Optional[RunBudget] = None,
 ) -> Tuple[bool, Optional[List[Hashable]]]:
     """Brute-force trace refinement ``impl <= spec`` (Definition 2.2).

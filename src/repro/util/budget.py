@@ -29,9 +29,10 @@ The CLI maps verdicts to exit codes (:data:`EXIT_TRUE` = 0,
 :data:`EXIT_INTERRUPTED` = 130 for SIGINT).  See ``docs/ROBUSTNESS.md``.
 
 Budget checks are pay-for-what-you-use like the metrics layer: every
-loop accepts ``budget=None`` and skips the call entirely in that case,
-and :meth:`RunBudget.check` itself strides the clock/RSS probes so a
-check costs a few integer comparisons on most calls.
+loop accepts ``budget=None`` and skips the call entirely in that case.
+:meth:`RunBudget.check` reads the clock on every call when a deadline
+is set, so the first check after the deadline passes raises, and
+strides only the costlier RSS probe.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .metrics import peak_rss_kb
+
+#: The RSS probe runs on the first check and then on every
+#: ``RSS_PROBE_STRIDE``-th one.
+RSS_PROBE_STRIDE = 32
 
 # ----------------------------------------------------------------------
 # three-valued verdicts and exit codes
@@ -264,11 +269,9 @@ class RunBudget:
         A :class:`CancellationToken`; when set, the next check raises
         with reason ``"interrupted"``.  :meth:`install_sigint` wires it
         to Ctrl-C for the duration of a ``with`` block.
-    check_interval:
-        Stride for the clock / RSS probes: the token is checked on
-        *every* call, the probes on call 1 and then every
-        ``check_interval``-th call, so a check is a few integer
-        comparisons on the fast path.
+
+    The token and the clock are read on every check, the RSS probe on
+    the first check and then every :data:`RSS_PROBE_STRIDE`-th one.
 
     The state cap of an exploration is ``ClientConfig.max_states``,
     enforced by the explorer itself.
@@ -278,7 +281,6 @@ class RunBudget:
         "deadline_seconds",
         "max_rss_kb",
         "token",
-        "check_interval",
         "_started",
         "_calls",
     )
@@ -288,14 +290,10 @@ class RunBudget:
         deadline_seconds: Optional[float] = None,
         max_rss_kb: Optional[int] = None,
         token: Optional[CancellationToken] = None,
-        check_interval: int = 32,
     ) -> None:
-        if check_interval < 1:
-            raise ValueError("check_interval must be at least 1")
         self.deadline_seconds = deadline_seconds
         self.max_rss_kb = max_rss_kb
         self.token = token
-        self.check_interval = check_interval
         self._started = time.monotonic()
         self._calls = 0
 
@@ -339,10 +337,6 @@ class RunBudget:
             self.exhaust(
                 REASON_INTERRUPTED, phase, "cancelled (SIGINT)", **progress,
             )
-        calls = self._calls
-        self._calls = calls + 1
-        if calls % self.check_interval:
-            return
         if self.deadline_seconds is not None:
             elapsed = time.monotonic() - self._started
             if elapsed > self.deadline_seconds:
@@ -353,6 +347,10 @@ class RunBudget:
                     **progress,
                 )
         if self.max_rss_kb is not None:
+            calls = self._calls
+            self._calls = calls + 1
+            if calls % RSS_PROBE_STRIDE:
+                return
             rss = peak_rss_kb()
             if rss > self.max_rss_kb:
                 self.exhaust(

@@ -35,14 +35,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from ..core.divergence import Lasso, find_silent_lasso, silent_cycle_states
-from ..core.lts import LTS, TAU_ID, AnyLTS
+from ..core.lts import TAU_ID, AnyLTS
 from ..lang import ClientConfig, ObjectProgram, explore
 from ..lang.client import Workload
 from ..util.budget import BudgetExhausted, Exhaustion, RunBudget, verdict_of
 from ..util.metrics import Stats, stage
 
 
-def transition_thread(lts: LTS, aid: int, annotation) -> Optional[int]:
+def transition_thread(lts: AnyLTS, aid: int, annotation) -> Optional[int]:
     """The 1-based thread id owning a transition, if recoverable."""
     if aid != TAU_ID:
         label = lts.action_labels[aid]
@@ -58,12 +58,12 @@ def transition_thread(lts: LTS, aid: int, annotation) -> Optional[int]:
     return None
 
 
-def _thread_steps(lts: LTS, tid: int) -> Callable[[Any], bool]:
+def _thread_steps(lts: AnyLTS, tid: int) -> Callable[[Any], bool]:
     """Accepts the annotation of a silent step of thread ``tid``."""
     return lambda annotation: transition_thread(lts, TAU_ID, annotation) == tid
 
 
-def solo_tau_cycle_states(lts: LTS, tid: int) -> List[int]:
+def solo_tau_cycle_states(lts: AnyLTS, tid: int) -> List[int]:
     """States on a silent cycle consisting solely of thread ``tid`` steps."""
     return silent_cycle_states(lts, _thread_steps(lts, tid))
 
@@ -147,7 +147,9 @@ def check_obstruction_freedom(
             for tid in range(1, num_threads + 1):
                 if budget is not None:
                     budget.check("check", states=impl_states, thread=tid)
-                diagnostic = find_silent_lasso(impl, _thread_steps(impl, tid))
+                diagnostic = find_silent_lasso(
+                    impl, _thread_steps(impl, tid), budget
+                )
                 if diagnostic is not None:
                     spinning_thread = tid
                     break

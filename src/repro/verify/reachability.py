@@ -59,7 +59,7 @@ from typing import (
     Union,
 )
 
-from ..core.lts import TAU_ID, AnyLTS
+from ..core.lts import TAU_ID, FrozenLTS
 from ..lang import ClientConfig, ObjectProgram, SpecObject, StreamingExplorer, explore
 from ..lang.client import ExpansionContext, Workload
 from ..lang.state import ModelError
@@ -197,7 +197,7 @@ class ReachabilitySearch:
 
 
 def reachability_search(
-    impl: Union[AnyLTS, StreamingExplorer],
+    impl: Union[FrozenLTS, StreamingExplorer],
     spec: SpecObject,
     stats: Optional[Stats] = None,
     budget: Optional[RunBudget] = None,
@@ -243,7 +243,7 @@ def reachability_search(
 
 
 def _search(
-    impl: Union[AnyLTS, StreamingExplorer],
+    impl: Union[FrozenLTS, StreamingExplorer],
     spec: SpecObject,
     budget: Optional[RunBudget],
 ) -> ReachabilitySearch:
@@ -421,7 +421,7 @@ def check_linearizability_reachability(
     stats: Optional[Stats] = None,
     budget: Optional[RunBudget] = None,
     on_the_fly: bool = False,
-    impl_system: Optional[AnyLTS] = None,
+    impl_system: Optional[FrozenLTS] = None,
 ) -> ReachabilityResult:
     """Run the full BEEH reachability pipeline for one object.
 

@@ -63,22 +63,22 @@ def test_add_transition_by_id():
         lts.add_transition_by_id(0, -1, 1)
 
 
-def test_successors_and_predecessors():
+def test_successors_and_tau_successors():
     lts = make_lts(3, 0, [(0, "a", 1), (0, "tau", 2), (1, "b", 2)])
     a = lts.lookup_action("a")
     b = lts.lookup_action("b")
-    assert sorted(lts.successors(0)) == sorted([(a, 1), (TAU_ID, 2)])
+    assert lts.successors(0) == [(TAU_ID, 2), (a, 1)]
+    assert lts.successors(1) == [(b, 2)]
+    assert lts.successors(2) == []
     assert lts.tau_successors(0) == [2]
-    assert lts.visible_successors(0) == [(a, 1)]
-    assert sorted(lts.predecessors(2)) == sorted([(TAU_ID, 0), (b, 1)])
-    assert lts.enabled_actions(0) == frozenset({a, TAU_ID})
+    assert lts.tau_successors(1) == []
 
 
 def test_has_transition():
     lts = make_lts(2, 0, [(0, "a", 1)])
     a = lts.lookup_action("a")
-    assert lts.has_transition(0, a, 1)
-    assert not lts.has_transition(1, a, 0)
+    assert (a, 1) in lts.successors(0)
+    assert (a, 0) not in lts.successors(1)
 
 
 def test_reachable_states_bfs_order():
@@ -86,28 +86,41 @@ def test_reachable_states_bfs_order():
     assert lts.reachable_states() == [0, 1, 2]
 
 
-def test_restrict_reachable_drops_unreachable():
-    lts = make_lts(4, 0, [(0, "a", 1), (3, "c", 0)])
-    trimmed = lts.restrict_reachable()
-    assert trimmed.num_states == 2
-    assert trimmed.num_transitions == 1
-    assert trimmed.init == 0
-
-
 def test_relabel_and_copy():
     lts = make_lts(2, 0, [(0, "a", 1), (0, "tau", 1)])
     doubled = lts.relabel(lambda label: label if label == TAU else (label, label))
+    assert isinstance(doubled, FrozenLTS)
     assert doubled.lookup_action(("a", "a")) is not None
-    copy = lts.copy()
+    assert doubled.successors(0) == [(TAU_ID, 1), (doubled.lookup_action(("a", "a")), 1)]
+    copy = lts.thaw()
+    assert isinstance(copy, LTS)
     assert copy.num_states == lts.num_states
-    assert copy.num_transitions == lts.num_transitions
+    assert list(copy.transitions()) == list(lts.transitions())
 
 
 def test_annotations_survive():
     lts = LTS()
     lts.add_transition(0, TAU, 1, annotation="t1.L28")
     assert list(lts.transitions_with_annotations())[0][3] == "t1.L28"
-    assert lts.annotation(0) == "t1.L28"
+    assert list(lts.freeze().transitions_with_annotations()) == [
+        (0, TAU_ID, 1, "t1.L28")
+    ]
+
+
+def test_builder_answers_no_graph_queries():
+    # One query surface: a builder only appends, reads rows and freezes.
+    for name in (
+        "successors", "predecessors", "tau_successors", "visible_successors",
+        "enabled_actions", "has_transition", "reachable_states",
+        "restrict_reachable", "relabel", "copy", "thaw", "annotation",
+    ):
+        assert not hasattr(LTS, name), name
+    for name in (
+        "predecessors", "has_transition", "enabled_actions",
+        "visible_successors", "successors_by_action", "successor_slice",
+        "edge_annotations", "restrict_reachable", "copy",
+    ):
+        assert not hasattr(FrozenLTS, name), name
 
 
 def test_disjoint_union_offsets():
@@ -162,7 +175,7 @@ def test_to_dot_renders_and_caps():
 
 
 def test_empty_lts_reachability():
-    lts = LTS()
+    lts = LTS().freeze()
     assert lts.reachable_states() == []
     assert lts.num_states == 0
 
@@ -172,34 +185,33 @@ def test_empty_lts_reachability():
 # ----------------------------------------------------------------------
 
 def test_freeze_sorts_and_answers_same_queries():
-    lts = make_lts(
-        4, 0,
-        [(1, "b", 2), (0, "a", 1), (0, "tau", 2), (0, "a", 3), (3, "tau", 0)],
-    )
+    lts = LTS()
+    for src, label, dst in [
+        (1, "b", 2), (0, "a", 1), (0, TAU, 2), (0, "a", 3), (3, TAU, 0),
+    ]:
+        lts.add_transition(src, label, dst)
     frozen = lts.freeze()
     assert isinstance(frozen, FrozenLTS)
     triples = list(frozen.transitions())
-    assert triples == sorted(triples)
+    assert triples == sorted(lts.transitions())
     a = frozen.lookup_action("a")
-    assert frozen.successors(0) == sorted(lts.successors(0))
-    assert sorted(frozen.predecessors(2)) == sorted(lts.predecessors(2))
+    assert frozen.successors(0) == [(TAU_ID, 2), (a, 1), (a, 3)]
     assert frozen.tau_successors(0) == [2]
-    assert frozen.visible_successors(0) == [(a, 1), (a, 3)]
-    assert frozen.successors_by_action(0, a) == [1, 3]
-    assert frozen.enabled_actions(0) == lts.enabled_actions(0)
-    # BFS order may differ (frozen slices are (action, dst)-sorted).
-    assert set(frozen.reachable_states()) == set(lts.reachable_states())
+    assert frozen.tau_successors(3) == [0]
+    # Slices are (action, dst)-sorted, so the BFS visits 2 before 1.
+    assert frozen.reachable_states() == [0, 2, 1, 3]
 
 
 def test_freeze_dedupes_duplicate_transitions():
-    lts = make_lts(2, 0, [(0, "a", 1), (0, "a", 1), (0, "a", 1), (0, "tau", 1)])
+    lts = LTS()
+    for label in ("a", "a", "a", TAU):
+        lts.add_transition(0, label, 1)
     frozen = lts.freeze()
     assert lts.num_transitions == 4
     assert frozen.num_transitions == 2
-    assert frozen.has_transition(0, frozen.action_id("a"), 1)
-    assert frozen.has_transition(0, TAU_ID, 1)
-    assert not frozen.has_transition(1, TAU_ID, 0)
-    assert not frozen.has_transition(-1, TAU_ID, 0)
+    assert frozen.successors(0) == [(TAU_ID, 1), (frozen.action_id("a"), 1)]
+    assert frozen.successors(1) == []
+    assert make_lts(2, 0, [(0, "a", 1), (0, "a", 1)]).num_transitions == 1
 
 
 def test_freeze_merges_distinct_annotations():
@@ -213,12 +225,11 @@ def test_freeze_merges_distinct_annotations():
     rows = list(frozen.transitions_with_annotations())
     tau_rows = [row for row in rows if row[1] == TAU_ID]
     assert [ann for _, _, _, ann in tau_rows] == ["t1.L8", "t2.L8"]
-    assert frozen.edge_annotations(0) == ("t1.L8", "t2.L8")
 
 
 def test_frozen_is_immutable_and_copy_is_identity():
-    frozen = make_lts(2, 0, [(0, "a", 1)]).freeze()
-    assert frozen.copy() is frozen
+    frozen = make_lts(2, 0, [(0, "a", 1)])
+    assert isinstance(frozen, FrozenLTS)
     assert frozen.freeze() is frozen
     assert ensure_frozen(frozen) is frozen
     assert not hasattr(frozen, "add_transition")
@@ -253,15 +264,16 @@ def test_to_dot_escapes_backslashes_and_newlines():
     "add_transitions_by_id", "add_state", "add_states",
 ])
 def test_every_mutation_shows_in_the_next_query(mutation):
-    # successors, predecessors and has_transition are built lazily and
-    # cached; each mutation must drop them, also when an edge joins
-    # states that already exist (no growth of the state count).
-    lts = make_lts(3, 0, [(0, "a", 1)])
+    # The builder answers no queries and caches nothing: the next
+    # freeze() shows every mutation, also an edge that joins states
+    # that already exist (no growth of the state count).
+    lts = LTS()
+    lts.add_transition(0, "a", 1)
+    lts.add_states(1)
     a = lts.lookup_action("a")
-    assert lts.successors(1) == []
-    assert lts.predecessors(0) == []
-    assert lts.predecessors(2) == []
-    assert not lts.has_transition(1, a, 0)
+    before = lts.freeze()
+    assert before.num_states == 3
+    assert before.successors(1) == []
     if mutation == "add_transition":
         lts.add_transition(1, "a", 0)
         edge = (1, a, 0)
@@ -279,19 +291,21 @@ def test_every_mutation_shows_in_the_next_query(mutation):
             assert lts.add_state() == 3
         else:
             lts.add_states(2)
-        assert lts.successors(lts.num_states - 1) == []
-        assert lts.predecessors(lts.num_states - 1) == []
-        assert not lts.has_transition(lts.num_states - 1, a, 0)
+        after = lts.freeze()
+        assert after.num_states == lts.num_states > before.num_states
+        assert after.successors(after.num_states - 1) == []
+        assert after.reachable_states() == [0, 1]
         return
     src, aid, dst = edge
-    assert lts.successors(src) == [(aid, dst)]
-    assert lts.predecessors(dst) == [(aid, src)]
-    assert lts.has_transition(src, aid, dst)
+    after = lts.freeze()
+    assert after.num_states == max(3, dst + 1)
+    assert after.successors(src) == [(aid, dst)]
+    assert (aid, dst) not in before.successors(src)
+    assert list(after.transitions()) == [(0, a, 1), edge]
 
 
 # ----------------------------------------------------------------------
-# bulk columns: add_transitions_by_id, the column-copying union, and the
-# predecessor mirror built on first use
+# bulk columns: add_transitions_by_id and the column-copying union
 # ----------------------------------------------------------------------
 
 def test_add_transitions_by_id_appends_columns():
@@ -304,7 +318,7 @@ def test_add_transitions_by_id_appends_columns():
         (0, a, 1, "first"), (1, TAU_ID, 2, "t1"), (2, a, 4, None),
     ]
     lts.add_transitions_by_id([4], [a], [0])
-    assert lts.annotation(3) is None
+    assert list(lts.transitions_with_annotations())[3] == (4, a, 0, None)
     lts.add_transitions_by_id([], [], [])
     assert lts.num_transitions == 4
 
@@ -316,7 +330,8 @@ def test_add_transitions_by_id_appends_columns():
     ([0], [0], [1], [None, None]),
 ])
 def test_add_transitions_by_id_rejects_bad_columns(columns):
-    lts = make_lts(2, 0, [(0, "a", 1)])
+    lts = LTS()
+    lts.add_transition(0, "a", 1)
     with pytest.raises(ValueError):
         lts.add_transitions_by_id(*columns)
     assert lts.num_transitions == 1
@@ -344,9 +359,9 @@ def _assert_union_matches_reference(a, b):
         (type(label), label) for label in expected.action_labels
     ]
     assert dumps_aut(union) == dumps_aut(expected)
-    assert [union.edge_annotations(i) for i in range(union.num_transitions)] == [
-        expected.edge_annotations(i) for i in range(expected.num_transitions)
-    ]
+    assert list(union.transitions_with_annotations()) == list(
+        expected.transitions_with_annotations()
+    )
 
 
 def _ghost_label_system():
@@ -363,10 +378,8 @@ def _merged_annotation_system():
 
     bench = get("hw_queue")
     system = explore(bench.build(2), ClientConfig(2, 1, bench.default_workload()))
-    assert any(
-        len(system.edge_annotations(i)) > 1
-        for i in range(system.num_transitions)
-    ), "the fixture lost its merged duplicate edge"
+    rows = [row[:3] for row in system.transitions_with_annotations()]
+    assert len(rows) > len(set(rows)), "the fixture lost its merged duplicate edge"
     return system
 
 
@@ -421,17 +434,13 @@ def test_disjoint_union_matches_the_per_edge_union_on_random_systems(a, b):
     _assert_union_matches_reference(a, b)
 
 
-def test_freeze_builds_no_predecessor_mirror():
-    frozen = make_lts(3, 0, [(0, "a", 1), (1, "tau", 2)]).freeze()
-    assert frozen._pptr is None and frozen._psrc is None
-    assert frozen.predecessors(2) == [(TAU_ID, 1)]
-    assert frozen._pptr is not None
-
-
 @given(_annotated_systems())
-def test_predecessors_match_a_scan_of_the_edges(lts):
+def test_successors_match_a_scan_of_the_edges(lts):
     frozen = lts.freeze()
     for state in range(frozen.num_states):
-        assert frozen.predecessors(state) == sorted(
-            (aid, src) for src, aid, dst in frozen.transitions() if dst == state
+        assert frozen.successors(state) == sorted(
+            {(aid, dst) for src, aid, dst in lts.transitions() if src == state}
         )
+        assert frozen.tau_successors(state) == [
+            dst for aid, dst in frozen.successors(state) if aid == TAU_ID
+        ]

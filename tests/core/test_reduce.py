@@ -119,7 +119,8 @@ def test_divergence_mode_blocks_mark_losing_edges():
 # ----------------------------------------------------------------------
 
 def test_alphabet_is_preserved_verbatim():
-    lts = make_lts(2, 0, [(0, "a", 1)])
+    lts = LTS()
+    lts.add_transition(0, "a", 1)
     lts.action_id("unused-label")
     reduced = reduce_lts(lts)
     assert reduced.lts.action_labels == lts.freeze().action_labels

@@ -165,7 +165,7 @@ def test_corpus_is_present():
     "path", CORPUS_CASES, ids=[os.path.basename(p) for p in CORPUS_CASES]
 )
 def test_corpus_engine_parity(path):
-    _assert_parity(read_aut(path))
+    _assert_parity(read_aut(path).freeze())
 
 
 # ----------------------------------------------------------------------

@@ -325,6 +325,49 @@ def test_deadline_exhaustion_leaves_checkpoint_then_resume_finishes(tmp_path):
         _stop(daemon)
 
 
+def test_decided_result_with_an_unknown_part_is_not_cached(tmp_path, monkeypatch):
+    # FALSE overall, but lock-freedom ran out of budget: the result
+    # depends on this job's deadline, so it must not be served to a
+    # later submission, and the checkpoint stays for the rerun.
+    import repro.service.daemon as daemon_module
+    from repro.core.lts import LTSBuilder
+    from repro.lang.checkpoint import Checkpoint
+    from repro.verify.job import _result
+
+    def run_job(request, checkpoint=None, **_kwargs):
+        checkpoint.save(Checkpoint(fingerprint={}, builder=LTSBuilder()))
+        ran_out = {"reason": "deadline", "phase": "refinement",
+                   "render": "budget exhausted in phase 'refinement'"}
+        return _result(request, [
+            {"engine": "quotient", "verdict": "FALSE", "exhaustion": None,
+             "seconds": 0.1},
+            {"engine": "lockfree", "verdict": "UNKNOWN", "exhaustion": ran_out,
+             "seconds": 0.1},
+            {"engine": "obstruction", "verdict": "TRUE", "exhaustion": None,
+             "seconds": 0.1},
+        ], 0.3)
+
+    monkeypatch.setattr(daemon_module, "run_job", run_job)
+    daemon, endpoint = _start(_config(tmp_path))
+    key = request_cache_key(build_request(kind="verify", key="hm_list_buggy"))
+    try:
+        with ServiceClient.connect(endpoint) as client:
+            first = client.submit_and_wait(
+                _request(kind="verify", key="hm_list_buggy"))
+        assert (first["verdict"], first["exit_code"]) == ("FALSE", 1)
+        assert first["exhaustion"]["reason"] == "deadline"
+        assert daemon.cache.stats()["puts"] == 0
+        assert os.path.exists(os.path.join(daemon.jobs_dir, f"{key}.ckpt"))
+
+        with ServiceClient.connect(endpoint) as client:
+            second = client.submit_and_wait(
+                _request(kind="verify", key="hm_list_buggy"))
+        assert second["cached"] is False
+        assert daemon.counters["jobs_run"] == 2
+    finally:
+        _stop(daemon)
+
+
 def test_graceful_shutdown_interrupts_job_and_restart_resumes(tmp_path):
     gate = threading.Event()
     config = _config(tmp_path, job_gate=gate)

@@ -61,6 +61,51 @@ def test_explore_quotient_compare_round_trip(tmp_path, capsys):
     assert main(["compare", impl, quotient, "--relation", "trace"]) == 0
 
 
+def test_compare_trace_never_freezes_a_parsed_file(tmp_path, capsys, monkeypatch):
+    # A trace comparison reads each parsed builder's rows once: freezing
+    # the two inputs measured slower end to end (ms_queue 0.43 -> 0.53 s).
+    import repro.core.aut as aut_module
+    from repro.core import make_lts
+    from repro.core.lts import LTS, FrozenLTS
+
+    impl = str(tmp_path / "impl.aut")
+    quotient = str(tmp_path / "quotient.aut")
+    assert main(["explore", "newcas", "--ops", "1", "--out", impl]) == 0
+    assert main(["quotient", "newcas", "--ops", "1", "--out", quotient]) == 0
+    longer = str(tmp_path / "longer.aut")
+    shorter = str(tmp_path / "shorter.aut")
+    aut_module.write_aut(make_lts(3, 0, [(0, "x", 1), (1, "y", 2)]), longer)
+    aut_module.write_aut(make_lts(2, 0, [(0, "x", 1)]), shorter)
+
+    parsed, frozen = [], []
+    read_aut, freeze, frozen_init = aut_module.read_aut, LTS.freeze, FrozenLTS.__init__
+
+    def counting_read_aut(source):
+        lts = read_aut(source)
+        parsed.append(lts)
+        return lts
+
+    def counting_freeze(self):
+        frozen.append(self)
+        return freeze(self)
+
+    def counting_init(self, source):
+        frozen.append(source)
+        frozen_init(self, source)
+
+    monkeypatch.setattr(aut_module, "read_aut", counting_read_aut)
+    monkeypatch.setattr(LTS, "freeze", counting_freeze)
+    monkeypatch.setattr(FrozenLTS, "__init__", counting_init)
+    capsys.readouterr()
+    assert main(["compare", impl, quotient, "--relation", "trace"]) == 0
+    assert main(["compare", longer, shorter, "--relation", "trace"]) == 1
+    out = capsys.readouterr().out
+    assert f"{longer} refines {shorter}: False" in out
+    assert len({id(lts) for lts in parsed}) == 4
+    assert not any(lts is source for lts in parsed for source in frozen)
+    assert frozen == []
+
+
 def test_compare_mismatch_explains(tmp_path, capsys):
     from repro.core import make_lts
     from repro.core.aut import write_aut

@@ -33,7 +33,7 @@ CASES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.aut")))
 
 
 def _load(path):
-    lts = read_aut(path)
+    lts = read_aut(path).freeze()
     meta_path = path[: -len(".aut")] + ".meta.json"
     with open(meta_path) as handle:
         meta = json.load(handle)

@@ -57,12 +57,31 @@ def test_deadline_fires_on_first_strided_probe():
     assert exc.value.progress == {"states": 1, "transitions": 7}
 
 
-def test_deadline_is_strided_not_per_call():
-    # A generous deadline is only probed every check_interval calls.
-    budget = RunBudget(deadline_seconds=3600.0, check_interval=64)
-    for _ in range(500):
+def test_first_check_after_the_deadline_raises():
+    # The clock is read on every check, not every 32nd: a loop that
+    # checks a few times (one check per thread) still stops at its
+    # first check past the deadline.
+    budget = RunBudget(deadline_seconds=0.2)
+    for _ in range(5):
         budget.check("explore", states=1)
-    assert budget.remaining_seconds() > 0
+    time.sleep(0.25)
+    with pytest.raises(BudgetExhausted) as exc:
+        budget.check("check", thread=1)
+    assert exc.value.reason == REASON_DEADLINE
+    assert exc.value.phase == "check"
+
+
+def test_rss_probe_is_strided(monkeypatch):
+    import repro.util.budget as budget_module
+
+    probes = []
+    monkeypatch.setattr(
+        budget_module, "peak_rss_kb", lambda: probes.append(1) or 1
+    )
+    budget = RunBudget(deadline_seconds=3600.0, max_rss_kb=10**9)
+    for _ in range(2 * budget_module.RSS_PROBE_STRIDE + 1):
+        budget.check("explore", states=1)
+    assert len(probes) == 3
 
 
 def test_rss_cap_fires():
@@ -74,7 +93,7 @@ def test_rss_cap_fires():
 
 def test_cancellation_token_fires_every_call():
     token = CancellationToken()
-    budget = RunBudget(token=token, check_interval=10**9)
+    budget = RunBudget(token=token)
     budget.check("explore")
     token.set()
     with pytest.raises(BudgetExhausted) as exc:

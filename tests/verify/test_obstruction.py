@@ -1,9 +1,13 @@
 """Obstruction-freedom checker tests."""
 
+import time
+
 import pytest
 
 from repro.core.lts import LTS, TAU
+from repro.lang import ClientConfig, explore
 from repro.objects import get
+from repro.util.budget import REASON_DEADLINE, UNKNOWN, RunBudget
 from repro.verify import (
     check_obstruction_freedom,
     solo_tau_cycle_states,
@@ -81,3 +85,24 @@ def test_workload_required():
     bench = get("treiber")
     with pytest.raises(ValueError):
         check_obstruction_freedom(bench.build(2))
+
+
+def test_shared_exploration_honours_an_expired_deadline():
+    # `verify` hands its one exploration to this check together with a
+    # budget that has already made checks; the deadline passes after
+    # them.  The check makes one budget check per thread, and the first
+    # of them must stop it: hw_queue would otherwise decide FALSE.
+    bench = get("hw_queue")
+    program, workload = bench.build(2), bench.default_workload()
+    impl = explore(program, ClientConfig(2, 2, workload))
+    budget = RunBudget(deadline_seconds=0.2)
+    for _ in range(5):
+        budget.check("explore", states=impl.num_states)
+    time.sleep(0.25)
+    result = check_obstruction_freedom(
+        program, num_threads=2, ops_per_thread=2, workload=workload,
+        budget=budget, impl_system=impl,
+    )
+    assert result.verdict == UNKNOWN
+    assert result.exhaustion.reason == REASON_DEADLINE
+    assert result.diagnostic is None
