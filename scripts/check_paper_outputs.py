@@ -1,8 +1,11 @@
 """Check regenerated paper tables against the committed ones.
 
 The paper benches (``benchmarks/test_table1`` ... ``test_table7``,
-``test_fig6``, ``test_fig10``) write ``benchmarks/out/*.txt``.  This
-script compares each of those files with the committed version
+``test_fig6``, ``test_fig10``), the two ablations
+(``test_ablation_reductions``, ``test_ablation_quotient_refinement``)
+and the progress-spectrum extension
+(``test_extension_progress_spectrum``) write ``benchmarks/out/*.txt``.
+This script compares each of those files with the committed version
 (``git show HEAD:<path>``) and exits 1 on any difference other than a
 wall time: in every table, the cells of the columns whose header ends
 in ``(s)`` are blanked on both sides first.  Verdicts, state counts,

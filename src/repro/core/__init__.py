@@ -24,13 +24,11 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "reduce": ["ReducedLTS", "lift_partition", "reduce_lts"],
     "partition": [
         "BlockMap",
-        "blocks_of",
         "is_refinement",
         "normalize",
         "num_blocks",
         "partition_from_key",
         "refine_step",
-        "refine_to_fixpoint",
         "same_partition",
     ],
     "splitter": ["branching_splitter", "strong_splitter", "weak_splitter"],

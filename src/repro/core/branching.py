@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from . import reduce as reduce_mod
-from .graphs import tarjan_scc
+from .graphs import cyclic_components
 from .lts import TAU_ID, AnyLTS, FrozenLTS, disjoint_union, ensure_frozen
 from .partition import BlockMap, normalize, num_blocks
 from .splitter import branching_splitter
@@ -61,7 +61,7 @@ def _branching_signatures_ordered(lts: AnyLTS, block_of: BlockMap, divergence: b
         if aid == TAU_ID and block_of[src] == block_of[dst]:
             inert[src].append(dst)
 
-    comp_of, num_comps = tarjan_scc(n, lambda s: inert[s])
+    comp_of, num_comps, cyclic = cyclic_components(inert)
 
     members: List[List[int]] = [[] for _ in range(num_comps)]
     for state in range(n):
@@ -75,12 +75,8 @@ def _branching_signatures_ordered(lts: AnyLTS, block_of: BlockMap, divergence: b
 
     if divergence:
         for comp in range(num_comps):
-            if len(members[comp]) > 1:
+            if cyclic[comp]:
                 comp_sig[comp].add(DIVERGENCE_MARK)
-        for src in range(n):
-            for dst in inert[src]:
-                if comp_of[src] == comp_of[dst]:
-                    comp_sig[comp_of[src]].add(DIVERGENCE_MARK)
 
     # Accumulate in increasing component id: successors are complete first.
     for comp in range(num_comps):

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Set, Tuple
 
-from .graphs import tarjan_scc
+from .graphs import cyclic_components, divergence_marks
 from .lts import TAU, TAU_ID, AnyLTS, tau_successor_lists
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,15 +41,8 @@ def silent_cycle_states(
         succ = tau_successor_lists(lts)
     else:
         succ = [[dst for dst, _ann in row] for row in _silent_steps(lts, keep)]
-    comp_of, num_comps = tarjan_scc(n, succ.__getitem__)
-    size = [0] * num_comps
-    for comp in comp_of:
-        size[comp] += 1
-    return [
-        state
-        for state in range(n)
-        if size[comp_of[state]] > 1 or state in succ[state]
-    ]
+    comp_of, _num_comps, cyclic = cyclic_components(succ)
+    return [state for state in range(n) if cyclic[comp_of[state]]]
 
 
 def tau_cycle_states(
@@ -62,27 +55,11 @@ def tau_cycle_states(
 def divergent_states(
     lts: AnyLTS, budget: Optional["RunBudget"] = None
 ) -> List[bool]:
-    """States with an infinite silent path (can reach a silent cycle by taus)."""
-    n = lts.num_states
-    tau_pred: List[List[int]] = [[] for _ in range(n)]
-    for src, succs in enumerate(tau_successor_lists(lts)):
-        for dst in succs:
-            tau_pred[dst].append(src)
-    marked = [False] * n
-    queue = deque()
-    for state in tau_cycle_states(lts, budget=budget):
-        if not marked[state]:
-            marked[state] = True
-            queue.append(state)
-    while queue:
-        if budget is not None:
-            budget.check("divergence", states=n, queued=len(queue))
-        state = queue.popleft()
-        for pred in tau_pred[state]:
-            if not marked[pred]:
-                marked[pred] = True
-                queue.append(pred)
-    return marked
+    """States with an infinite silent path (can reach a silent cycle by taus):
+    Definition 5.4's marking with the whole system as one block."""
+    if budget is not None:
+        budget.check("divergence", states=lts.num_states)
+    return divergence_marks(tau_successor_lists(lts), [0] * lts.num_states)
 
 
 @dataclass

@@ -2,7 +2,11 @@
 
 Used for the inert-tau analysis inside branching-bisimulation sweeps
 (signatures propagate along silent transitions that stay inside one
-block) and for divergence detection (tau-cycles).
+block) and for divergence detection (tau-cycles).  The silent-cycle
+rule over adjacency lists lives here once (:func:`cyclic_components`),
+and so does Definition 5.4's partition-relative divergence built on it
+(:func:`divergence_marks`); the CSR form of the rule, for the
+refinement hot path, is :func:`repro.core.reduce.condense_silent_sccs`.
 """
 
 from __future__ import annotations
@@ -69,22 +73,52 @@ def tarjan_scc(num_nodes: int, successors: Callable[[int], Iterable[int]]) -> Tu
     return comp_of, num_comps
 
 
-def scc_has_cycle(
-    num_nodes: int,
-    comp_of: Sequence[int],
-    num_comps: int,
-    edges: Iterable[Tuple[int, int]],
+def cyclic_components(
+    successors: Sequence[Sequence[int]],
+) -> Tuple[List[int], int, List[bool]]:
+    """Tarjan components of adjacency lists, and which of them hold a cycle.
+
+    Returns ``(comp_of, num_comps, cyclic)``, numbered as by
+    :func:`tarjan_scc`.  A component holds a cycle iff one of its edges
+    stays inside it, which covers components of two or more nodes and
+    single nodes with a self-loop alike.
+    """
+    comp_of, num_comps = tarjan_scc(len(successors), successors.__getitem__)
+    cyclic = [False] * num_comps
+    for src, succs in enumerate(successors):
+        comp = comp_of[src]
+        if not cyclic[comp]:
+            for dst in succs:
+                if comp_of[dst] == comp:
+                    cyclic[comp] = True
+                    break
+    return comp_of, num_comps, cyclic
+
+
+def divergence_marks(
+    successors: Sequence[Sequence[int]], block_of: Sequence[int]
 ) -> List[bool]:
-    """Which components contain a cycle (size > 1, or a self-loop edge)."""
-    size = [0] * num_comps
-    for node in range(num_nodes):
-        size[comp_of[node]] += 1
-    cyclic = [count > 1 for count in size]
-    for src, dst in edges:
-        if src == dst or comp_of[src] == comp_of[dst]:
-            if comp_of[src] == comp_of[dst]:
-                cyclic[comp_of[src]] = True
-    return cyclic
+    """Definition 5.4's divergence relative to the partition ``block_of``.
+
+    A node is marked iff it can reach, along edges that stay inside its
+    block, a cyclic component of those edges, i.e. iff an infinite path
+    from it never leaves its block.  With one block this is plain
+    divergence: an infinite path at all.
+    """
+    inert = [
+        [dst for dst in succs if block_of[dst] == block_of[src]]
+        for src, succs in enumerate(successors)
+    ]
+    comp_of, num_comps, marked = cyclic_components(inert)
+    # Increasing component order visits every successor component first.
+    for src in sorted(range(len(inert)), key=comp_of.__getitem__):
+        comp = comp_of[src]
+        if not marked[comp]:
+            for dst in inert[src]:
+                if marked[comp_of[dst]]:
+                    marked[comp] = True
+                    break
+    return [marked[comp] for comp in comp_of]
 
 
 def reachability_closure(num_nodes: int, successors: Sequence[Sequence[int]]) -> List[frozenset]:

@@ -117,6 +117,59 @@ def reduce_lts(
     return reduced
 
 
+def condense_silent_sccs(frozen: FrozenLTS, seed: Optional[BlockMap] = None):
+    """Contract the silent SCCs inside each seed block: the one contraction.
+
+    Runs Tarjan over the silent steps that stay inside a block of
+    ``seed`` (every silent step when ``seed`` is ``None``) and returns
+    ``(comp_of, num_comps, marked, codes)`` as NumPy arrays:
+
+    * ``comp_of[s]``: the component of state ``s``.  Components are
+      numbered as :func:`repro.core.graphs.tarjan_scc` completes them,
+      so a silent step between two components of one seed block goes
+      from the higher id to the lower;
+    * ``marked[c]``: whether component ``c`` holds a silent cycle, i.e.
+      one of its silent steps stays inside it (the CSR form of
+      :func:`repro.core.graphs.cyclic_components`);
+    * ``codes``: the condensed edges ``(csrc * A + a) * num_comps + cdst``
+      (``A`` actions) without the intra-component silent steps, sorted
+      and deduplicated with ``np.unique`` -- source-major, then action,
+      then target.
+
+    :func:`_reduce` (layer 1) and
+    :func:`repro.core.splitter.branching_splitter` both start here.
+    """
+    # Imported here, not at module level: commands that never refine
+    # (list, explore, lin --on-the-fly) skip NumPy's import cost.
+    import numpy as np
+
+    if seed is None:
+        inert = frozen.tau_adjacency()
+    else:
+        inert = [[] for _ in range(frozen.num_states)]
+        tau_src, tau_dst = frozen.tau_edges()
+        for src, dst in zip(tau_src, tau_dst):
+            if seed[src] == seed[dst]:
+                inert[src].append(dst)
+    comp_list, num_comps = tarjan_scc(frozen.num_states, inert.__getitem__)
+    comp_of = np.asarray(comp_list, dtype=np.int64)
+
+    esrc, eact, edst = (
+        np.frombuffer(column, dtype=np.int64) for column in frozen.edge_arrays()
+    )
+    csrc = comp_of[esrc]
+    cdst = comp_of[edst]
+    intra = (eact == TAU_ID) & (csrc == cdst)
+    marked = np.zeros(num_comps, dtype=bool)
+    marked[csrc[intra]] = True
+    keep = ~intra
+    codes = np.unique(
+        (csrc[keep] * len(frozen.action_labels) + eact[keep]) * num_comps
+        + cdst[keep]
+    )
+    return comp_of, num_comps, marked, codes
+
+
 def _ragged_arange(np, starts, counts):
     """Concatenation of ``arange(starts[i], starts[i]+counts[i])``."""
     total = int(counts.sum())
@@ -150,24 +203,9 @@ def _reduce(
         return ReducedLTS(empty.freeze(), [], [], [], 0, 0)
 
     # -- layer 1: condense inert tau-SCCs ------------------------------
-    tau_adj = frozen.tau_adjacency()
-    comp_list, C = tarjan_scc(n, lambda s: tau_adj[s])
-    comp_of = np.asarray(comp_list, dtype=np.int64)
+    comp_of, C, marked, E = condense_silent_sccs(frozen)
     A = len(frozen.action_labels)
     AC = A * C
-
-    esrc_a, eact_a, edst_a = frozen.edge_arrays()
-    esrc = np.frombuffer(esrc_a, dtype=np.int64)
-    eact = np.frombuffer(eact_a, dtype=np.int64)
-    edst = np.frombuffer(edst_a, dtype=np.int64)
-    csrc_all = comp_of[esrc]
-    cdst_all = comp_of[edst]
-
-    marked = np.bincount(comp_of, minlength=C) > 1
-    intra = (eact == TAU_ID) & (csrc_all == cdst_all)
-    marked[csrc_all[intra]] = True
-
-    E = np.unique(csrc_all[~intra] * AC + eact[~intra] * C + cdst_all[~intra])
     M = len(E)
     srcs = E // AC
     rems = E - srcs * AC

@@ -1,7 +1,9 @@
 """Splitter-queue partition refinement: the one refinement engine.
 
 Every bisimulation partition in :mod:`repro.core` (strong, branching
-and weak, with and without divergence) is computed here.  Work is
+and weak, with and without divergence) is computed here, and so is the
+language partition of the k-trace DFAs
+(:func:`repro.core.traces.language_partition`).  Work is
 driven by an explicit queue of *splitters*, so after an initial full
 pass only the states whose signatures can actually have changed are
 ever touched again.  The independent check is the naive
@@ -20,22 +22,27 @@ Three per-equivalence front ends share the machinery:
   "edges into ``B`` only / into both ``B`` and ``C - B`` / none into
   ``B``" using maintained ``count(s, a, C)`` tables.  Because a state's
   containing constituent at most halves each time the state is scanned,
-  the total work is ``O(m log n)`` dictionary operations.
+  the total work is ``O(m log n)`` dictionary operations.  The same
+  core minimises the deterministic subset automata of the k-trace
+  hierarchy, on which strong bisimilarity is language equivalence.
 
 * **Branching bisimulation** (plain and divergence-sensitive) --
   :func:`branching_splitter`.  Inert tau-SCCs (w.r.t. the seed
-  partition) are contracted once up front -- states of one silent SCC
-  inside a seed block carry equal signatures forever, and afterwards
-  the inert graph is a DAG for the rest of the run, so no per-sweep
-  Tarjan pass is needed.  Refinement then runs a dirty-block worklist:
-  a dirty block recomputes its members' branching signatures bottom-up
-  in inert-DAG order (the Groote-Vaandrager bottom-state discipline:
-  bottom states are resolved first and non-bottom states inherit the
-  union over their inert successors), splits multi-way on distinct
-  signatures, and marks the split parts plus every block with a direct
-  transition into the split block dirty.  Divergence marks are
-  partition-relative (Definition 5.4), so they are re-derived on every
-  recomputation from the statically marked silent-cycle components.
+  partition) are contracted once up front, by the contraction that
+  :mod:`repro.core.reduce` also runs as its layer 1
+  (:func:`repro.core.reduce.condense_silent_sccs`) -- states of one
+  silent SCC inside a seed block carry equal signatures forever, and
+  afterwards the inert graph is a DAG for the rest of the run, so no
+  per-sweep Tarjan pass is needed.  Refinement then runs a dirty-block
+  worklist: a dirty block recomputes its members' branching signatures
+  bottom-up in inert-DAG order (the Groote-Vaandrager bottom-state
+  discipline: bottom states are resolved first and non-bottom states
+  inherit the union over their inert successors), splits multi-way on
+  distinct signatures, and marks the split parts plus every block with
+  a direct transition into the split block dirty.  Divergence marks
+  are partition-relative (Definition 5.4), so they are re-derived on
+  every recomputation from the statically marked silent-cycle
+  components.
 
 * **Weak bisimulation** -- :func:`weak_splitter`, via saturation: plain
   weak bisimilarity is strong bisimilarity on the saturated transition
@@ -44,10 +51,9 @@ Three per-equivalence front ends share the machinery:
   variant alternates the strong core with partition-relative divergence
   splits until both are stable.
 
-The branching front end deduplicates its condensed edges with
-``np.unique``.  The splitter loops stay plain Python: a per-splitter
-NumPy gather measured slower than the dictionary loop even on the
-largest registry systems.
+The splitter loops stay plain Python: a per-splitter NumPy gather
+measured slower than the dictionary loop even on the largest registry
+systems.
 """
 
 from __future__ import annotations
@@ -55,9 +61,10 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .graphs import tarjan_scc
+from .graphs import divergence_marks
 from .lts import TAU_ID, FrozenLTS
 from .partition import BlockMap, normalize, num_blocks, partition_from_key
+from .reduce import condense_silent_sccs
 
 #: Correctness knobs the fuzz harness mutates to prove it has teeth
 #: (see ``repro.testing.differential.MUTATIONS``).  ``_REQUEUE_COMPOUND``
@@ -282,10 +289,6 @@ def branching_splitter(
     SCC *inside a seed block* receive equal signatures w.r.t. every
     partition the refinement can reach, so no run ever separates them.
     """
-    # Imported here, not at module level: commands that never refine
-    # (list, explore, lin --on-the-fly) skip NumPy's import cost.
-    import numpy as np
-
     n = frozen.num_states
     if n == 0:
         return []
@@ -296,25 +299,14 @@ def branching_splitter(
         raise ValueError("initial partition has wrong length")
 
     # --- contract inert tau-SCCs w.r.t. the seed partition ------------
-    tau_src, tau_dst = frozen.tau_edges()
-    inert0: List[List[int]] = [[] for _ in range(n)]
-    for src, dst in zip(tau_src, tau_dst):
-        if seed[src] == seed[dst]:
-            inert0[src].append(dst)
-    comp_of, num_comps = tarjan_scc(n, inert0.__getitem__)
-
-    # A component is marked iff it contains a silent cycle (an
-    # intra-component inert edge covers both multi-state SCCs and tau
-    # self-loops).  Marked components stay divergent under every later
-    # partition: the cycle lives inside the component, which is never
-    # split, so it is always inside the component's block.
-    marked = [False] * num_comps
-    for src in range(n):
-        csrc = comp_of[src]
-        for dst in inert0[src]:
-            if comp_of[dst] == csrc:
-                marked[csrc] = True
-                break
+    # A component is marked iff it holds a silent cycle.  Marked
+    # components stay divergent under every later partition: the cycle
+    # lives inside the component, which is never split, so it is always
+    # inside the component's block.
+    comp_a, C, marked_a, codes_a = condense_silent_sccs(frozen, seed)
+    comp_of = comp_a.tolist()
+    marked = marked_a.tolist()
+    codes = codes_a.tolist()
 
     # --- condensed, deduplicated edges --------------------------------
     # out[c]: direct steps (a, cdst).  tau_out[c]: condensed silent
@@ -324,20 +316,7 @@ def branching_splitter(
     # propagation).  Tarjan numbers successors first, so iterating a
     # block's members in increasing component id resolves the inert DAG
     # bottom-up.
-    A = len(frozen.action_labels)
-    C = num_comps
-    AC = A * C
-    esrc, eact, edst = frozen.edge_arrays()
-    act_a = np.frombuffer(eact, dtype=np.int64)
-    comp_a = np.asarray(comp_of, dtype=np.int64)
-    csrc_a = comp_a[np.frombuffer(esrc, dtype=np.int64)]
-    cdst_a = comp_a[np.frombuffer(edst, dtype=np.int64)]
-    keep = ~((act_a == TAU_ID) & (csrc_a == cdst_a))
-    # np.unique returns the codes sorted, i.e. source-major.
-    codes = np.unique(
-        csrc_a[keep] * AC + act_a[keep] * C + cdst_a[keep]
-    ).tolist()
-
+    AC = len(frozen.action_labels) * C
     seed_of_comp = [0] * C
     for state in range(n):
         seed_of_comp[comp_of[state]] = seed[state]
@@ -457,7 +436,7 @@ def weak_splitter(
     marks (Definition 5.4) cannot be folded into a static edge set, so
     the core and mark-based splitting alternate until both are stable.
     """
-    from .weak import _divergence_marks, _weak_step_sets, tau_closures
+    from .weak import _weak_step_sets, tau_closures
 
     n = frozen.num_states
     if n == 0:
@@ -485,8 +464,9 @@ def weak_splitter(
     )
     if not divergence:
         return block_of
+    tau_succ = frozen.tau_adjacency()
     while True:
-        marks = _divergence_marks(frozen, block_of)
+        marks = divergence_marks(tau_succ, block_of)
         refined = partition_from_key(list(zip(block_of, marks)))
         if num_blocks(refined) == num_blocks(block_of):
             return block_of

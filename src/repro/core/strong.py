@@ -1,9 +1,11 @@
 """Strong bisimulation (tau treated as an ordinary action).
 
-Used directly as a substrate (DFA minimization inside the k-trace
-checker treats the deterministic subset automaton up to strong
-bisimilarity, which coincides with language equivalence there) and as
-the base case in tests relating the three bisimulations.
+Its Paige-Tarjan core (:func:`repro.core.splitter.strong_splitter`)
+also minimises the k-trace DFAs of
+:func:`repro.core.traces.language_partition`: on a deterministic subset
+automaton strong bisimilarity coincides with language equivalence.
+Strong bisimulation is also the base case in tests relating the three
+bisimulations.
 """
 
 from __future__ import annotations

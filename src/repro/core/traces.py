@@ -25,14 +25,13 @@ from typing import (
     Hashable,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
 from .graphs import LazyReachabilityClosure, reachability_closure
 from .lts import TAU_ID, AnyLTS, tau_successor_lists
-from .partition import BlockMap, partition_from_key, refine_to_fixpoint
+from .partition import BlockMap, partition_from_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
@@ -206,18 +205,27 @@ def language_partition(lts: AnyLTS, symbol_of: SymbolFn) -> BlockMap:
     ``symbol_of(src, action_id, dst)`` maps each transition to an output
     symbol, or ``None`` for an invisible (epsilon) move.  Two states
     land in the same block iff the sets of finite symbol sequences
-    emitted from them coincide.  Decided by subset construction plus
-    Moore refinement of the (all-accepting, prefix-closed) DFA.
+    emitted from them coincide.  Decided by subset construction over
+    interned symbols, then minimisation of the (all-accepting,
+    prefix-closed) DFA on the splitter's Paige-Tarjan core: on a
+    deterministic automaton strong bisimilarity is language equivalence.
     """
+    # Imported here: ``compare --relation trace`` loads this module but
+    # never refines a partition.
+    from .splitter import _pt_refine
+
     n = lts.num_states
     eps_succ: List[List[int]] = [[] for _ in range(n)]
-    symbolic: List[List[Tuple[Hashable, int]]] = [[] for _ in range(n)]
+    symbol_ids: Dict[Hashable, int] = {}
+    symbolic: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for src, aid, dst in lts.transitions():
         symbol = symbol_of(src, aid, dst)
         if symbol is None:
             eps_succ[src].append(dst)
         else:
-            symbolic[src].append((symbol, dst))
+            symbolic[src].append(
+                (symbol_ids.setdefault(symbol, len(symbol_ids)), dst)
+            )
     closures = reachability_closure(n, eps_succ)
 
     def closure_of(states: Set[int]) -> FrozenSet[int]:
@@ -226,7 +234,8 @@ def language_partition(lts: AnyLTS, symbol_of: SymbolFn) -> BlockMap:
             acc |= closures[state]
         return frozenset(acc)
 
-    # Subset construction from every state's closure.
+    # Subset construction from every state's closure; the DFA's edges
+    # are collected as columns for the refinement core.
     subset_ids: Dict[FrozenSet[int], int] = {}
     subsets: List[FrozenSet[int]] = []
 
@@ -246,36 +255,24 @@ def language_partition(lts: AnyLTS, symbol_of: SymbolFn) -> BlockMap:
         start_of_state.append(sid)
         if is_new:
             work.append(sid)
-    dfa_succ: List[Dict[Hashable, int]] = []
+    esrc: List[int] = []
+    esym: List[int] = []
+    edst: List[int] = []
     while work:
         sid = work.pop()
-        while len(dfa_succ) <= sid:
-            dfa_succ.append({})
-        subset = subsets[sid]
-        moves: Dict[Hashable, Set[int]] = {}
-        for q in subset:
+        moves: Dict[int, Set[int]] = {}
+        for q in subsets[sid]:
             for symbol, dst in symbolic[q]:
                 moves.setdefault(symbol, set()).add(dst)
-        row: Dict[Hashable, int] = {}
         for symbol, targets in moves.items():
             tid, is_new = intern(closure_of(targets))
-            row[symbol] = tid
+            esrc.append(sid)
+            esym.append(symbol)
+            edst.append(tid)
             if is_new:
                 work.append(tid)
-        dfa_succ[sid] = row
-    while len(dfa_succ) < len(subsets):
-        dfa_succ.append({})
 
-    # Moore refinement: all subsets accept every prefix they survive, so
-    # language equivalence is the coarsest partition in which equal
-    # blocks have equal {(symbol, block of successor)} signatures.
-    def signatures(block_of: BlockMap) -> Sequence[Hashable]:
-        return [
-            frozenset((symbol, block_of[target]) for symbol, target in row.items())
-            for row in dfa_succ
-        ]
-
-    dfa_blocks = refine_to_fixpoint(len(subsets), signatures)
+    dfa_blocks = _pt_refine(len(subsets), esrc, esym, edst)
     return partition_from_key([dfa_blocks[start_of_state[s]] for s in range(n)])
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from .graphs import reachability_closure, tarjan_scc
+from .graphs import reachability_closure
 from .lts import TAU_ID, AnyLTS, disjoint_union, ensure_frozen, tau_successor_lists
 from .partition import BlockMap, num_blocks
 from .branching import Comparison
@@ -53,39 +53,6 @@ def _weak_step_sets(lts: AnyLTS, closures: List[frozenset]) -> List[frozenset]:
             acc |= direct[mid]
         out.append(frozenset(acc))
     return out
-
-
-def _divergence_marks(lts: AnyLTS, block_of: BlockMap) -> List[bool]:
-    """Partition-relative divergence (Definition 5.4): a state is marked
-    iff it can reach, through silent steps that stay inside its block,
-    a silent cycle inside that block."""
-    n = lts.num_states
-    tau_succ = tau_successor_lists(lts)
-    inert: List[List[int]] = [[] for _ in range(n)]
-    for src in range(n):
-        for dst in tau_succ[src]:
-            if block_of[src] == block_of[dst]:
-                inert[src].append(dst)
-    comp_of, num_comps = tarjan_scc(n, lambda s: inert[s])
-    members: List[List[int]] = [[] for _ in range(num_comps)]
-    for state in range(n):
-        members[comp_of[state]].append(state)
-    divergent = [False] * num_comps
-    for comp in range(num_comps):
-        if len(members[comp]) > 1:
-            divergent[comp] = True
-    for src in range(n):
-        for dst in inert[src]:
-            if comp_of[src] == comp_of[dst]:
-                divergent[comp_of[src]] = True
-    for comp in range(num_comps):
-        if divergent[comp]:
-            continue
-        for src in members[comp]:
-            if any(divergent[comp_of[dst]] for dst in inert[src]):
-                divergent[comp] = True
-                break
-    return [divergent[comp_of[state]] for state in range(n)]
 
 
 def weak_partition(

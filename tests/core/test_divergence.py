@@ -1,11 +1,19 @@
 """Divergence detection and lasso diagnostics (Section V.B, Fig. 9)."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.core import (
     divergent_states,
     find_divergence_lasso,
     make_lts,
     tau_cycle_states,
 )
+from repro.core.graphs import divergence_marks
+from repro.core.lts import tau_successor_lists
+from repro.testing.oracles import diverges_within, tau_cycle_states_naive
+
+from tests.helpers import tau_cyclic_systems
 
 
 def test_no_cycles_in_dag():
@@ -83,3 +91,30 @@ def test_unreachable_cycle_yields_no_lasso():
     lts = make_lts(3, 0, [(0, "a", 1), (2, "tau", 2)])
     assert 2 in tau_cycle_states(lts)
     assert find_divergence_lasso(lts) is None
+
+
+# ----------------------------------------------------------------------
+# the cyclic rule and Definition 5.4's marking against the oracles
+# ----------------------------------------------------------------------
+
+@given(tau_cyclic_systems())
+def test_tau_cycle_states_match_the_naive_oracle(lts):
+    assert tau_cycle_states(lts) == sorted(tau_cycle_states_naive(lts))
+
+
+@given(tau_cyclic_systems(), st.data())
+def test_partition_relative_marks_match_diverges_within(lts, data):
+    n = lts.num_states
+    block_of = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    marks = divergence_marks(tau_successor_lists(lts), block_of)
+    for s in range(n):
+        block = {t for t in range(n) if block_of[t] == block_of[s]}
+        assert marks[s] == diverges_within(lts, s, block), s
+
+
+@given(tau_cyclic_systems())
+def test_divergent_states_are_the_one_block_marks(lts):
+    everything = set(range(lts.num_states))
+    assert divergent_states(lts) == [
+        diverges_within(lts, s, everything) for s in range(lts.num_states)
+    ]

@@ -1,9 +1,11 @@
-"""Graph utility tests: Tarjan SCC and reachability closures."""
+"""Graph utility tests: Tarjan SCC, the cyclic-component rule, partition-
+relative divergence and reachability closures."""
 
 from repro.core.graphs import (
     LazyReachabilityClosure,
+    cyclic_components,
+    divergence_marks,
     reachability_closure,
-    scc_has_cycle,
     tarjan_scc,
 )
 
@@ -51,14 +53,22 @@ def test_self_loop_is_singleton_component():
     assert count == 2
 
 
-def test_scc_has_cycle():
-    adjacency = {0: [1], 1: [0], 2: [2], 3: []}
-    edges = [(0, 1), (1, 0), (2, 2)]
-    comp_of, count = tarjan_scc(4, succ_fn(adjacency))
-    cyclic = scc_has_cycle(4, comp_of, count, edges)
-    assert cyclic[comp_of[0]] is True or cyclic[comp_of[0]] == True  # 2-cycle
-    assert cyclic[comp_of[2]]                                       # self-loop
-    assert not cyclic[comp_of[3]]                                   # isolated
+def test_cyclic_components():
+    comp_of, count, cyclic = cyclic_components([[1], [0], [2], []])
+    assert count == 3
+    assert cyclic[comp_of[0]]       # 2-cycle
+    assert cyclic[comp_of[2]]       # self-loop
+    assert not cyclic[comp_of[3]]   # isolated
+
+
+def test_divergence_marks_stay_inside_blocks():
+    # 3 -> 0 -> 1 -> 2 -> 1: the 1-2 cycle, reached from 0 and 3.
+    successors = [[1], [2], [1], [0]]
+    assert divergence_marks(successors, [0, 0, 0, 0]) == [True] * 4
+    # Cutting the cycle with a block boundary removes every mark.
+    assert divergence_marks(successors, [0, 0, 1, 0]) == [False] * 4
+    # 0's only path to the cycle leaves its block: 1, 2 keep their marks.
+    assert divergence_marks(successors, [0, 1, 1, 0]) == [False, True, True, False]
 
 
 def test_reachability_closure_chain():

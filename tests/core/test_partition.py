@@ -1,17 +1,18 @@
-"""Unit tests for block maps and the generic signature-refinement loop."""
+"""Unit tests for block maps, the signature-refinement step, and the
+Moore sweep that the test suite keeps as a reference."""
 
 import pytest
 
 from repro.core import (
-    blocks_of,
     is_refinement,
     normalize,
     num_blocks,
     partition_from_key,
     refine_step,
-    refine_to_fixpoint,
     same_partition,
 )
+
+from tests.helpers import moore_refine
 
 
 def test_normalize_renumbers_densely():
@@ -25,10 +26,6 @@ def test_num_blocks():
 
 def test_partition_from_key_groups():
     assert partition_from_key(["x", "y", "x", "z"]) == [0, 1, 0, 2]
-
-
-def test_blocks_of():
-    assert blocks_of([0, 1, 0]) == [[0, 2], [1]]
 
 
 def test_same_partition_up_to_renaming():
@@ -70,7 +67,7 @@ def test_refine_to_fixpoint_reaches_stability():
     def signature_fn(block_of):
         return [block_of[succ[s]] for s in range(4)]
 
-    result = refine_to_fixpoint(4, signature_fn)
+    result = moore_refine(4, signature_fn)
     # 3 is stable under its self-loop; 2 sees 3, 1 sees 2, 0 sees 1. The
     # coarsest stable partition keeps 3 alone... actually all four states
     # have pairwise-different distances to the sink, so the fixpoint has
@@ -81,15 +78,15 @@ def test_refine_to_fixpoint_reaches_stability():
 
 
 def test_refine_to_fixpoint_initial_partition_respected():
-    result = refine_to_fixpoint(4, lambda b: ["s"] * 4, initial=[0, 0, 1, 1])
+    result = moore_refine(4, lambda b: ["s"] * 4, initial=[0, 0, 1, 1])
     assert same_partition(result, [0, 0, 1, 1])
     assert is_refinement(result, [0, 0, 1, 1])
 
 
 def test_refine_to_fixpoint_rejects_bad_initial():
     with pytest.raises(ValueError):
-        refine_to_fixpoint(3, lambda b: ["s"] * 3, initial=[0, 0])
+        moore_refine(3, lambda b: ["s"] * 3, initial=[0, 0])
 
 
 def test_refine_to_fixpoint_empty():
-    assert refine_to_fixpoint(0, lambda b: []) == []
+    assert moore_refine(0, lambda b: []) == []

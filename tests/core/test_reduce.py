@@ -9,6 +9,7 @@ those are pinned explicitly.
 """
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     LTS,
@@ -18,13 +19,16 @@ from repro.core import (
     compare_strong,
     lift_partition,
     make_lts,
+    normalize,
     quotient_lts,
     reduce_lts,
     same_partition,
 )
 from repro.lang import ClientConfig, explore
 from repro.objects import get
+from repro.core.reduce import condense_silent_sccs
 from repro.testing.generators import lts_strategy, tau_heavy_lts_strategy
+from repro.testing.oracles import tau_cycle_states_naive
 from repro.util.metrics import Stats
 
 
@@ -56,6 +60,42 @@ def test_tau_cycle_condenses_without_divergence_marks():
     # Plain branching bisimilarity forgets the cycle: no self-loop.
     assert reduced.lts.tau_successors(reduced.lts.init) == []
     assert reduced.divergent[reduced.state_of[0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tau_heavy_lts_strategy(max_states=8, max_transitions=16), st.data())
+def test_silent_scc_contraction_under_a_seed(lts, data):
+    # The contract the splitter's bottom-up pass relies on.
+    n = lts.num_states
+    seed = normalize(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    comp_a, num_comps, marked, codes = condense_silent_sccs(lts, seed)
+    comp_of = comp_a.tolist()
+    # Each component lies inside one seed block.
+    seed_of_comp = {}
+    for s in range(n):
+        assert seed_of_comp.setdefault(comp_of[s], seed[s]) == seed[s]
+    # Silent steps between components of one seed block go downhill.
+    inert = [
+        (src, dst) for src, aid, dst in lts.transitions()
+        if aid == TAU_ID and seed[src] == seed[dst]
+    ]
+    for src, dst in inert:
+        if comp_of[src] != comp_of[dst]:
+            assert comp_of[src] > comp_of[dst]
+    # Marked iff a silent cycle of the seed-restricted system passes through.
+    on_cycle = tau_cycle_states_naive(
+        make_lts(n, lts.init, [(src, "tau", dst) for src, dst in inert])
+    )
+    assert marked.tolist() == [
+        any(comp_of[s] == c for s in on_cycle) for c in range(num_comps)
+    ]
+    # The condensed edges, intra-component silent steps dropped.
+    width = len(lts.action_labels) * num_comps
+    assert codes.tolist() == sorted({
+        comp_of[src] * width + aid * num_comps + comp_of[dst]
+        for src, aid, dst in lts.transitions()
+        if not (aid == TAU_ID and comp_of[src] == comp_of[dst])
+    })
 
 
 def test_tau_cycle_keeps_self_loop_in_divergence_mode():

@@ -7,8 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import (
+    branching_partition,
     make_lts,
     language_partition,
+    partition_from_key,
+    quotient_lts,
     tau_closures,
     trace_equivalent,
     trace_partition,
@@ -18,9 +21,12 @@ from repro.core import (
 from repro.core import traces
 from repro.core.graphs import LazyReachabilityClosure, reachability_closure
 from repro.core.lts import tau_successor_lists
+from repro.lang import ClientConfig, explore
+from repro.objects import get
+from repro.testing.generators import lts_strategy
 from repro.util.metrics import Stats
 
-from tests.helpers import bounded_traces, is_trace_of
+from tests.helpers import bounded_traces, is_trace_of, moore_refine, tau_cyclic_systems
 
 
 def test_reflexive():
@@ -138,25 +144,104 @@ def test_language_partition_epsilon_compression():
 
 
 # ----------------------------------------------------------------------
+# DFA minimisation: the Paige-Tarjan core against a Moore sweep
+# ----------------------------------------------------------------------
+
+def _moore_language_partition(lts, symbol_of):
+    """Reference for :func:`language_partition`: the same subset
+    construction over uninterned symbols, minimised by a Moore sweep
+    (every subset accepts, so equal blocks must carry equal
+    ``{(symbol, block of successor)}`` signatures)."""
+    n = lts.num_states
+    eps_succ = [[] for _ in range(n)]
+    symbolic = [[] for _ in range(n)]
+    for src, aid, dst in lts.transitions():
+        symbol = symbol_of(src, aid, dst)
+        if symbol is None:
+            eps_succ[src].append(dst)
+        else:
+            symbolic[src].append((symbol, dst))
+    closures = reachability_closure(n, eps_succ)
+    subset_ids = {}
+    subsets = []
+    work = []
+
+    def intern(subset):
+        if subset not in subset_ids:
+            subset_ids[subset] = len(subsets)
+            subsets.append(subset)
+            work.append(subset_ids[subset])
+        return subset_ids[subset]
+
+    start_of_state = [intern(closures[state]) for state in range(n)]
+    rows = {}
+    while work:
+        sid = work.pop()
+        moves = {}
+        for q in subsets[sid]:
+            for symbol, dst in symbolic[q]:
+                moves.setdefault(symbol, set()).update(closures[dst])
+        rows[sid] = {
+            symbol: intern(frozenset(targets)) for symbol, targets in moves.items()
+        }
+
+    def signatures(block_of):
+        return [
+            frozenset((symbol, block_of[t]) for symbol, t in rows[sid].items())
+            for sid in range(len(subsets))
+        ]
+
+    dfa_blocks = moore_refine(len(subsets), signatures)
+    return partition_from_key([dfa_blocks[start_of_state[s]] for s in range(n)])
+
+
+def _trace_symbols(src, aid, dst):
+    return None if aid == TAU_ID else aid
+
+
+def _ktrace_symbols(block_of):
+    """The symbols of k-trace level ``k + 1`` over level ``block_of``."""
+    def symbol(src, aid, dst):
+        if aid == TAU_ID and block_of[src] == block_of[dst]:
+            return None
+        return (aid, block_of[dst])
+    return symbol
+
+
+@given(lts_strategy(max_states=8, max_transitions=16))
+def test_language_partition_matches_the_moore_sweep_on_trace_symbols(lts):
+    assert language_partition(lts, _trace_symbols) == _moore_language_partition(
+        lts, _trace_symbols
+    )
+
+
+@given(lts_strategy(max_states=8, max_transitions=16))
+def test_language_partition_matches_the_moore_sweep_on_ktrace_symbols(lts):
+    symbol = _ktrace_symbols(branching_partition(lts))
+    assert language_partition(lts, symbol) == _moore_language_partition(lts, symbol)
+
+
+def test_language_partition_matches_the_moore_sweep_on_registry_quotients():
+    # The Table I objects at 2x2, levels 1-4 (hw_queue, treiber, ccas
+    # and rdcss split again at level 2).
+    keys = ("hw_queue", "ms_queue", "dglm_queue", "treiber", "newcas", "ccas", "rdcss")
+    for key in keys:
+        bench = get(key)
+        system = explore(bench.build(2), ClientConfig(2, 2, bench.default_workload()))
+        quotient = quotient_lts(system, branching_partition(system, reduce=True)).lts
+        level = [0] * quotient.num_states
+        for k in range(4):
+            symbol = _ktrace_symbols(level)
+            lang = language_partition(quotient, symbol)
+            assert lang == _moore_language_partition(quotient, symbol), (key, k)
+            level = partition_from_key(list(zip(level, lang)))
+
+
+# ----------------------------------------------------------------------
 # tau-closures on demand
 # ----------------------------------------------------------------------
 
-@st.composite
-def _tau_cyclic_systems(draw):
-    """Small LTSs, tau-dense, with at least one tau-cycle."""
-    n = draw(st.integers(min_value=1, max_value=9))
-    edges = draw(st.lists(st.tuples(
-        st.integers(0, n - 1), st.sampled_from(["tau", "tau", "a", "b"]),
-        st.integers(0, n - 1),
-    ), max_size=20))
-    start = draw(st.integers(0, n - 1))
-    length = draw(st.integers(1, n))
-    cycle = [(start + k) % n for k in range(length)]
-    edges += [(cycle[k], "tau", cycle[(k + 1) % length]) for k in range(length)]
-    return make_lts(n, draw(st.integers(0, n - 1)), edges)
-
-
-@given(_tau_cyclic_systems(), st.randoms(use_true_random=False))
+@given(tau_cyclic_systems(), st.randoms(use_true_random=False))
 def test_closures_on_demand_match_state_tau_closures(lts, rng):
     eager = tau_closures(lts)
     for system in (lts, lts.freeze()):

@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro.core.partition import refine_to_fixpoint
 from repro.lang import ClientConfig
 from repro.lang.client import ExpansionContext, StreamingExplorer, explore
 from repro.objects import get
@@ -106,18 +105,6 @@ def test_module_stage_helper_handles_none():
     with stage(stats, "real"):
         pass
     assert "real" in stats.stage_seconds
-
-
-def test_refine_to_fixpoint_records_counters():
-    stats = Stats()
-    # Two states distinguished by a static signature: one sweep, one split.
-    block_of = refine_to_fixpoint(
-        2, lambda blocks: [(s % 2,) for s in range(2)], stats=stats
-    )
-    assert block_of[0] != block_of[1]
-    assert stats.counters["states"] == 2
-    assert stats.counters["sweeps"] >= 1
-    assert stats.counters["splits"] >= 1
 
 
 def test_explore_records_and_matches_uninstrumented():
