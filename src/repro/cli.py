@@ -488,14 +488,11 @@ def _compare_governed(args, left, right, stats, budget) -> int:
     name = args.relation + ("-divergence" if args.divergence else "")
     print(f"{name} bisimilar: {outcome.equivalent}")
     if not outcome.equivalent and args.relation == "branching":
-        from .core import explain_states
+        from .core import explain_comparison
         from .util.metrics import stage
 
         with stage(stats, "explain"):
-            explanation = explain_states(
-                outcome.union, outcome.init_a, outcome.init_b,
-                divergence=args.divergence, budget=budget,
-            )
+            explanation = explain_comparison(outcome, budget=budget)
         if explanation:
             print(explanation.render())
     return 0 if outcome.equivalent else 1

@@ -28,10 +28,14 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "normalize",
         "num_blocks",
         "partition_from_key",
-        "refine_step",
         "same_partition",
     ],
-    "splitter": ["branching_splitter", "strong_splitter", "weak_splitter"],
+    "splitter": [
+        "SplitLog",
+        "branching_splitter",
+        "strong_splitter",
+        "weak_splitter",
+    ],
     "branching": [
         "Comparison",
         "DIVERGENCE_MARK",
@@ -56,7 +60,14 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "trace_refines",
     ],
     "aut": ["dumps_aut", "loads_aut", "read_aut", "write_aut"],
-    "diagnostics": ["Explanation", "explain_inequivalence", "explain_states"],
+    "diagnostics": [
+        "Explanation",
+        "SplitTree",
+        "explain_comparison",
+        "explain_inequivalence",
+        "explain_states",
+        "split_tree",
+    ],
     "ktrace": [
         "KTraceHierarchy",
         "TauWitnesses",

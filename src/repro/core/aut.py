@@ -37,6 +37,7 @@ from __future__ import annotations
 import ast
 import io
 import re
+import tokenize
 from itertools import islice
 from typing import Any, Dict, Hashable, List, TextIO, Tuple, Union
 
@@ -116,7 +117,7 @@ def parse_label(text: str) -> Hashable:
     if len(text) >= 2 and text.startswith('"') and text.endswith('"'):
         inner = _unescape(text[1:-1])
         try:
-            return ast.literal_eval(inner)
+            return _literal(inner)
         except (ValueError, SyntaxError):
             return inner
     if "!" in text:
@@ -130,9 +131,59 @@ def parse_label(text: str) -> Hashable:
 
 def _parse_offer(text: str) -> Any:
     try:
-        return ast.literal_eval(text)
+        return _literal(text)
     except (ValueError, SyntaxError):
         return text
+
+
+#: Characters that may follow a backslash in a str / bytes literal
+#: without a warning (``\N``, ``\u`` and ``\U`` are str-only).
+_STR_ESCAPES = frozenset("\n\\'\"abfnrtv01234567xNuU")
+_BYTES_ESCAPES = frozenset("\n\\'\"abfnrtv01234567x")
+
+
+def _literal(text: str) -> Any:
+    """``ast.literal_eval(text)``, except that a string literal with an
+    escape Python warns about raises :class:`ValueError`.
+
+    Evaluating such a literal warns (a DeprecationWarning on 3.11, a
+    SyntaxWarning from 3.12), so its value would depend on the warning
+    filters: under ``-W error`` the warning is an error.  Scanning the
+    literals first keeps the text a string under every filter, as later
+    Pythons will once these escapes are errors, and leaves the
+    process-wide warning state alone.
+    """
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+    except (tokenize.TokenError, SyntaxError) as exc:
+        raise ValueError(str(exc)) from None
+    for token in tokens:
+        if token.type == tokenize.STRING and _warns(token.string):
+            raise ValueError(f"invalid escape in {token.string}")
+    return ast.literal_eval(text)
+
+
+def _warns(literal: str) -> bool:
+    """Whether a string literal token holds an escape Python warns about."""
+    prefix = literal[: len(literal) - len(literal.lstrip("rRbBuUfF"))].lower()
+    if "r" in prefix:
+        return False
+    allowed = _BYTES_ESCAPES if "b" in prefix else _STR_ESCAPES
+    i = literal.find("\\")
+    while i != -1:
+        escape = literal[i + 1]
+        if escape not in allowed:
+            return True
+        if escape in "01234567":
+            digits = escape
+            for ch in literal[i + 2:i + 4]:
+                if ch not in "01234567":
+                    break
+                digits += ch
+            if int(digits, 8) > 0o377:
+                return True
+        i = literal.find("\\", i + 2)
+    return False
 
 
 def write_aut(lts: AnyLTS, target: Union[str, TextIO]) -> None:

@@ -16,29 +16,26 @@ divergence.
 
 The coarsest stable partition is the partition induced by the largest
 (divergence-sensitive) branching bisimulation.  It is computed by the
-splitter-queue engine (:func:`repro.core.splitter.branching_splitter`);
-:func:`_branching_signatures_ordered` evaluates one round of the
-signatures above in decoded form for the diagnostics layer
-(:mod:`repro.core.diagnostics`), which inspects individual signature
-elements.
+splitter-queue engine (:func:`repro.core.splitter.branching_splitter`),
+which can record its splits for the diagnostics layer
+(:mod:`repro.core.diagnostics`) to replay.
 
 ``reduce=True`` additionally compresses the system with
 :func:`repro.core.reduce.reduce_lts` before refining and lifts the
-partition back through the compression map.  The pass is only applied
-when no seed partition is given: a seed may separate states the
-reduction merges.
+partition, and the split log when one is kept, back through the
+compression map.  The pass is only applied when no seed partition is
+given: a seed may separate states the reduction merges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import reduce as reduce_mod
-from .graphs import cyclic_components
-from .lts import TAU_ID, AnyLTS, FrozenLTS, disjoint_union, ensure_frozen
+from .lts import AnyLTS, FrozenLTS, disjoint_union, ensure_frozen
 from .partition import BlockMap, normalize, num_blocks
-from .splitter import branching_splitter
+from .splitter import SplitLog, branching_splitter
 from ..util.metrics import stage
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,54 +46,14 @@ if TYPE_CHECKING:  # pragma: no cover
 DIVERGENCE_MARK = ("__divergent__",)
 
 
-def _branching_signatures_ordered(lts: AnyLTS, block_of: BlockMap, divergence: bool):
-    """One round of branching signatures as frozensets of ``(a, block)``.
-
-    Used by the diagnostics layer, which inspects individual signature
-    elements to explain why two states are inequivalent.
-    """
-    n = lts.num_states
-    inert: List[List[int]] = [[] for _ in range(n)]
-    for src, aid, dst in lts.transitions():
-        if aid == TAU_ID and block_of[src] == block_of[dst]:
-            inert[src].append(dst)
-
-    comp_of, num_comps, cyclic = cyclic_components(inert)
-
-    members: List[List[int]] = [[] for _ in range(num_comps)]
-    for state in range(n):
-        members[comp_of[state]].append(state)
-
-    comp_sig: List[set] = [set() for _ in range(num_comps)]
-    for src, aid, dst in lts.transitions():
-        if aid == TAU_ID and block_of[src] == block_of[dst]:
-            continue
-        comp_sig[comp_of[src]].add((aid, block_of[dst]))
-
-    if divergence:
-        for comp in range(num_comps):
-            if cyclic[comp]:
-                comp_sig[comp].add(DIVERGENCE_MARK)
-
-    # Accumulate in increasing component id: successors are complete first.
-    for comp in range(num_comps):
-        sig = comp_sig[comp]
-        for src in members[comp]:
-            for dst in inert[src]:
-                dst_comp = comp_of[dst]
-                if dst_comp != comp:
-                    sig |= comp_sig[dst_comp]
-
-    frozen = [frozenset(sig) for sig in comp_sig]
-    return [frozen[comp_of[state]] for state in range(n)]
-
-
 def _refine(
     frozen: FrozenLTS,
     divergence: bool,
     initial: Optional[BlockMap],
     stats: Optional["Stats"],
     budget: Optional["RunBudget"],
+    condensation: Optional[tuple] = None,
+    log: Optional[SplitLog] = None,
 ) -> BlockMap:
     """Run the splitter engine inside the refinement stage.
 
@@ -105,14 +62,10 @@ def _refine(
     actually returns, so the ``reduce=True`` path reports the lifted
     block count rather than the inner compressed run's.
     """
-    if stats is None:
+    with stage(stats, "refinement"):
         return branching_splitter(
-            frozen, divergence=divergence, initial=initial, budget=budget
-        )
-    with stats.stage("refinement"):
-        return branching_splitter(
-            frozen, divergence=divergence, initial=initial,
-            budget=budget, stats=stats,
+            frozen, divergence=divergence, initial=initial, budget=budget,
+            stats=stats, condensation=condensation, log=log,
         )
 
 
@@ -123,6 +76,7 @@ def branching_partition(
     stats: Optional["Stats"] = None,
     reduce: bool = False,
     budget: Optional["RunBudget"] = None,
+    log: Optional[SplitLog] = None,
 ) -> BlockMap:
     """Partition of the states of ``lts`` under branching bisimilarity.
 
@@ -135,7 +89,9 @@ def branching_partition(
     splits; without one the code path is unchanged.  The ``blocks``
     counter always reflects the partition returned to the caller --
     under ``reduce=True`` that is the lifted partition of the original
-    state space, not the compressed inner run.
+    state space, not the compressed inner run.  ``log`` receives the
+    refinement's splits (:class:`~repro.core.splitter.SplitLog`) with
+    ``comp_of`` over the states of ``lts``.
     """
     frozen = ensure_frozen(lts)
     if reduce and initial is None and frozen.num_states:
@@ -143,12 +99,20 @@ def branching_partition(
             frozen, divergence=divergence, stats=stats, budget=budget
         )
         inner = _refine(
-            ensure_frozen(reduced.lts), divergence, None, stats, budget
+            reduced.lts, divergence, None, stats, budget,
+            condensation=reduced.condensation, log=log,
         )
         block_of = normalize(reduce_mod.lift_partition(reduced, inner))
+        if log is not None:
+            # Lift the log's component map through ``state_of``; a handed
+            # condensation numbers every reduced state as itself.
+            log.comp_of = (
+                reduced.state_of if reduced.condensation is not None
+                else reduce_mod.lift_partition(reduced, log.comp_of)
+            )
     else:
         block_of = normalize(
-            _refine(frozen, divergence, initial, stats, budget)
+            _refine(frozen, divergence, initial, stats, budget, log=log)
         )
     if stats is not None:
         with stats.stage("refinement"):
@@ -170,6 +134,10 @@ class Comparison:
         The partition of the union's states.
     init_a, init_b:
         Images of the two initial states inside the union.
+    log:
+        For an inequivalent branching comparison, the split log of the
+        refinement that decided it, over the union's states
+        (:mod:`repro.core.diagnostics` explains from it); else ``None``.
     """
 
     equivalent: bool
@@ -177,6 +145,7 @@ class Comparison:
     block_of: BlockMap
     init_a: int
     init_b: int
+    log: Optional[SplitLog] = None
 
 
 def compare_branching(
@@ -191,17 +160,23 @@ def compare_branching(
 
     Two object systems are branching bisimilar iff their initial states
     are related in the disjoint union (Section IV / Definition 5.5).
+    An inequivalent comparison keeps the refinement's split log, lifted
+    to the union's states, so that :mod:`repro.core.diagnostics` can
+    explain it without refining again; an equivalent one drops it.
     """
     with stage(stats, "union"):
         union, init_a, init_b = disjoint_union(a, b)
+    log = SplitLog()
     block_of = branching_partition(
         union, divergence=divergence, stats=stats, reduce=reduce,
-        budget=budget,
+        budget=budget, log=log,
     )
+    equivalent = block_of[init_a] == block_of[init_b]
     return Comparison(
-        equivalent=block_of[init_a] == block_of[init_b],
+        equivalent=equivalent,
         union=union,
         block_of=block_of,
         init_a=init_a,
         init_b=init_b,
+        log=None if equivalent else log,
     )

@@ -1,18 +1,13 @@
-"""Partitions as block maps, plus one step of signature refinement.
+"""Partitions as block maps.
 
 The partitions themselves are computed by the splitter-queue engine
 (:mod:`repro.core.splitter`), the one refinement engine; this module
-holds the shared block-map helpers and :func:`refine_step`, the
-whole-system sweep that records the per-round history of
-:mod:`repro.core.diagnostics`.  A sweep assigns every state a
-*signature* relative to the current partition and splits blocks so that
-two states stay together only if they carry the same signature
-(Blom & Orzan's signature-refinement scheme).
+holds the block-map helpers every engine and consumer shares.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence
 
 #: A partition is represented as a dense block index per state.
 BlockMap = List[int]
@@ -70,17 +65,3 @@ def is_refinement(fine: BlockMap, coarse: BlockMap) -> bool:
         if seen.setdefault(f, c) != c:
             return False
     return True
-
-
-def refine_step(block_of: BlockMap, signatures: Sequence[Hashable]) -> Tuple[BlockMap, bool]:
-    """Split every block by signature.  Returns ``(partition, changed)``."""
-    table: Dict[Tuple[int, Hashable], int] = {}
-    new_block_of: BlockMap = [0] * len(block_of)
-    for state, block in enumerate(block_of):
-        key = (block, signatures[state])
-        nb = table.get(key)
-        if nb is None:
-            nb = len(table)
-            table[key] = nb
-        new_block_of[state] = nb
-    return new_block_of, len(table) != num_blocks(block_of)

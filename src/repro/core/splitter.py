@@ -30,7 +30,9 @@ Three per-equivalence front ends share the machinery:
   :func:`branching_splitter`.  Inert tau-SCCs (w.r.t. the seed
   partition) are contracted once up front, by the contraction that
   :mod:`repro.core.reduce` also runs as its layer 1
-  (:func:`repro.core.reduce.condense_silent_sccs`) -- states of one
+  (:func:`repro.core.reduce.condense_silent_sccs`), or handed in by a
+  caller that holds it already (``reduce``'s output is its own
+  contraction) -- states of one
   silent SCC inside a seed block carry equal signatures forever, and
   afterwards the inert graph is a DAG for the rest of the run, so no
   per-sweep Tarjan pass is needed.  Refinement then runs a dirty-block
@@ -42,7 +44,9 @@ Three per-equivalence front ends share the machinery:
   a direct transition into the split block dirty.  Divergence marks
   are partition-relative (Definition 5.4), so they are re-derived on
   every recomputation from the statically marked silent-cycle
-  components.
+  components.  A caller may pass a :class:`SplitLog` to keep the
+  splits, from which :mod:`repro.core.diagnostics` explains an
+  inequivalence.
 
 * **Weak bisimulation** -- :func:`weak_splitter`, via saturation: plain
   weak bisimilarity is strong bisimilarity on the saturated transition
@@ -59,6 +63,7 @@ systems.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .graphs import divergence_marks
@@ -274,12 +279,35 @@ def strong_splitter(
 _DIV = -1
 
 
+@dataclass
+class SplitLog:
+    """The multi-way splits of one :func:`branching_splitter` run.
+
+    ``splits[k]`` is the ``k``-th split, ``(block, parts)``: ``block``
+    was split, and ``parts`` are the member lists, over components, of
+    the parts that got fresh block ids, in the order the ids were
+    handed out.  The largest part keeps ``block``'s id.  Block ``0`` is
+    the one seed block and fresh ids count up from ``1``, so the log
+    is the split tree of Cleaveland's method, which
+    :mod:`repro.core.diagnostics` replays.  ``comp_of`` maps every
+    state to its component, and ``divergence`` says which relation the
+    run refined.
+    """
+
+    comp_of: Sequence[int] = ()
+    num_comps: int = 0
+    divergence: bool = False
+    splits: List[Tuple[int, List[List[int]]]] = field(default_factory=list)
+
+
 def branching_splitter(
     frozen: FrozenLTS,
     divergence: bool = False,
     initial: Optional[BlockMap] = None,
     budget: Optional["RunBudget"] = None,
     stats: Optional["Stats"] = None,
+    condensation: Optional[tuple] = None,
+    log: Optional[SplitLog] = None,
 ) -> BlockMap:
     """(Divergence-sensitive) branching-bisimilarity partition.
 
@@ -288,12 +316,19 @@ def branching_splitter(
     contraction is sound even under a seed: two states of one silent
     SCC *inside a seed block* receive equal signatures w.r.t. every
     partition the refinement can reach, so no run ever separates them.
+
+    ``condensation`` is that contraction when the caller already holds
+    it (:attr:`repro.core.reduce.ReducedLTS.condensation`).  ``log``,
+    when given, records every split (:class:`SplitLog`); it needs the
+    one-block seed.
     """
     n = frozen.num_states
     if n == 0:
         return []
     if budget is not None:
         budget.check("refinement", states=n)
+    if log is not None and initial is not None:
+        raise ValueError("a split log records runs from the one-block seed")
     seed = normalize(initial) if initial is not None else [0] * n
     if len(seed) != n:
         raise ValueError("initial partition has wrong length")
@@ -303,8 +338,14 @@ def branching_splitter(
     # components stay divergent under every later partition: the cycle
     # lives inside the component, which is never split, so it is always
     # inside the component's block.
-    comp_a, C, marked_a, codes_a = condense_silent_sccs(frozen, seed)
+    if condensation is None:
+        condensation = condense_silent_sccs(frozen, seed)
+    comp_a, C, marked_a, codes_a = condensation
     comp_of = comp_a.tolist()
+    if log is not None:
+        log.comp_of = comp_of
+        log.num_comps = C
+        log.divergence = divergence
     marked = marked_a.tolist()
     codes = codes_a.tolist()
 
@@ -313,9 +354,9 @@ def branching_splitter(
     # steps that can still become inert (same seed block -- blocks only
     # ever refine the seed, so a cross-seed tau can never be inert).
     # pred_comps[c]: components with a direct step into c (for dirty
-    # propagation).  Tarjan numbers successors first, so iterating a
-    # block's members in increasing component id resolves the inert DAG
-    # bottom-up.
+    # propagation).  Components are numbered successors first, so
+    # iterating a block's members in increasing component id resolves
+    # the inert DAG bottom-up.
     AC = len(frozen.action_labels) * C
     seed_of_comp = [0] * C
     for state in range(n):
@@ -357,9 +398,9 @@ def branching_splitter(
             )
 
         # Bottom-up branching signatures w.r.t. the current partition.
-        # Members are sorted ascending and Tarjan numbers successors
-        # first, so an inert successor inside d is always computed
-        # before its predecessors (bottom states resolve first).
+        # Members are sorted ascending and components are numbered
+        # successors first, so an inert successor inside d is always
+        # computed before its predecessors (bottom states resolve first).
         # Signature elements are coded ``a * stride + block`` (the
         # divergence mark is ``-1``); ``stride`` bounds every block id
         # alive while this block is scanned, so codes are injective.
@@ -389,6 +430,8 @@ def branching_splitter(
         # fresh ids.  Every part is dirty (in-block inertness changed),
         # and so is every block with a direct step into old d.
         parts = sorted(groups.values(), key=len, reverse=True)
+        if log is not None:
+            log.splits.append((d, parts[1:]))
         old_members = members
         blocks[d] = parts[0]
         new_ids = [d]

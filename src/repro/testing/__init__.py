@@ -42,6 +42,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "MUTATIONS",
         "check_budget_governance",
         "check_equivalences",
+        "check_explanations",
         "check_instance",
         "check_seeded_refinement",
         "check_trace_refinement",

@@ -17,6 +17,9 @@ against the program's own :func:`~repro.lang.spec.atomic_spec`, and any
 reachability violation witness must replay as an implementation trace
 the specification cannot produce.  Two deterministic canary programs
 run first so the engine mutations below are caught without luck.
+On instances small enough for the oracles, every state pair's
+distinguishing experiment (:mod:`repro.core.diagnostics`) is checked
+against the oracle and the LTS (:func:`check_explanations`).
 
 ``python -m repro fuzz`` is the CLI front end; the ``--mutate`` option
 re-runs the harness against a deliberately broken engine (e.g. a
@@ -36,11 +39,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core import (
+    DIVERGENCE_MARK,
+    Explanation,
     FrozenLTS,
+    SplitTree,
     branching_partition,
     is_refinement,
     quotient_lts,
     same_partition,
+    split_tree,
     strong_partition,
     trace_refines,
     weak_partition,
@@ -550,6 +557,118 @@ def _canary_programs():
     ]
 
 
+#: Relations whose explanations :func:`check_explanations` validates,
+#: with the divergence flag each is refined under.
+EXPLAINED_RELATIONS: Dict[str, bool] = {
+    "branching": False,
+    "branching-div": True,
+}
+
+
+def explanation_problem(
+    lts: FrozenLTS, explanation: Explanation, related: oracles.Relation
+) -> Optional[str]:
+    """What is wrong with ``explanation``, or ``None``.
+
+    ``related`` is the oracle's relation of the equivalence explained.
+    Every claimed move must be a transition of ``lts``; every opponent
+    match must be a target of the same action, taken after silent steps
+    from the opponent, and distinguishable from the witness's target;
+    a divergence claim must hold inside the block it names (which holds
+    both states and is a union of classes), and the opponent must not
+    diverge there.
+    """
+    n = lts.num_states
+    for depth, level in enumerate(explanation.levels):
+        if level.action == DIVERGENCE_MARK:
+            block = set(level.block)
+            if not {level.witness_state, level.opponent_state} <= block:
+                return f"level {depth}: its divergence block misses a state"
+            if any(
+                (s, t) in related and t not in block
+                for s in block for t in range(n)
+            ):
+                return f"level {depth}: its divergence block splits a class"
+            if not oracles.diverges_within(lts, level.witness_state, block):
+                return f"level {depth}: the witness does not diverge in its block"
+            if oracles.diverges_within(lts, level.opponent_state, block):
+                return f"level {depth}: the opponent diverges in the block too"
+            continue
+        aid = lts.lookup_action(level.action)
+        if aid is None or (aid, level.witness_target) not in lts.successors(
+            level.witness_state
+        ):
+            return (
+                f"level {depth}: claims {level.witness_state} "
+                f"--{level.action!r}--> {level.witness_target}, which is no "
+                "transition"
+            )
+        reach = oracles.tau_reachable(lts, level.opponent_state)
+        for target in level.opponent_targets:
+            if not any((aid, target) in lts.successors(x) for x in reach):
+                return (
+                    f"level {depth}: opponent match {target} is no "
+                    f"{level.action!r}-target of {level.opponent_state}"
+                )
+            if (level.witness_target, target) in related:
+                return (
+                    f"level {depth}: opponent match {target} is equivalent "
+                    f"to the witness target {level.witness_target}"
+                )
+    return None
+
+
+def check_explanations(
+    lts: FrozenLTS,
+    relations: Optional[List[str]] = None,
+    budget: Optional[RunBudget] = None,
+) -> List[Disagreement]:
+    """Explanations vs. the oracle on every state pair.
+
+    For each relation of :data:`EXPLAINED_RELATIONS`, the split tree of
+    one reduced refinement (:func:`repro.core.split_tree`, the log
+    ``repro compare --reduce`` explains from) must explain exactly the
+    pairs the oracle separates, and every explanation must pass
+    :func:`explanation_problem`.  One disagreement per relation.
+    """
+    out: List[Disagreement] = []
+    for name in relations or list(EXPLAINED_RELATIONS):
+        related = ORACLE_RELATIONS[name](lts, budget=budget)
+        tree = split_tree(
+            lts, divergence=EXPLAINED_RELATIONS[name], budget=budget
+        )
+        found = _explanation_mismatch(lts, tree, related, budget)
+        if found is not None:
+            s, t, problem = found
+            out.append(Disagreement(
+                kind="explanation",
+                name=name,
+                detail=f"states {s} and {t}: {problem}",
+                lts=lts,
+            ))
+    return out
+
+
+def _explanation_mismatch(
+    lts: FrozenLTS, tree: SplitTree, related: oracles.Relation,
+    budget: Optional[RunBudget],
+) -> Optional[Tuple[int, int, str]]:
+    """The first state pair whose explanation is wrong, and why."""
+    for s in range(lts.num_states):
+        for t in range(lts.num_states):
+            explanation = tree.explain(s, t, budget=budget)
+            if explanation is None:
+                if (s, t) not in related:
+                    return s, t, "no explanation, but the oracle separates them"
+                continue
+            if (s, t) in related:
+                return s, t, "an explanation, but the oracle relates them"
+            problem = explanation_problem(lts, explanation, related)
+            if problem is not None:
+                return s, t, problem
+    return None
+
+
 def check_budget_governance(lts: FrozenLTS) -> List[Disagreement]:
     """The engine must honour an already-exhausted run budget.
 
@@ -586,14 +705,19 @@ def check_instance(
     """All differential checks on one LTS.
 
     Relational oracles are quartic, so instances above
-    ``oracle_state_limit`` states only run the laws and the trace
-    cross-check against their own quotient.  ``budget``, when given, is
+    ``oracle_state_limit`` states skip the oracle comparisons and the
+    explanation check, and run the laws and the trace cross-check
+    against their own quotient.  ``budget``, when given, is
     threaded into the engine *and* the oracles, so a single slow
     instance cannot pin the whole fuzzing run.
     """
     out: List[Disagreement] = []
     if lts.num_states <= oracle_state_limit:
         out.extend(check_equivalences(lts, budget=budget))
+        if not out:
+            # A wrong partition is reported above; explanations are
+            # checked against the oracle where the partition is right.
+            out.extend(check_explanations(lts, budget=budget))
     out.extend(check_reduction(lts, budget=budget))
     out.extend(check_seeded_refinement(
         lts, oracle_state_limit=oracle_state_limit, budget=budget
@@ -770,6 +894,23 @@ def _mutate_splitter_skip_dirty_preds() -> Iterator[None]:
 
 
 @contextmanager
+def _mutate_explain_skip_inert_prefix() -> Iterator[None]:
+    """A distinguishing experiment claims its move from the state where
+    the witness's inert path starts instead of where it ends, so the
+    claimed transition does not exist whenever the path is non-empty.
+    Verdicts and partitions are untouched; caught only by the
+    explanation check (:func:`check_explanations`)."""
+    from ..core import diagnostics as D
+
+    original = D._INERT_PREFIX
+    D._INERT_PREFIX = False
+    try:
+        yield
+    finally:
+        D._INERT_PREFIX = original
+
+
+@contextmanager
 def _mutate_drop_monitor_transition() -> Iterator[None]:
     """The reachability monitor loses every linearization step of
     threads other than thread 1: completed operations of those threads
@@ -834,6 +975,7 @@ MUTATIONS: Dict[str, Callable[[], object]] = {
     "splitter-skip-dirty-preds": _mutate_splitter_skip_dirty_preds,
     "truncate-tau-closure": _mutate_truncate_tau_closure,
     "reduce-ignore-divergence": _mutate_reduce_ignore_divergence,
+    "explain-skip-inert-prefix": _mutate_explain_skip_inert_prefix,
 }
 
 
@@ -926,6 +1068,8 @@ def _shrink_disagreement(disagreement: Disagreement) -> FrozenLTS:
             return bool(check_equivalences(candidate, [disagreement.name]))
         if disagreement.kind == "reduction":
             return bool(check_reduction(candidate, [disagreement.name]))
+        if disagreement.kind == "explanation":
+            return bool(check_explanations(candidate, [disagreement.name]))
         if disagreement.kind == "seeded":
             return bool(check_seeded_refinement(candidate, [disagreement.name]))
         if disagreement.kind == "budget":
@@ -1084,8 +1228,9 @@ def run_fuzz(
                 report.exhausted += 1
                 continue
             report.checks += (
-                len(ENGINE_PARTITIONS) + len(REDUCTION_RELATIONS)
-                + len(SEEDED_RELATIONS) + len(laws.ALL_LAWS) + 2
+                len(ENGINE_PARTITIONS) + len(EXPLAINED_RELATIONS)
+                + len(REDUCTION_RELATIONS) + len(SEEDED_RELATIONS)
+                + len(laws.ALL_LAWS) + 2
             )
             if found:
                 handle_found(found, f"fuzz_seed{seed}_case{index}")

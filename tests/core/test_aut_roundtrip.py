@@ -7,8 +7,10 @@ must survive ``loads_aut(dumps_aut(lts))`` exactly: same initial
 state, state count, and multiset of labelled transitions.
 """
 
+import warnings
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,3 +85,16 @@ def test_aut_round_trip_is_exact(lts):
 @given(_labels)
 def test_render_parse_inverse(label):
     assert parse_label(render_label(label)) == label
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_invalid_escapes_parse_the_same_under_every_warning_filter(action):
+    # Evaluating a literal with an escape Python warns about would make
+    # the label depend on the warning filters (``python -W error``
+    # turns the warning into an error); such text stays a string.
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert parse_label(r'"(1, \"a\\ b\")"') == '(1, "a\\ b")'
+        assert parse_label(r'CALL !1 !"a\ b"') == ("call", 1, '"a\\ b"')
+        assert parse_label(r'"\'\\777\'"') == "'\\777'"
+        assert parse_label(r'"(1, \"a\\n\")"') == (1, "a\n")

@@ -3,14 +3,19 @@
 ``tests/core/test_diagnostics.py`` checks that explanations exist and
 render; this module checks the stronger property the differential
 subsystem cares about: every move an explanation *claims* must actually
-exist in the LTS, divergence claims must be true divergences, and an
-explanation must exist exactly when the states are inequivalent.
+exist in the LTS, divergence claims must be true divergences inside the
+block they name, and an explanation must exist exactly when the states
+are inequivalent -- for the log of a reduced and of an unreduced
+refinement alike.
 """
 
+import pytest
 from hypothesis import given
 
 from repro.core import (
     DIVERGENCE_MARK,
+    SplitLog,
+    SplitTree,
     branching_partition,
     compare_branching,
     disjoint_union,
@@ -18,8 +23,7 @@ from repro.core import (
     explain_states,
     make_lts,
 )
-from repro.core.diagnostics import _sweep_history
-from repro.core.lts import TAU_ID
+from repro.core.lts import TAU_ID, ensure_frozen
 from repro.testing import diverges_within, lts_strategy, tau_heavy_lts_strategy
 
 
@@ -30,30 +34,27 @@ def _has_transition(lts, src, label, dst):
     return (aid, dst) in lts.successors(src)
 
 
-def _assert_levels_are_valid(lts, explanation, divergence):
-    history = _sweep_history(lts, divergence)
+def _assert_levels_are_valid(lts, explanation, block_of):
+    """``block_of`` is the final partition of the relation explained."""
     for level in explanation.levels:
         assert level.holder in ("left", "right")
         if level.action == DIVERGENCE_MARK:
-            # A divergence claim is made at the first sweep separating
-            # witness and opponent, relative to the *previous* (coarser)
-            # partition -- which still holds both states.  Within that
-            # shared block the witness must truly diverge and the
-            # opponent must not; the witness's final class may well have
-            # shrunk below the tau-cycle, so checking against it would
-            # be wrong.
-            k = next(
-                k for k, blocks in enumerate(history)
-                if blocks[level.witness_state] != blocks[level.opponent_state]
-            )
-            base = history[k - 1]
-            assert base[level.witness_state] == base[level.opponent_state]
-            shared_block = {
-                s for s in range(lts.num_states)
-                if base[s] == base[level.witness_state]
+            # A divergence claim is made just before the split separating
+            # witness and opponent, so it names a block of that coarser
+            # partition -- which still holds both states and is a union
+            # of final classes.  Within it the witness must truly
+            # diverge and the opponent must not; the witness's final
+            # class may well have shrunk below the tau-cycle, so
+            # checking against it would be wrong.
+            block = level.block
+            assert level.witness_state in block
+            assert level.opponent_state in block
+            classes = {block_of[s] for s in block}
+            assert block == {
+                s for s in range(lts.num_states) if block_of[s] in classes
             }
-            assert diverges_within(lts, level.witness_state, shared_block)
-            assert not diverges_within(lts, level.opponent_state, shared_block)
+            assert diverges_within(lts, level.witness_state, set(block))
+            assert not diverges_within(lts, level.opponent_state, set(block))
             continue
         # The witness move must be a real transition of the LTS.
         assert _has_transition(
@@ -63,7 +64,8 @@ def _assert_levels_are_valid(lts, explanation, divergence):
             f"--{level.action!r}--> {level.witness_target}, "
             "but the LTS has no such transition"
         )
-        # Every opponent candidate must be a real target of the action.
+        # Every opponent candidate must be a real target of the action,
+        # and in another final class than the witness's target.
         aid = lts.lookup_action(level.action)
         for candidate in level.opponent_targets:
             assert any(
@@ -71,6 +73,7 @@ def _assert_levels_are_valid(lts, explanation, divergence):
                 for src in range(lts.num_states)
                 for aid2, dst in lts.successors(src)
             )
+            assert block_of[candidate] != block_of[level.witness_target]
         if level.chosen_opponent_target is not None:
             assert level.chosen_opponent_target in level.opponent_targets
 
@@ -103,7 +106,7 @@ def test_explanation_exists_iff_states_inequivalent(lts):
             else:
                 assert explanation is not None
                 assert explanation.levels
-                _assert_levels_are_valid(lts, explanation, divergence=False)
+                _assert_levels_are_valid(lts, explanation, block_of)
 
 
 @given(tau_heavy_lts_strategy(max_states=4, max_transitions=7))
@@ -116,7 +119,24 @@ def test_divergence_explanations_are_valid(lts):
                 assert explanation is None
             else:
                 assert explanation is not None
-                _assert_levels_are_valid(lts, explanation, divergence=True)
+                _assert_levels_are_valid(lts, explanation, block_of)
+
+
+@pytest.mark.parametrize("divergence", [False, True])
+@given(lts=tau_heavy_lts_strategy(max_states=5, max_transitions=8))
+def test_unreduced_split_log_explains_like_the_reduced_one(lts, divergence):
+    # ``compare`` without ``--reduce`` explains from the log of the
+    # unreduced refinement, whose components are the silent SCCs.
+    lts = ensure_frozen(lts)
+    log = SplitLog()
+    block_of = branching_partition(lts, divergence=divergence, log=log)
+    tree = SplitTree(lts, log)
+    for left in range(lts.num_states):
+        for right in range(lts.num_states):
+            explanation = tree.explain(left, right)
+            assert (explanation is None) == (block_of[left] == block_of[right])
+            if explanation is not None:
+                _assert_levels_are_valid(lts, explanation, block_of)
 
 
 @given(
@@ -131,7 +151,7 @@ def test_explain_inequivalence_matches_compare(a, b):
     else:
         assert explanation is not None
         union, init_a, init_b = disjoint_union(a, b)
-        _assert_levels_are_valid(union, explanation, divergence=False)
+        _assert_levels_are_valid(union, explanation, outcome.block_of)
         # The first distinguishing move starts at a state silently
         # reachable from the root of the side claiming the move.
         first = explanation.levels[0]
@@ -142,7 +162,7 @@ def test_explain_inequivalence_matches_compare(a, b):
 
 def test_divergence_level_claims_true_divergence():
     # spin vs deadlock: the explanation must be a divergence claim, and
-    # the claimed witness really diverges inside its class.
+    # the claimed witness really diverges inside the block it names.
     spin = make_lts(1, 0, [(0, "tau", 0)])
     dead = make_lts(1, 0, [])
     explanation = explain_inequivalence(spin, dead, divergence=True)
@@ -152,5 +172,8 @@ def test_divergence_level_claims_true_divergence():
         if level.action == DIVERGENCE_MARK
     ]
     assert marks
+    assert marks[0].block == {0, 1}
     union, _, _ = disjoint_union(spin, dead)
-    _assert_levels_are_valid(union, explanation, divergence=True)
+    _assert_levels_are_valid(
+        union, explanation, branching_partition(union, divergence=True)
+    )

@@ -8,11 +8,10 @@ from repro.core import (
     normalize,
     num_blocks,
     partition_from_key,
-    refine_step,
     same_partition,
 )
 
-from tests.helpers import moore_refine
+from tests.helpers import moore_refine, refine_step
 
 
 def test_normalize_renumbers_densely():

@@ -28,7 +28,7 @@ from repro.lang import ClientConfig, explore
 from repro.objects import get
 from repro.core.reduce import condense_silent_sccs
 from repro.testing.generators import lts_strategy, tau_heavy_lts_strategy
-from repro.testing.oracles import tau_cycle_states_naive
+from repro.testing.oracles import tau_cycle_states_naive, tau_reachable
 from repro.util.metrics import Stats
 
 
@@ -62,12 +62,9 @@ def test_tau_cycle_condenses_without_divergence_marks():
     assert reduced.divergent[reduced.state_of[0]]
 
 
-@settings(max_examples=150, deadline=None)
-@given(tau_heavy_lts_strategy(max_states=8, max_transitions=16), st.data())
-def test_silent_scc_contraction_under_a_seed(lts, data):
-    # The contract the splitter's bottom-up pass relies on.
+def _assert_contraction_contract(lts, seed):
+    """The contract the splitter's bottom-up pass relies on."""
     n = lts.num_states
-    seed = normalize(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     comp_a, num_comps, marked, codes = condense_silent_sccs(lts, seed)
     comp_of = comp_a.tolist()
     # Each component lies inside one seed block.
@@ -83,12 +80,18 @@ def test_silent_scc_contraction_under_a_seed(lts, data):
         if comp_of[src] != comp_of[dst]:
             assert comp_of[src] > comp_of[dst]
     # Marked iff a silent cycle of the seed-restricted system passes through.
-    on_cycle = tau_cycle_states_naive(
-        make_lts(n, lts.init, [(src, "tau", dst) for src, dst in inert])
-    )
+    inert_lts = make_lts(n, lts.init, [(src, "tau", dst) for src, dst in inert])
+    on_cycle = tau_cycle_states_naive(inert_lts)
     assert marked.tolist() == [
         any(comp_of[s] == c for s in on_cycle) for c in range(num_comps)
     ]
+    # The states that reach no silent cycle are peeled: they take the
+    # lowest ids, one component each.
+    acyclic = [
+        s for s in range(n)
+        if not on_cycle.intersection(tau_reachable(inert_lts, s))
+    ]
+    assert sorted(comp_of[s] for s in acyclic) == list(range(len(acyclic)))
     # The condensed edges, intra-component silent steps dropped.
     width = len(lts.action_labels) * num_comps
     assert codes.tolist() == sorted({
@@ -96,6 +99,75 @@ def test_silent_scc_contraction_under_a_seed(lts, data):
         for src, aid, dst in lts.transitions()
         if not (aid == TAU_ID and comp_of[src] == comp_of[dst])
     })
+    return comp_of
+
+
+@settings(max_examples=150, deadline=None)
+@given(tau_heavy_lts_strategy(max_states=8, max_transitions=16), st.data())
+def test_silent_scc_contraction_under_a_seed(lts, data):
+    n = lts.num_states
+    seed = normalize(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    _assert_contraction_contract(lts, seed)
+
+
+def test_silent_cycles_above_and_below_peelable_states():
+    # 0 <-> 1 is a silent cycle above the peelable chain 2 -> 3; below
+    # 3, the cycle 4 <-> 5 is reached by a silent step that leaves 3's
+    # seed block, and the cycle 6 <-> 7 sits above the cycle 0 <-> 1.
+    lts = make_lts(9, 6, [
+        (0, "tau", 1), (1, "tau", 0), (1, "tau", 2), (2, "tau", 3),
+        (3, "tau", 4), (4, "tau", 5), (5, "tau", 4), (5, "a", 8),
+        (6, "tau", 7), (7, "tau", 6), (7, "tau", 0), (3, "b", 8),
+    ])
+    comp_of = _assert_contraction_contract(lts, [0] * 9)
+    # One block: 3 reaches the cycle 4 <-> 5, so only 8 is peeled.
+    assert comp_of[8] == 0
+    assert len({comp_of[2], comp_of[3]}) == 2
+    seed = [0, 0, 0, 0, 1, 1, 0, 0, 1]
+    comp_of = _assert_contraction_contract(lts, seed)
+    # 3 -> 4 leaves the block, so 2 and 3 peel; 4 <-> 5 and the cycles
+    # above number after them.
+    assert {comp_of[8], comp_of[3], comp_of[2]} == {0, 1, 2}
+    assert comp_of[0] == comp_of[1] and comp_of[4] == comp_of[5]
+    assert comp_of[6] == comp_of[7] > comp_of[0] > comp_of[2]
+
+
+def test_long_silent_chain_keeps_the_contraction_contract():
+    # Peeling a long silent chain one state per round would cost a NumPy
+    # round per state, so peeling stops early and Tarjan numbers the
+    # rest of the chain, together with the silent cycle 0 <-> 1 on top.
+    n = 300
+    edges = [(0, "tau", 1), (1, "tau", 0), (1, "tau", 2)]
+    edges += [(s, "tau", s + 1) for s in range(2, n - 1)]
+    edges.append((n - 1, "a", 0))
+    comp_of = _assert_contraction_contract(make_lts(n, 0, edges), [0] * n)
+    assert comp_of[0] == comp_of[1] == n - 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau_heavy_lts_strategy(max_states=7, max_transitions=14), st.booleans())
+def test_reduced_condensation_is_the_reduced_systems_contraction(lts, divergence):
+    # ``reduce`` hands the splitter the contraction of its output, so
+    # the splitter need not contract it again.  Up to component
+    # numbering it equals a fresh contraction of the reduced system.
+    reduced = reduce_lts(lts, divergence=divergence)
+    n = reduced.lts.num_states
+    comp_a, num_comps, marked, codes = reduced.condensation
+    fresh_comp, fresh_num, fresh_marked, fresh_codes = condense_silent_sccs(
+        reduced.lts, [0] * n
+    )
+    assert comp_a.tolist() == list(range(n)) and num_comps == n == fresh_num
+    rename = fresh_comp.tolist()  # our component id -> the fresh one
+    assert sorted(rename) == list(range(n))
+    assert marked.tolist() == [bool(fresh_marked[rename[c]]) for c in range(n)]
+    actions = len(reduced.lts.action_labels)
+    back = {fresh: ours for ours, fresh in enumerate(rename)}
+    renamed = []
+    for code in fresh_codes.tolist():
+        rest, dst = divmod(code, n)
+        src, aid = divmod(rest, actions)
+        renamed.append((back[src] * actions + aid) * n + back[dst])
+    assert codes.tolist() == sorted(renamed)
 
 
 def test_tau_cycle_keeps_self_loop_in_divergence_mode():

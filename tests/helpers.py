@@ -5,17 +5,18 @@ implementations live in :mod:`repro.testing` (oracles, generators,
 laws) where both the test suite and the ``repro fuzz`` harness share
 them.  This module keeps the historical names as thin aliases so
 existing tests keep reading naturally, plus what several test modules
-share: the Moore sweep kept as a reference (:func:`moore_refine`) and
-the tau-cyclic system strategy (:func:`tau_cyclic_systems`).
+share: the Moore sweep kept as a reference (:func:`moore_refine`, one
+:func:`refine_step` at a time) and the tau-cyclic system strategy
+(:func:`tau_cyclic_systems`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from hypothesis import strategies as st
 
-from repro.core import LTS, make_lts, normalize, refine_step
+from repro.core import LTS, make_lts, normalize, num_blocks
 from repro.testing import (
     bounded_traces,
     branching_bisimulation_relation,
@@ -33,9 +34,30 @@ __all__ = [
     "naive_branching_bisimulation",
     "naive_weak_bisimulation",
     "moore_refine",
+    "refine_step",
     "tau_cyclic_systems",
     "ExecOnUnpickle",
 ]
+
+
+def refine_step(
+    block_of: List[int], signatures: Sequence[Hashable]
+) -> Tuple[List[int], bool]:
+    """Split every block by signature.  Returns ``(partition, changed)``.
+
+    One whole-system sweep of signature refinement (Blom & Orzan): two
+    states stay together only if they share a block and a signature.
+    """
+    table: Dict[Tuple[int, Hashable], int] = {}
+    new_block_of = [0] * len(block_of)
+    for state, block in enumerate(block_of):
+        key = (block, signatures[state])
+        nb = table.get(key)
+        if nb is None:
+            nb = len(table)
+            table[key] = nb
+        new_block_of[state] = nb
+    return new_block_of, len(table) != num_blocks(block_of)
 
 
 def moore_refine(

@@ -200,6 +200,30 @@ def test_compare_stats_time_the_distinguishing_experiment(same, stages,
     assert [stage for stage in recorded if stage == "explain"] == stages
 
 
+def test_compare_false_explains_from_its_own_refinement(tmp_path, capsys,
+                                                       monkeypatch):
+    # The distinguishing experiment replays the split log of the
+    # refinement that decided FALSE: the splitter runs exactly once.
+    from repro.core import branching, splitter
+
+    spin, stop = _write_spin_pair(tmp_path)
+    calls = []
+    original = splitter.branching_splitter
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(splitter, "branching_splitter", counting)
+    monkeypatch.setattr(branching, "branching_splitter", counting)
+    code = main(["compare", spin, stop, "--divergence", "--reduce"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "distinguishing experiment" in out
+    assert "<divergence>" in out
+    assert len(calls) == 1
+
+
 def test_lockfree_stats_time_the_union_under_check(tmp_path, capsys):
     import json
 
