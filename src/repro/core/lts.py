@@ -658,6 +658,40 @@ class LTSBuilder:
         self.lts.add_state()
         return fresh, True
 
+    def add_edges(
+        self, src: int, edges: Iterable[Tuple[Hashable, Hashable, Any]]
+    ) -> List[int]:
+        """Intern every destination of ``src``'s ``(label, key,
+        annotation)`` edges and append the edges, in order.
+
+        Returns the destination ids in edge order: exactly what one
+        :meth:`intern` and one :meth:`LTS.add_transition` per edge give.
+        A new state takes the next id, so the states an explorer must
+        push are ``range(num_states before, num_states after)``.
+        """
+        state_ids, keys, lts = self._state_ids, self.state_keys, self.lts
+        action_ids = lts._action_ids
+        acts, dsts, anns = lts._act, lts._dst, lts._ann
+        first = len(dsts)
+        for label, key, annotation in edges:
+            fresh = len(keys)
+            sid = state_ids.setdefault(key, fresh)
+            if sid == fresh:
+                keys.append(key)
+                lts._num_states += 1
+            else:
+                stored = keys[sid]
+                if stored is not key and not _same_content(stored, key):
+                    sid = self.intern(key)[0]
+            aid = action_ids.get(label)
+            if aid is None:
+                aid = lts.action_id(label)
+            acts.append(aid)
+            dsts.append(sid)
+            anns.append(annotation)
+        lts._src.extend([src] * (len(dsts) - first))
+        return dsts[first:]
+
     def known(self, key: Hashable) -> bool:
         """Return whether ``key`` (type-exactly) has been interned."""
         sid = self._state_ids.get(key)

@@ -31,7 +31,9 @@ from ..util.budget import REASON_STATES, BudgetExhausted, Exhaustion
 if TYPE_CHECKING:  # pragma: no cover
     from ..util.budget import RunBudget
     from ..util.metrics import Stats
+from . import ops as O
 from .checkpoint import Checkpoint, CheckpointSink, fingerprint
+from .ops import evaluate
 from .program import Method, ObjectProgram
 from .semantics import execute
 from .state import (
@@ -42,6 +44,7 @@ from .state import (
     canonicalize_successor,
     root_counts,
 )
+from .values import Ref
 
 #: Maximum chain of fused local steps (guards against local infinite
 #: loops, which then surface as explicit tau-cycles instead).
@@ -158,6 +161,37 @@ def _check_pc(method: Method, pc: int) -> None:
 #: them from the state being expanded".
 Step = Tuple[Any, Optional[Tuple[Any, ...]], Any, Tuple[Any, ...], Optional[str]]
 
+#: The read footprint of a thread's next instruction: what of the shared
+#: state its step depends on, hence what keys it in the step cache.
+READS_NOTHING, READS_GLOBALS, READS_HEAP, READS_FIELD, READS_ALL = range(5)
+
+#: Footprint per instruction type, matched exactly as ``execute``
+#: dispatches; a type missing here (``AtomicBlock``, or one the rule
+#: does not know) reads everything.  Every instruction listed leaves
+#: what it does not read untouched, so a step keyed without the globals
+#: (or the heap) has no globals (or heap) delta.
+_READS = {
+    O.LocalAssign: READS_NOTHING,
+    O.Branch: READS_NOTHING,
+    O.Jump: READS_NOTHING,
+    O.Assume: READS_NOTHING,
+    O.Return: READS_NOTHING,
+    O.ReadGlobal: READS_GLOBALS,
+    O.WriteGlobal: READS_GLOBALS,
+    O.CasGlobal: READS_GLOBALS,
+    O.FetchAddGlobal: READS_GLOBALS,
+    O.Lock: READS_GLOBALS,
+    O.Unlock: READS_GLOBALS,
+    O.WriteField: READS_HEAP,
+    O.CasField: READS_HEAP,
+    O.SwapField: READS_HEAP,
+    O.Alloc: READS_HEAP,
+    O.Free: READS_HEAP,
+    O.LockField: READS_HEAP,
+    O.UnlockField: READS_HEAP,
+    O.ReadField: READS_FIELD,
+}
+
 
 class ExpansionContext:
     """Per-state successor generation of an object program, shared by
@@ -178,21 +212,26 @@ class ExpansionContext:
     Two per-run caches make an expansion pay only for what a step
     changed; neither changes a single edge:
 
-    * each thread's steps are a pure function of ``(tid, globals, heap,
-      record)``, so they are computed once per distinct input and kept
-      in delta form (:data:`Step`);
-    * globals, heaps and thread records are hash-consed, type-exactly
-      (:func:`~repro.core.lts._same_content`): an ``==``-twin that
-      differs only in ``False``/``0`` flavour is never served the
-      other's steps (``Lock`` tests ``is not False``) -- it is expanded
-      without the cache.  Shared parts keep successors built from the
-      same objects, which :func:`~repro.lang.state.canonicalize_successor`
-      recognizes by identity.
+    * each thread's steps are a pure function of its record and of what
+      its next instruction reads (:meth:`_footprint`): nothing shared,
+      the globals, the heap, or the one node field a ``ReadField``
+      reads.  They are computed once per distinct ``(tid, record,
+      footprint)`` and kept in delta form (:data:`Step`);
+      :attr:`thread_steps` counts the computations;
+    * globals, heaps, thread records and field values are hash-consed,
+      type-exactly (:func:`~repro.core.lts._same_content`): an
+      ``==``-twin that differs only in ``False``/``0`` flavour is never
+      served the other's steps (``Lock`` tests ``is not False``) -- it
+      is expanded without the cache.  Shared parts keep successors
+      built from the same objects, which
+      :func:`~repro.lang.state.canonicalize_successor` recognizes by
+      identity.
     """
 
     __slots__ = (
         "program", "config", "name", "max_states", "settle",
-        "_reps", "_rep_ids", "_steps", "_scans",
+        "thread_steps", "_reps", "_rep_ids", "_steps", "_footprints",
+        "_scans",
     )
 
     phase = "explore"
@@ -220,9 +259,13 @@ class ExpansionContext:
         #: the ids of those representatives (kept alive by ``_reps``).
         self._reps: Dict[Any, Any] = {}
         self._rep_ids: set = set()
-        #: ``(tid, id(globals), id(heap), id(record))`` of representatives
+        #: Thread steps computed so far (cache misses and twins).
+        self.thread_steps = 0
+        #: ``(tid, id(record), ids of the footprint's representatives)``
         #: -> that thread's steps.
-        self._steps: Dict[Tuple[int, int, int, int], List[Step]] = {}
+        self._steps: Dict[Tuple[int, ...], List[Step]] = {}
+        #: ``id(record)`` of a representative -> its :meth:`_footprint`.
+        self._footprints: Dict[int, Tuple[int, ...]] = {}
         self._scans: Scans = {}
 
     def initial_key(self) -> StateKey:
@@ -253,10 +296,33 @@ class ExpansionContext:
             return value
         return rep if _same_content(rep, value) else value
 
+    def _footprint(self, record: Tuple[Any, ...]) -> Tuple[int, ...]:
+        """What the step of a thread in ``record`` reads of the shared state.
+
+        ``(READS_FIELD, index, position)`` names the node field a
+        ``ReadField`` reads: its pointer is a function of the record's
+        locals alone.  A pointer that is no :class:`~repro.lang.values.Ref`,
+        or an unknown field, reads everything (the step raises).
+        """
+        mi, pc, packed, _budget = record
+        if mi < 0 or pc == PENDING_RETURN:
+            return (READS_NOTHING,)
+        method = self.program.methods[mi]
+        op = method.ops[pc]
+        reads = _READS.get(type(op), READS_ALL)
+        if reads != READS_FIELD:
+            return (reads,)
+        ptr = evaluate(op.ptr, method.unpack_env(packed))
+        position = self.program.field_index.get(op.fieldname)
+        if type(ptr) is not Ref or position is None:
+            return (READS_ALL,)
+        return (READS_FIELD, ptr[1], position)
+
     def _thread_steps(
         self, tid: int, g: Tuple[Any, ...], heap: Any, record: Tuple[Any, ...]
     ) -> List[Step]:
         """Delta-form steps of thread ``tid`` in ``(g, heap)``, in edge order."""
+        self.thread_steps += 1
         program, settle, share = self.program, self.settle, self._share
         mi, pc, packed, ops_budget = record
         if pc == PENDING_RETURN:
@@ -327,39 +393,80 @@ class ExpansionContext:
         """
         share, rep_ids = self._share, self._rep_ids
         g, heap, threads = key
-        g, heap = share(g), share(heap)
+        g_id, heap_id = id(g), id(heap)
+        if g_id not in rep_ids:
+            g = share(g)
+            g_id = id(g) if id(g) in rep_ids else None
+        if heap_id not in rep_ids:
+            heap = share(heap)
+            heap_id = id(heap) if id(heap) in rep_ids else None
         for record in threads:
             if id(record) not in rep_ids:
                 threads = tuple([share(part) for part in threads])
                 break
-        cached = id(g) in rep_ids and id(heap) in rep_ids
         canonical = self.config.canonicalize_heap
         source = (g, heap, threads)
         scans = self._scans
         counts = root_counts(source, scans) if canonical else ()
-        steps_of = self._steps
+        steps_of, footprints = self._steps, self._footprints
         edges: List[Edge] = []
         for tid, record in enumerate(threads):
-            if cached and id(record) in rep_ids:
-                step_key = (tid, id(g), id(heap), id(record))
+            step_key = None
+            rid = id(record)
+            if rid in rep_ids:
+                reads = footprints.get(rid)
+                if reads is None:
+                    reads = footprints[rid] = self._footprint(record)
+                kind = reads[0]
+                if kind == READS_NOTHING:
+                    step_key = (tid, rid)
+                elif kind == READS_GLOBALS:
+                    if g_id is not None:
+                        step_key = (tid, rid, g_id)
+                elif kind == READS_HEAP:
+                    if heap_id is not None:
+                        step_key = (tid, rid, heap_id)
+                elif kind == READS_FIELD and reads[1] < len(heap):
+                    value = heap[reads[1]][reads[2]]
+                    if id(value) not in rep_ids:
+                        value = share(value)
+                    if id(value) in rep_ids:
+                        step_key = (tid, rid, id(value))
+                elif g_id is not None and heap_id is not None:
+                    step_key = (tid, rid, g_id, heap_id)
+            if step_key is None:
+                steps = self._thread_steps(tid, g, heap, record)
+            else:
                 steps = steps_of.get(step_key)
                 if steps is None:
                     steps = steps_of[step_key] = self._thread_steps(
                         tid, g, heap, record
                     )
-            else:
-                steps = self._thread_steps(tid, g, heap, record)
             head, tail = threads[:tid], threads[tid + 1:]
+            if canonical:
+                entered, left = counts[tid], counts[tid + 1]
             for label, ng, nheap, new_record, annotation in steps:
-                ng = g if ng is None else ng
-                nheap = heap if nheap is None else nheap
                 new_threads = head + (new_record,) + tail
-                if canonical:
-                    dst = canonicalize_successor(
-                        source, counts, ng, nheap, new_threads, scans
-                    )
+                if ng is None and nheap is None:
+                    dst = (g, heap, new_threads)
+                    if canonical:
+                        # Only the mover's locals changed: if their
+                        # memoized scan ends where the source's did, this
+                        # is canonicalize_successor's identity path.
+                        scanned = scans.get((id(new_record[2]), entered))
+                        if scanned is None or scanned[1] != left:
+                            dst = canonicalize_successor(
+                                source, counts, g, heap, new_threads, scans
+                            )
                 else:
-                    dst = (ng, nheap, new_threads)
+                    ng = g if ng is None else ng
+                    nheap = heap if nheap is None else nheap
+                    if canonical:
+                        dst = canonicalize_successor(
+                            source, counts, ng, nheap, new_threads, scans
+                        )
+                    else:
+                        dst = (ng, nheap, new_threads)
                 edges.append((label, dst, annotation))
         return edges
 
@@ -523,24 +630,22 @@ class StreamingExplorer:
         events :meth:`expand_next` returns; :meth:`drain` builds none.
         """
         builder = self.builder
-        intern, add = builder.intern, builder.lts.add_transition
-        push = self._stack.append
-        cache: Optional[List[Tuple[int, Any, int]]] = (
-            [] if self._edges is not None else None
-        )
-        for label, dst_key, annotation in self.context.expand(builder.state_keys[sid]):
-            dst, is_new = intern(dst_key)
-            add(sid, label, dst, annotation)
-            if is_new:
-                push(dst)
-            if events is not None:
-                events.append((sid, label, dst))
-            if cache is not None:
-                cache.append((builder.lts.lookup_action(label), label, dst))
+        known = builder.lts.num_states
+        edges = self.context.expand(builder.state_keys[sid])
+        dsts = builder.add_edges(sid, edges)
+        self._stack.extend(range(known, builder.lts.num_states))
+        if events is not None:
+            events.extend([
+                (sid, label, dst) for (label, _key, _ann), dst in zip(edges, dsts)
+            ])
+        if self._edges is not None:
+            lookup = builder.lts.lookup_action
+            self._edges[sid] = [
+                (lookup(label), label, dst)
+                for (label, _key, _ann), dst in zip(edges, dsts)
+            ]
         self._expanded.add(sid)
         self.states_expanded += 1
-        if cache is not None:
-            self._edges[sid] = cache
 
     def _pop(self) -> Optional[int]:
         """The next unexpanded frontier state, after a safe point per pop;
@@ -598,7 +703,8 @@ class StreamingExplorer:
 
         ``stats``, when given, times the run under a stage named after
         the context's phase and records the final state and transition
-        counts.
+        counts; an :class:`ExpansionContext` also records the thread
+        steps it computed (``thread_steps``).
         """
         if stats is None:
             self.drain()
@@ -608,6 +714,8 @@ class StreamingExplorer:
             lts = self.freeze()
             stats.count("states", lts.num_states)
             stats.count("transitions", lts.num_transitions)
+            if isinstance(self.context, ExpansionContext):
+                stats.count("thread_steps", self.context.thread_steps)
         return lts
 
 

@@ -53,10 +53,16 @@ class Method:
     body: Sequence[Union[Op, Stmt]] = field(default_factory=list)
 
     _ops: Optional[List[Op]] = field(default=None, repr=False, compare=False)
+    _local_names: Optional[Tuple[str, ...]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
-    def local_names(self) -> List[str]:
-        return ["_tid"] + self.params + list(self.locals_)
+    def local_names(self) -> Tuple[str, ...]:
+        """The packed layout of the locals, fixed on first use like ``ops``."""
+        if self._local_names is None:
+            self._local_names = ("_tid", *self.params, *self.locals_)
+        return self._local_names
 
     @property
     def ops(self) -> List[Op]:
@@ -76,7 +82,7 @@ class Method:
         return env
 
     def pack_env(self, env: Dict[str, Any]) -> Tuple[Any, ...]:
-        return tuple(env[name] for name in self.local_names)
+        return tuple([env[name] for name in self.local_names])
 
     def unpack_env(self, packed: Tuple[Any, ...]) -> Dict[str, Any]:
         return dict(zip(self.local_names, packed))

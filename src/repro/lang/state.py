@@ -159,7 +159,11 @@ def _scan_in_order(values: Tuple[Any, ...], count: int) -> int:
 
 #: Per-run memo of root-segment scans: ``(id(part), count entered with)
 #: -> (part, count after part)``.  Holding ``part`` keeps its id from
-#: being reused, so a hit is always the same object.
+#: being reused, so a hit is always the same object.  A successor that
+#: differs from its canonical source only in thread ``i``'s locals is
+#: canonical as built when its memo entry at ``counts[i]`` leaves at
+#: ``counts[i + 1]`` (the identity path of :func:`canonicalize_successor`),
+#: which the explorer tests inline.
 Scans = Dict[Tuple[int, int], Tuple[Tuple[Any, ...], int]]
 
 

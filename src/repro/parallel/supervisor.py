@@ -507,7 +507,6 @@ class Supervisor:
         """
         builder = LTSBuilder()
         builder.set_init(self.init_key)
-        intern, add = builder.intern, builder.lts.add_transition
         keys = builder.state_keys
         stack: List[int] = [builder.lts.init]
         consumed: set = set()
@@ -538,11 +537,9 @@ class Supervisor:
                 reps[key] = key
                 self._count("alias_reexpansions")
             consumed.add(key)
-            for label, dst, annotation in edges:
-                dst_id, is_new = intern(dst)
-                add(sid, label, dst_id, annotation)
-                if is_new:
-                    stack.append(dst_id)
+            known = len(keys)
+            builder.add_edges(sid, edges)
+            stack.extend(range(known, len(keys)))
         return builder, stack, consumed
 
     def _salvage_checkpoint(self) -> Checkpoint:

@@ -45,8 +45,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "check_explanations",
         "check_instance",
         "check_seeded_refinement",
+        "check_step_cache",
         "check_trace_refinement",
         "check_verdict_engines",
+        "explore_without_step_cache",
         "onthefly_disagreements",
         "parity_seed",
         "quotient_refinement_verdict",

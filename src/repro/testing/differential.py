@@ -19,7 +19,10 @@ the specification cannot produce.  Two deterministic canary programs
 run first so the engine mutations below are caught without luck.
 On instances small enough for the oracles, every state pair's
 distinguishing experiment (:mod:`repro.core.diagnostics`) is checked
-against the oracle and the LTS (:func:`check_explanations`).
+against the oracle and the LTS (:func:`check_explanations`).  Every
+generated program, and a few registry objects that read node fields,
+are re-expanded state by state without the explorer's thread-step
+cache (:func:`check_step_cache`).
 
 ``python -m repro fuzz`` is the CLI front end; the ``--mutate`` option
 re-runs the harness against a deliberately broken engine (e.g. a
@@ -53,9 +56,10 @@ from ..core import (
     weak_partition,
 )
 from ..core.aut import write_aut
-from ..core.lts import make_lts
+from ..core.lts import LTSBuilder, _same_content, make_lts
 from ..core.partition import BlockMap
-from ..lang.client import StateExplosion
+from ..lang.client import ExpansionContext, StateExplosion
+from ..lang.state import canonicalize
 from ..util.budget import BudgetExhausted, RunBudget
 from . import generators, laws, oracles
 
@@ -557,6 +561,102 @@ def _canary_programs():
     ]
 
 
+#: Registry objects whose step cache the fuzz loop checks at 2x1
+#: (:func:`check_step_cache`): random programs read and write globals
+#: only, these also read fields, CAS, allocate and free.
+STEP_CACHE_CANARIES = ("treiber", "hm_list", "ms_queue", "treiber_hp_buggy")
+
+
+def _expansions(program, config, builder, fresh: bool):
+    """The DFS of ``explore`` into ``builder``: yields each state key
+    with its edges, in expansion order.
+
+    ``fresh`` expands every state with a new
+    :class:`~repro.lang.client.ExpansionContext`, so no step is served
+    from a cache; otherwise one context serves the whole run, as in
+    ``explore``.  States are interned and pushed one edge at a time.
+    """
+    context = ExpansionContext(program, config)
+    builder.set_init(context.initial_key())
+    stack = [builder.lts.init]
+    while stack:
+        sid = stack.pop()
+        key = builder.state_keys[sid]
+        if fresh:
+            context = ExpansionContext(program, config)
+        edges = context.expand(key)
+        yield key, edges
+        for label, dst, annotation in edges:
+            dst_id, is_new = builder.intern(dst)
+            builder.lts.add_transition(sid, label, dst_id, annotation)
+            if is_new:
+                stack.append(dst_id)
+
+
+def explore_without_step_cache(program, config) -> FrozenLTS:
+    """The system ``explore`` builds, with every state expanded by a
+    fresh context: the reference the step cache must reproduce."""
+    builder = LTSBuilder()
+    for _expansion in _expansions(program, config, builder, fresh=True):
+        pass
+    return builder.lts.freeze()
+
+
+def _edge_problem(edge, reference, canonical: bool) -> Optional[str]:
+    """How a cached edge differs from the uncached one, or ``None``."""
+    label, dst, annotation = edge
+    if not _same_content(label, reference[0]):
+        return f"label {label!r}, uncached {reference[0]!r}"
+    if annotation != reference[2]:
+        return f"annotation {annotation!r}, uncached {reference[2]!r}"
+    if not _same_content(dst, reference[1]):
+        return f"destination {dst!r}, uncached {reference[1]!r}"
+    if canonical and not _same_content(canonicalize(*dst), dst):
+        return f"destination {dst!r} is not canonical"
+    return None
+
+
+def check_step_cache(
+    program,
+    config,
+    budget: Optional[RunBudget] = None,
+    meta: Optional[Dict[str, object]] = None,
+) -> List[Disagreement]:
+    """The step cache vs. expansion without it, state by state.
+
+    Explores ``program`` under ``config`` as ``explore`` does, with one
+    context, and re-expands every state with a fresh one.  The edge
+    lists must agree in order, label, annotation and destination key,
+    type-exactly, and every destination must be canonical when the heap
+    is.  Reports the first state that differs.
+    """
+    canonical = config.canonicalize_heap
+    builder = LTSBuilder()
+    expansions = _expansions(program, config, builder, fresh=False)
+    for count, (key, edges) in enumerate(expansions):
+        if budget is not None:
+            budget.check("explore", states=count)
+        reference = ExpansionContext(program, config).expand(key)
+        problem = None
+        if len(edges) != len(reference):
+            problem = f"{len(edges)} edges, uncached {len(reference)}"
+        else:
+            for index, (edge, expected) in enumerate(zip(edges, reference)):
+                found = _edge_problem(edge, expected, canonical)
+                if found is not None:
+                    problem = f"edge {index}: {found}"
+                    break
+        if problem is not None:
+            return [Disagreement(
+                kind="step-cache",
+                name=program.name,
+                detail=f"state {count} expanded: {problem}",
+                lts=builder.lts.freeze(),
+                meta=meta,
+            )]
+    return []
+
+
 #: Relations whose explanations :func:`check_explanations` validates,
 #: with the divergence flag each is refined under.
 EXPLAINED_RELATIONS: Dict[str, bool] = {
@@ -965,6 +1065,28 @@ def _mutate_onthefly_skip_frontier_check() -> Iterator[None]:
         R._SKIP_FRONTIER_CHECK = original
 
 
+@contextmanager
+def _mutate_step_cache_ignore_read_value() -> Iterator[None]:
+    """The step cache keys a ``ReadField`` step by the thread's record
+    alone, without the value the field holds, so a thread is served the
+    step it took where the field held something else.  Random programs
+    read no node fields; caught by the step-cache check
+    (:func:`check_step_cache`) on the registry canaries."""
+    from ..lang import client as C
+
+    original = C.ExpansionContext._footprint
+
+    def buggy(self, record):
+        reads = original(self, record)
+        return (C.READS_NOTHING,) if reads[0] == C.READS_FIELD else reads
+
+    C.ExpansionContext._footprint = buggy
+    try:
+        yield
+    finally:
+        C.ExpansionContext._footprint = original
+
+
 MUTATIONS: Dict[str, Callable[[], object]] = {
     "drop-monitor-transition": _mutate_drop_monitor_transition,
     "skip-violation-state": _mutate_skip_violation_state,
@@ -976,6 +1098,7 @@ MUTATIONS: Dict[str, Callable[[], object]] = {
     "truncate-tau-closure": _mutate_truncate_tau_closure,
     "reduce-ignore-divergence": _mutate_reduce_ignore_divergence,
     "explain-skip-inert-prefix": _mutate_explain_skip_inert_prefix,
+    "step-cache-ignore-read-value": _mutate_step_cache_ignore_read_value,
 }
 
 
@@ -1058,6 +1181,9 @@ def _shrink_disagreement(disagreement: Disagreement) -> FrozenLTS:
     """Shrink the instance while the same check keeps failing."""
     lts = disagreement.lts
     assert lts is not None
+    if disagreement.kind == "step-cache":
+        # A property of the program, not of its system: keep it whole.
+        return lts
 
     def still_fails(candidate: FrozenLTS) -> bool:
         if disagreement.kind == "verdict":
@@ -1184,7 +1310,8 @@ def run_fuzz(
         )
 
     def body() -> None:
-        from ..lang import atomic_spec
+        from ..lang import ClientConfig, atomic_spec
+        from ..objects import get as get_benchmark
 
         if use_programs:
             # The deterministic canaries run first: they separate the
@@ -1207,6 +1334,28 @@ def run_fuzz(
                 report.checks += 1
                 if found:
                     handle_found(found, f"fuzz_seed{seed}_{cname}")
+                if done():
+                    return
+            # Registry objects read fields, CAS, allocate and free, which
+            # random programs never do.
+            for key in STEP_CACHE_CANARIES:
+                if over_time():
+                    return
+                report.instances += 1
+                bench = get_benchmark(key)
+                try:
+                    found = check_step_cache(
+                        bench.build(2),
+                        ClientConfig(2, 1, bench.default_workload()),
+                        budget=instance_budget(),
+                        meta={"program": key, "threads": 2, "ops": 1},
+                    )
+                except BudgetExhausted:
+                    report.exhausted += 1
+                    continue
+                report.checks += 1
+                if found:
+                    handle_found(found, f"fuzz_seed{seed}_step_cache_{key}")
                 if done():
                     return
         for index in range(n):
@@ -1234,24 +1383,32 @@ def run_fuzz(
             )
             if found:
                 handle_found(found, f"fuzz_seed{seed}_case{index}")
-            if context is not None and not done():
+            if context is not None:
                 program, workload, program_seed = context
-                try:
-                    found = check_verdict_engines(
+                meta = {"program_seed": program_seed, "workload": workload}
+                program_checks = (
+                    ("verdict", lambda budget: check_verdict_engines(
                         program, atomic_spec(program), workload=workload,
-                        budget=instance_budget(),
-                        meta={"program_seed": program_seed,
-                              "workload": workload},
-                    )
-                except BudgetExhausted:
-                    report.exhausted += 1
-                    found = []
-                else:
+                        budget=budget, meta=meta,
+                    )),
+                    ("step_cache", lambda budget: check_step_cache(
+                        program, ClientConfig(2, 1, workload, max_states=2000),
+                        budget=budget, meta=meta,
+                    )),
+                )
+                for suffix, check in program_checks:
+                    if done():
+                        break
+                    try:
+                        found = check(instance_budget())
+                    except BudgetExhausted:
+                        report.exhausted += 1
+                        continue
                     report.checks += 1
-                if found:
-                    handle_found(
-                        found, f"fuzz_seed{seed}_case{index}_verdict"
-                    )
+                    if found:
+                        handle_found(
+                            found, f"fuzz_seed{seed}_case{index}_{suffix}"
+                        )
             if done():
                 break
 

@@ -163,6 +163,40 @@ def test_builder_keeps_bool_int_twins_apart():
     assert [type(key[1][0]) for key in builder.state_keys] == [bool, int, float]
 
 
+def test_add_edges_matches_one_intern_and_add_per_edge():
+    # Repeated, new and twin destinations, repeated and new labels.
+    batches = [
+        (0, [("a", ("g", (False,)), "t1.L1"), (TAU, ("g", (1,)), None)]),
+        (1, [("a", ("g", (0,)), None), (TAU, ("g", (1,)), "t2.L3"),
+             (("ret", 1), ("g", (False,)), None), ("b", ("g", (0.0,)), None)]),
+        (2, []),
+        (3, [(TAU, ("g", (0,)), None), ("a", ("h", ()), "t1.L2")]),
+    ]
+    bulk, reference = LTSBuilder(), LTSBuilder()
+    for builder in (bulk, reference):
+        builder.set_init(("g", (None,)))
+    returned, pushed = [], []
+    for src, edges in batches:
+        known = bulk.lts.num_states
+        returned.append(bulk.add_edges(src, edges))
+        pushed.append(list(range(known, bulk.lts.num_states)))
+        for label, key, annotation in edges:
+            dst, _is_new = reference.intern(key)
+            reference.lts.add_transition(src, label, dst, annotation)
+    assert returned == [[1, 2], [3, 2, 1, 4], [], [3, 5]]
+    # New states take the next ids, in the order they are first seen.
+    assert pushed == [[1, 2], [3, 4], [], [5]]
+    assert bulk.state_keys == reference.state_keys
+    assert [type(key[1][0]) for key in bulk.state_keys[:5]] == [
+        type(None), bool, int, int, float,
+    ]
+    assert bulk.lts.num_states == reference.lts.num_states == 6
+    assert bulk.lts.action_labels == reference.lts.action_labels
+    assert list(bulk.lts.transitions_with_annotations()) == list(
+        reference.lts.transitions_with_annotations()
+    )
+
+
 def test_to_dot_renders_and_caps():
     lts = make_lts(2, 0, [(0, "a", 1), (0, "tau", 1)])
     dot = to_dot(lts)

@@ -82,6 +82,21 @@ def test_quotient_annotations_aggregate():
     assert "t1.L19" not in essential
 
 
+def test_essential_annotations_skip_trimmed_classes():
+    lts = LTS()
+    lts.add_transition(0, ("ret", "A"), 1)
+    lts.add_transition(0, TAU, 4, annotation="t1.L20")
+    lts.add_transition(4, ("ret", "EMPTY"), 1)
+    # Unreachable: 2's silent step leaves its class (only 2 can do c),
+    # but both classes are trimmed from the quotient.
+    lts.add_transition(2, TAU, 3, annotation="t2.L7")
+    lts.add_transition(2, "c", 1)
+    lts.add_transition(3, "b", 1)
+    quotient = quotient_lts(lts, branching_partition(lts))
+    assert quotient.block_of[2] is None and quotient.block_of[3] is None
+    assert quotient.essential_internal_annotations() == {"t1.L20"}
+
+
 def test_quotient_restricts_to_reachable_classes():
     # State 3 unreachable: its class must not appear in the quotient.
     lts = make_lts(4, 0, [(0, "a", 1), (3, "b", 2)])

@@ -4,28 +4,31 @@ import pytest
 
 from repro.core import TAU_ID, tau_cycle_states
 from repro.core.aut import dumps_aut
-from repro.core.lts import LTSBuilder
 from repro.lang import (
     Alloc,
     AtomicBlock,
     ClientConfig,
     FetchAddGlobal,
+    HeapBuilder,
     If,
     LocalAssign,
     Lock,
     Method,
     ModelError,
     ObjectProgram,
+    ReadField,
     ReadGlobal,
     Return,
     StateExplosion,
     StreamingExplorer,
     While,
+    WriteField,
     WriteGlobal,
     explore,
     uniform_workload,
 )
 from repro.lang.client import ExpansionContext
+from repro.testing import explore_without_step_cache
 
 
 def counter_program():
@@ -291,22 +294,6 @@ def lock_twins_program():
     )
 
 
-def _explore_without_step_cache(program, config):
-    """The DFS of ``explore``, expanding every state with a fresh context."""
-    builder = LTSBuilder()
-    builder.set_init(ExpansionContext(program, config).initial_key())
-    stack = [builder.lts.init]
-    while stack:
-        sid = stack.pop()
-        key = builder.state_keys[sid]
-        for label, dst, annotation in ExpansionContext(program, config).expand(key):
-            dst_id, is_new = builder.intern(dst)
-            builder.lts.add_transition(sid, label, dst_id, annotation)
-            if is_new:
-                stack.append(dst_id)
-    return builder.lts.freeze()
-
-
 @pytest.mark.parametrize("order", ["release-first", "zero-first"])
 def test_step_cache_never_serves_a_bool_int_twin(order):
     program = lock_twins_program()
@@ -315,7 +302,7 @@ def test_step_cache_never_serves_a_bool_int_twin(order):
         workload = [("take", ()), ("zero", ()), ("release", ())]
     config = ClientConfig(2, 1, workload)
     cached = explore(program, config)
-    assert dumps_aut(cached) == dumps_aut(_explore_without_step_cache(program, config))
+    assert dumps_aut(cached) == dumps_aut(explore_without_step_cache(program, config))
 
     # The scenario is reached: both flag values in front of thread 1's Lock.
     explorer = StreamingExplorer(ExpansionContext(program, config))
@@ -328,6 +315,64 @@ def test_step_cache_never_serves_a_bool_int_twin(order):
     assert views == {release: {bool}, zero: {int}}
     # Only the False flavour lets thread 1 take the lock.
     assert ("ret", 1, "take", None) in labels_of(cached)
+
+
+def field_twins_program():
+    """Reaches two states that agree under ``==`` on thread 1's view but
+    whose node field holds ``False`` in one and ``0`` in the other, with
+    thread 1 about to read that field and branch on ``is False``."""
+    heap = HeapBuilder(["val"])
+    node = heap.alloc(val=True)
+    return ObjectProgram(
+        "field-twins",
+        methods=[
+            Method("peek", locals_={"p": None, "v": None}, body=[
+                ReadGlobal("p", "node").at("L1"),
+                ReadField("v", "p", "val").at("L2"),
+                If(lambda L: L["v"] is False,
+                   [Return(1).at("L3")], [Return(2).at("L4")]),
+            ]),
+            # Two writers, so their records tell the states apart.
+            Method("release", locals_={"p": None}, body=[
+                ReadGlobal("p", "node").at("L5"),
+                WriteField("p", "val", False).at("L6"),
+                Return(None).at("L7"),
+            ]),
+            Method("zero", locals_={"p": None}, body=[
+                ReadGlobal("p", "node").at("L8"),
+                WriteField("p", "val", 0).at("L9"),
+                Return(None).at("L10"),
+            ]),
+        ],
+        globals_={"node": node},
+        node_fields=["val"],
+        initial_heap=heap.heap(),
+    )
+
+
+@pytest.mark.parametrize("order", ["release-first", "zero-first"])
+def test_step_cache_never_serves_a_field_value_twin(order):
+    # A field read is cached by the value it reads; False and 0 are
+    # ``==`` but only False takes the ``is False`` branch.
+    program = field_twins_program()
+    workload = [("peek", ()), ("release", ()), ("zero", ())]
+    if order == "zero-first":
+        workload = [("peek", ()), ("zero", ()), ("release", ())]
+    config = ClientConfig(2, 1, workload)
+    cached = explore(program, config)
+    assert dumps_aut(cached) == dumps_aut(explore_without_step_cache(program, config))
+
+    # The scenario is reached: both field values in front of thread 1's
+    # ReadField, after each writer's write.
+    explorer = StreamingExplorer(ExpansionContext(program, config))
+    explorer.drain()
+    peek, release, zero = (program.method_index[m] for m in ("peek", "release", "zero"))
+    views = {}
+    for _g, heap, threads in explorer.builder.state_keys:
+        if threads[0][:2] == (peek, 1) and threads[1][1] == 2:
+            views.setdefault(threads[1][0], set()).add(type(heap[0][1]))
+    assert views == {release: {bool}, zero: {int}}
+    assert {("ret", 1, "peek", 1), ("ret", 1, "peek", 2)} <= labels_of(cached)
 
 
 @pytest.mark.parametrize("order", ["release-first", "zero-first"])

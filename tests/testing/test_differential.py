@@ -53,9 +53,10 @@ def test_parity_seed_and_seeded_check_clean():
 
 def test_clean_fuzz_run_has_no_disagreements():
     report = run_fuzz(seed=0, n=60)
-    # The three verdict-engine canaries run before the n requested
-    # instances, so they show up in the instance count.
-    assert report.instances + report.skipped == 60 + 3
+    # The three verdict-engine canaries and the four step-cache canaries
+    # run before the n requested instances, so they show up in the
+    # instance count.
+    assert report.instances + report.skipped == 60 + 3 + 4
     assert report.disagreements == []
     assert report.checks > 0
     assert "disagreements=0" in report.render()
@@ -115,6 +116,16 @@ def test_monitor_mutations_are_caught_by_canaries_alone(mutation):
     report = run_fuzz(seed=0, n=0, mutate=mutation)
     assert report.disagreements, f"canaries failed to catch {mutation}"
     assert {d.kind for d in report.disagreements} == {"verdict"}
+
+
+def test_step_cache_mutation_is_caught_by_registry_canaries_alone():
+    # Random programs read no node fields: n=0 leaves only the canaries.
+    report = run_fuzz(seed=0, n=0, mutate="step-cache-ignore-read-value")
+    assert report.disagreements
+    found = report.disagreements[0]
+    assert found.kind == "step-cache"
+    assert found.meta["program"] in differential.STEP_CACHE_CANARIES
+    assert found.lts is not None and found.lts.num_states > 0
 
 
 def test_verdict_disagreements_carry_replay_and_meta(tmp_path):
