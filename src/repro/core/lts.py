@@ -38,7 +38,7 @@ from array import array
 from bisect import bisect_right
 from collections import deque
 from itertools import compress, islice
-from operator import eq
+from operator import eq, is_
 from typing import (
     Any,
     Callable,
@@ -621,6 +621,13 @@ class LTSBuilder:
     ``==`` to an interned one but differs in bool/int/float flavor (a
     *twin*) gets an id of its own.  Twins are rare, so they live in a
     second table, keyed by their ``==`` class.
+
+    :meth:`add_edges` accepts a revisit built from the stored key's own
+    objects by identity alone: two parts that are one object are
+    type-exactly equal, and so are two tuples whose elements are.  An
+    explorer that hash-conses the parts of its keys (as
+    :class:`~repro.lang.client.ExpansionContext` does) makes that the
+    common case.
     """
 
     __slots__ = ("lts", "_state_ids", "_twins", "state_keys")
@@ -668,6 +675,11 @@ class LTSBuilder:
         :meth:`intern` and one :meth:`LTS.add_transition` per edge give.
         A new state takes the next id, so the states an explorer must
         push are ``range(num_states before, num_states after)``.
+
+        A key ``==`` to a stored one is that state when, part by part,
+        it holds the stored key's objects (for a tuple part, its
+        elements); only a key where some part differs by object pays
+        the recursive :func:`_same_content`.
         """
         state_ids, keys, lts = self._state_ids, self.state_keys, self.lts
         action_ids = lts._action_ids
@@ -681,8 +693,20 @@ class LTSBuilder:
                 lts._num_states += 1
             else:
                 stored = keys[sid]
-                if stored is not key and not _same_content(stored, key):
-                    sid = self.intern(key)[0]
+                if stored is not key:
+                    # ``stored == key``, so two exact tuples here have
+                    # equal lengths.
+                    same = type(key) is tuple and type(stored) is tuple
+                    if same:
+                        for old, new in zip(stored, key):
+                            if old is not new and (
+                                type(old) is not tuple or type(new) is not tuple
+                                or not all(map(is_, old, new))
+                            ):
+                                same = False
+                                break
+                    if not same and not _same_content(stored, key):
+                        sid = self.intern(key)[0]
             aid = action_ids.get(label)
             if aid is None:
                 aid = lts.action_id(label)

@@ -142,7 +142,7 @@ def _trace_refines(
         chain.append(spec_set)
 
     while queue:
-        if budget is not None:
+        if budget is not None and budget.armed:
             budget.check("check", pairs=len(parents), queued=len(queue))
         node = queue.popleft()
         state, spec_set = node

@@ -23,6 +23,7 @@ State-space reductions applied here (documented in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.lts import TAU, FrozenLTS, LTSBuilder, _same_content
@@ -38,10 +39,13 @@ from .program import Method, ObjectProgram
 from .semantics import execute
 from .state import (
     ModelError,
+    Renumberings,
+    RootRefs,
     Scans,
     StateKey,
     canonicalize,
     canonicalize_successor,
+    renumber,
     root_counts,
 )
 from .values import Ref
@@ -209,8 +213,8 @@ class ExpansionContext:
     :class:`repro.lang.spec.SpecContext` supplies the same for a
     specification.
 
-    Two per-run caches make an expansion pay only for what a step
-    changed; neither changes a single edge:
+    Three per-run caches make an expansion pay only for what a step
+    changed; none changes a single edge:
 
     * each thread's steps are a pure function of its record and of what
       its next instruction reads (:meth:`_footprint`): nothing shared,
@@ -218,20 +222,28 @@ class ExpansionContext:
       reads.  They are computed once per distinct ``(tid, record,
       footprint)`` and kept in delta form (:data:`Step`);
       :attr:`thread_steps` counts the computations;
+    * a successor whose numbering moves is renumbered once per heap
+      object and root reference lists
+      (:func:`~repro.lang.state.renumber`); :attr:`renumberings` counts
+      the computations;
     * globals, heaps, thread records and field values are hash-consed,
       type-exactly (:func:`~repro.core.lts._same_content`): an
       ``==``-twin that differs only in ``False``/``0`` flavour is never
       served the other's steps (``Lock`` tests ``is not False``) -- it
-      is expanded without the cache.  Shared parts keep successors
-      built from the same objects, which
-      :func:`~repro.lang.state.canonicalize_successor` recognizes by
+      is expanded without the cache.  Renumbered parts are hash-consed
+      too, so every successor is built from the same objects, which
+      :func:`~repro.lang.state.canonicalize_successor` and the state
+      table (:meth:`~repro.core.lts.LTSBuilder.add_edges`) recognize by
       identity.
+
+    The caches hold no reference back to the context, so it is freed as
+    soon as its explorer is, without waiting for a garbage collection.
     """
 
     __slots__ = (
         "program", "config", "name", "max_states", "settle",
         "thread_steps", "_reps", "_rep_ids", "_steps", "_footprints",
-        "_scans",
+        "_scans", "_refs", "_renumberings",
     )
 
     phase = "explore"
@@ -267,6 +279,8 @@ class ExpansionContext:
         #: ``id(record)`` of a representative -> its :meth:`_footprint`.
         self._footprints: Dict[int, Tuple[int, ...]] = {}
         self._scans: Scans = {}
+        self._refs: RootRefs = {}
+        self._renumberings: Renumberings = {}
 
     def initial_key(self) -> StateKey:
         init_threads = tuple(
@@ -280,12 +294,27 @@ class ExpansionContext:
         """The checkpoint guard of this run (:func:`~repro.lang.checkpoint.fingerprint`)."""
         return fingerprint(self.program, self.config)
 
+    @property
+    def renumberings(self) -> int:
+        """Full renumberings computed so far (renumbering memo misses)."""
+        return len(self._renumberings)
+
+    def _renumber(self, globals_, heap, threads) -> StateKey:
+        """:func:`~repro.lang.state.renumber` over this run's memo."""
+        return renumber(
+            globals_, heap, threads, self._refs, self._renumberings, self._share
+        )
+
     def _share(self, value: Any) -> Any:
         """The hash-consed representative of ``value``.
 
         A type twin of an earlier value (``==`` to it, not
         :func:`~repro.core.lts._same_content`) stays itself and never
         becomes a representative, so it never keys the step cache.
+        A renumbered record or globals tuple is mostly made of its
+        representative's objects; that is recognized inline, as the
+        state table does (:meth:`~repro.core.lts.LTSBuilder.add_edges`),
+        before the recursive comparison.
         """
         rep_ids = self._rep_ids
         if id(value) in rep_ids:
@@ -294,6 +323,16 @@ class ExpansionContext:
         if rep is value:
             rep_ids.add(id(value))
             return value
+        if type(value) is tuple and type(rep) is tuple:
+            # ``rep == value``: equal-length parts.
+            for old, new in zip(rep, value):
+                if old is not new and (
+                    type(old) is not tuple or type(new) is not tuple
+                    or not all(map(is_, old, new))
+                ):
+                    break
+            else:
+                return rep
         return rep if _same_content(rep, value) else value
 
     def _footprint(self, record: Tuple[Any, ...]) -> Tuple[int, ...]:
@@ -406,7 +445,7 @@ class ExpansionContext:
                 break
         canonical = self.config.canonicalize_heap
         source = (g, heap, threads)
-        scans = self._scans
+        scans, full = self._scans, self._renumber
         counts = root_counts(source, scans) if canonical else ()
         steps_of, footprints = self._steps, self._footprints
         edges: List[Edge] = []
@@ -456,14 +495,16 @@ class ExpansionContext:
                         scanned = scans.get((id(new_record[2]), entered))
                         if scanned is None or scanned[1] != left:
                             dst = canonicalize_successor(
-                                source, counts, g, heap, new_threads, scans
+                                source, counts, g, heap, new_threads, scans,
+                                full,
                             )
                 else:
                     ng = g if ng is None else ng
                     nheap = heap if nheap is None else nheap
                     if canonical:
                         dst = canonicalize_successor(
-                            source, counts, ng, nheap, new_threads, scans
+                            source, counts, ng, nheap, new_threads, scans,
+                            full,
                         )
                     else:
                         dst = (ng, nheap, new_threads)
@@ -596,10 +637,10 @@ class StreamingExplorer:
     # -- production ---------------------------------------------------
 
     def _safe_point(self) -> None:
-        builder, context = self.builder, self.context
+        builder, context, budget = self.builder, self.context, self.budget
         try:
-            if self.budget is not None:
-                self.budget.check(
+            if budget is not None and budget.armed:
+                budget.check(
                     context.phase,
                     states=builder.lts.num_states,
                     transitions=builder.lts.num_transitions,
@@ -630,10 +671,11 @@ class StreamingExplorer:
         events :meth:`expand_next` returns; :meth:`drain` builds none.
         """
         builder = self.builder
-        known = builder.lts.num_states
-        edges = self.context.expand(builder.state_keys[sid])
+        keys = builder.state_keys
+        known = len(keys)
+        edges = self.context.expand(keys[sid])
         dsts = builder.add_edges(sid, edges)
-        self._stack.extend(range(known, builder.lts.num_states))
+        self._stack.extend(range(known, len(keys)))
         if events is not None:
             events.extend([
                 (sid, label, dst) for (label, _key, _ann), dst in zip(edges, dsts)
@@ -649,10 +691,21 @@ class StreamingExplorer:
 
     def _pop(self) -> Optional[int]:
         """The next unexpanded frontier state, after a safe point per pop;
-        ``None`` when drained."""
+        ``None`` when drained.
+
+        The safe point is entered only when it can act: the budget is
+        armed, a checkpoint sink is set, or the states exceed the cap.
+        """
         stack, expanded = self._stack, self._expanded
+        budget, checkpoint = self.budget, self.checkpoint
+        cap, keys = self.context.max_states, self.builder.state_keys
         while stack:
-            self._safe_point()
+            if (
+                (budget is not None and budget.armed)
+                or checkpoint is not None
+                or (cap is not None and len(keys) > cap)
+            ):
+                self._safe_point()
             sid = stack.pop()
             if sid not in expanded:  # else expanded on demand via successors_of
                 return sid
@@ -704,7 +757,8 @@ class StreamingExplorer:
         ``stats``, when given, times the run under a stage named after
         the context's phase and records the final state and transition
         counts; an :class:`ExpansionContext` also records the thread
-        steps it computed (``thread_steps``).
+        steps and the renumberings it computed (``thread_steps``,
+        ``renumberings``).
         """
         if stats is None:
             self.drain()
@@ -716,6 +770,7 @@ class StreamingExplorer:
             stats.count("transitions", lts.num_transitions)
             if isinstance(self.context, ExpansionContext):
                 stats.count("thread_steps", self.context.thread_steps)
+                stats.count("renumberings", self.context.renumberings)
         return lts
 
 

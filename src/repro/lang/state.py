@@ -31,12 +31,14 @@ most steps leave the heap's canonical numbering as it was.
 the traversal a step changed, against counts :func:`root_counts`
 recorded once for the (already canonical) source, and falls back to
 :func:`canonicalize` -- the one full renaming -- as soon as the
-successor's numbering departs from the identity.
+successor's numbering departs from the identity.  An explorer passes
+:func:`renumber` instead: the same renaming, computed once per heap
+object and root reference lists, with its parts hash-consed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 # The type-exact comparison of state parts lives with the state table.
 from ..core.lts import _same_content  # noqa: F401
@@ -94,6 +96,61 @@ def _renumber(values: Tuple[Any, ...], remap: Dict[int, int]) -> Tuple[Any, ...]
     return values if changed is None else tuple(changed)
 
 
+def _numbering(
+    globals_: Tuple[Any, ...], heap: Heap, threads: Tuple[ThreadRecord, ...]
+) -> Optional[Dict[int, int]]:
+    """The canonical numbering of a state: old node index -> new number.
+
+    Numbers the nodes in the order the roots (the globals, then each
+    thread's locals) first reference them, then breadth-first through
+    the heap; a node never reached gets no number.  ``None`` when every
+    node keeps its index (the state is canonical as given).
+    """
+    remap: Dict[int, int] = {}
+    order: List[int] = []
+    _number(globals_, remap, order)
+    for record in threads:
+        _number(record[2], remap, order)
+    cursor = 0
+    while cursor < len(order):
+        _number(heap[order[cursor]], remap, order)
+        cursor += 1
+    if len(order) == len(heap):
+        for new, old in enumerate(order):
+            if new != old:
+                break
+        else:
+            return None
+    return remap
+
+
+def _renumber_heap(heap: Heap, remap: Dict[int, int]) -> Heap:
+    """The nodes ``remap`` numbers, renumbered, in new order (the order
+    :func:`_numbering` inserted them in)."""
+    return tuple([_renumber(heap[old], remap) for old in remap])
+
+
+def _renumber_threads(
+    threads: Tuple[ThreadRecord, ...],
+    remap: Dict[int, int],
+    share: Callable[[Any], Any],
+) -> Tuple[ThreadRecord, ...]:
+    """``threads`` with their locals renumbered; a changed record goes
+    through ``share``."""
+    new_threads = []
+    for record in threads:
+        locals_ = record[2]
+        renumbered = _renumber(locals_, remap)
+        if renumbered is not locals_:
+            record = share((record[0], record[1], renumbered, record[3]))
+        new_threads.append(record)
+    return tuple(new_threads)
+
+
+def _as_is(value: Any) -> Any:
+    return value
+
+
 def canonicalize(
     globals_: Tuple[Any, ...],
     heap: Heap,
@@ -105,34 +162,80 @@ def canonicalize(
     record whose references keep their numbers are returned as the
     input objects, and an already canonical state comes back as-is.
     """
-    remap: Dict[int, int] = {}
-    order: List[int] = []
-    _number(globals_, remap, order)
-    for record in threads:
-        _number(record[2], remap, order)
-    cursor = 0
-    while cursor < len(order):
-        _number(heap[order[cursor]], remap, order)
-        cursor += 1
-
-    if len(order) == len(heap):
-        for new, old in enumerate(order):
-            if new != old:
-                break
-        else:
-            return (globals_, heap, threads)
-
-    new_threads = []
-    for record in threads:
-        locals_ = record[2]
-        renumbered = _renumber(locals_, remap)
-        if renumbered is not locals_:
-            record = (record[0], record[1], renumbered, record[3])
-        new_threads.append(record)
+    remap = _numbering(globals_, heap, threads)
+    if remap is None:
+        return (globals_, heap, threads)
     return (
         _renumber(globals_, remap),
-        tuple([_renumber(heap[old], remap) for old in order]),
-        tuple(new_threads),
+        _renumber_heap(heap, remap),
+        _renumber_threads(threads, remap, _as_is),
+    )
+
+
+def _references(values: Tuple[Any, ...], found: List[int]) -> List[int]:
+    """``found`` extended by the node index of every reference nested in
+    ``values``, in scan order."""
+    for value in values:
+        kind = type(value)
+        if kind is Ref:
+            found.append(value[1])
+        elif kind is tuple:
+            _references(value, found)
+    return found
+
+
+#: Per-run memo of root-segment reference lists: ``id(part) -> (part,
+#: node indices of the references nested in part, in scan order)``.
+#: Holding ``part`` keeps its id from being reused, as in :data:`Scans`.
+RootRefs = Dict[int, Tuple[Tuple[Any, ...], Tuple[int, ...]]]
+
+#: Per-run memo of full renumberings (:func:`renumber`): ``(id(heap),
+#: reference list of the globals, of thread 0's locals, ...) -> (heap,
+#: numbering, renumbered heap)``, the numbering ``None`` when the state
+#: is canonical as given.  Holding ``heap`` keeps its id from being
+#: reused.  Its length is the number of renumberings computed.
+Renumberings = Dict[Tuple[Any, ...], Tuple[Heap, Optional[Dict[int, int]], Heap]]
+
+
+def renumber(
+    globals_: Tuple[Any, ...],
+    heap: Heap,
+    threads: Tuple[ThreadRecord, ...],
+    refs: RootRefs,
+    memo: Renumberings,
+    share: Callable[[Any], Any],
+) -> StateKey:
+    """``canonicalize(globals_, heap, threads)``, memoized per run.
+
+    The numbering visits the roots' references in order and then walks
+    the heap, so it -- and the renumbered heap -- is a function of the
+    heap object and of each root segment's reference list alone; the
+    globals and locals only carry the references it rewrites.  ``memo``
+    keeps the numbering and the renumbered heap under ``id(heap)`` and
+    those lists (memoized in ``refs`` by segment identity), and the
+    renumbered heap, globals and thread records go through ``share``,
+    the run's type-exact hash-consing, so a state met again is rebuilt
+    from its first key's objects.
+    """
+    key_parts = [id(heap)]
+    for part in (globals_, *[record[2] for record in threads]):
+        hit = refs.get(id(part))
+        if hit is None:
+            hit = refs[id(part)] = (part, tuple(_references(part, [])))
+        key_parts.append(hit[1])
+    memo_key = tuple(key_parts)
+    entry = memo.get(memo_key)
+    if entry is None:
+        remap = _numbering(globals_, heap, threads)
+        renumbered = heap if remap is None else share(_renumber_heap(heap, remap))
+        entry = memo[memo_key] = (heap, remap, renumbered)
+    remap = entry[1]
+    if remap is None:
+        return (globals_, heap, threads)
+    return (
+        share(_renumber(globals_, remap)),
+        entry[2],
+        _renumber_threads(threads, remap, share),
     )
 
 
@@ -203,6 +306,7 @@ def canonicalize_successor(
     heap: Heap,
     threads: Tuple[ThreadRecord, ...],
     scans: Scans,
+    full: Callable[..., StateKey] = canonicalize,
 ) -> StateKey:
     """``canonicalize(globals_, heap, threads)`` for a successor of ``source``.
 
@@ -214,9 +318,9 @@ def canonicalize_successor(
     source's count over the source's heap object, the rest of the
     traversal is the source's too and the successor is returned as-is.
     Otherwise the scan continues in index order; the first visit out of
-    order, or a node no root reaches, hands the successor to
-    :func:`canonicalize`.  Every path returns what ``canonicalize``
-    returns.
+    order, or a node no root reaches, hands the successor to ``full``
+    (:func:`canonicalize`, or an explorer's :func:`renumber`).  Every
+    path returns what ``canonicalize`` returns.
     """
     src_globals, src_heap, src_threads = source
     if globals_ is src_globals:
@@ -224,27 +328,27 @@ def canonicalize_successor(
     else:
         count = _scan_root(globals_, 0, scans)
         if count < 0:
-            return canonicalize(globals_, heap, threads)
+            return full(globals_, heap, threads)
     for index, record in enumerate(threads):
         locals_ = record[2]
         if locals_ is src_threads[index][2] and count == counts[index]:
             count = counts[index + 1]
             continue
         if type(locals_) is not tuple:
-            return canonicalize(globals_, heap, threads)
+            return full(globals_, heap, threads)
         count = _scan_root(locals_, count, scans)
         if count < 0:
-            return canonicalize(globals_, heap, threads)
+            return full(globals_, heap, threads)
     if heap is src_heap and count == counts[-1]:
         return (globals_, heap, threads)
     cursor = 0
     while cursor < count:
         count = _scan_in_order(heap[cursor], count)
         if count < 0:
-            return canonicalize(globals_, heap, threads)
+            return full(globals_, heap, threads)
         cursor += 1
     if count != len(heap):
-        return canonicalize(globals_, heap, threads)
+        return full(globals_, heap, threads)
     return (globals_, heap, threads)
 
 

@@ -60,7 +60,7 @@ from ..core.lts import LTSBuilder, _same_content, make_lts
 from ..core.partition import BlockMap
 from ..lang.client import ExpansionContext, StateExplosion
 from ..lang.state import canonicalize
-from ..util.budget import BudgetExhausted, RunBudget
+from ..util.budget import BudgetExhausted, CancellationToken, RunBudget
 from . import generators, laws, oracles
 
 #: Engine partition per relation name.  The branching entries run with
@@ -769,31 +769,58 @@ def _explanation_mismatch(
     return None
 
 
-def check_budget_governance(lts: FrozenLTS) -> List[Disagreement]:
-    """The engine must honour an already-exhausted run budget.
+def _cancelled() -> RunBudget:
+    """A budget with no deadline or RSS cap whose token is already set."""
+    token = CancellationToken()
+    token.set()
+    return RunBudget(token=token)
 
-    Runs the branching engine under a zero deadline and demands the
-    structured :class:`~repro.util.budget.BudgetExhausted`.  A mutation
-    (or regression) that drops the cooperative checks makes the engine
-    run to completion instead -- which this check reports as a
-    disagreement, giving the harness teeth over the governance layer
-    itself (``--mutate drop-budget-checks``).
+
+def check_budget_governance(lts: FrozenLTS) -> List[Disagreement]:
+    """The engines must honour an already-exhausted run budget.
+
+    Runs the branching engine under a zero deadline, and exploration
+    (of the first canary program) and trace inclusion of ``lts`` in
+    itself under a token that is already set, and demands the
+    structured :class:`~repro.util.budget.BudgetExhausted` from each.
+    A mutation (or regression) that drops the cooperative checks, or a
+    loop gate (:attr:`~repro.util.budget.RunBudget.armed`) that forgets
+    the token, makes a run complete instead -- which this check reports
+    as a disagreement, giving the harness teeth over the governance
+    layer itself (``--mutate drop-budget-checks``).
     """
     if lts.num_states == 0:
         return []
-    try:
-        branching_partition(lts, budget=RunBudget(deadline_seconds=0.0))
-    except BudgetExhausted:
-        return []
-    return [Disagreement(
-        kind="budget",
-        name="governance",
-        detail=(
-            "engine ran to completion under a zero deadline instead of "
-            "raising BudgetExhausted"
-        ),
-        lts=lts,
-    )]
+    from ..lang import ClientConfig, explore
+
+    _name, program, workload = _canary_programs()[0]
+    runs = (
+        ("governance", "a zero deadline", lambda: branching_partition(
+            lts, budget=RunBudget(deadline_seconds=0.0)
+        )),
+        ("governance-explore", "a cancelled token", lambda: explore(
+            program, ClientConfig(2, 1, workload), budget=_cancelled()
+        )),
+        ("governance-trace", "a cancelled token", lambda: trace_refines(
+            lts, lts, budget=_cancelled()
+        )),
+    )
+    out: List[Disagreement] = []
+    for name, limit, run in runs:
+        try:
+            run()
+        except BudgetExhausted:
+            continue
+        out.append(Disagreement(
+            kind="budget",
+            name=name,
+            detail=(
+                f"ran to completion under {limit} instead of raising "
+                "BudgetExhausted"
+            ),
+            lts=lts,
+        ))
+    return out
 
 
 def check_instance(
@@ -1087,6 +1114,28 @@ def _mutate_step_cache_ignore_read_value() -> Iterator[None]:
         C.ExpansionContext._footprint = original
 
 
+@contextmanager
+def _mutate_canonical_memo_ignores_roots() -> Iterator[None]:
+    """The renumbering memo keys a full renumbering by the heap alone,
+    not by the references its roots hold, so a successor whose roots
+    reach the same heap in another order is served the numbering (and
+    the renumbered heap) of the first.  Random programs allocate no
+    nodes; caught by the step-cache check (:func:`check_step_cache`) on
+    the registry canaries."""
+    from ..lang import state as S
+
+    original = S._references
+
+    def buggy(values, found):
+        return found
+
+    S._references = buggy
+    try:
+        yield
+    finally:
+        S._references = original
+
+
 MUTATIONS: Dict[str, Callable[[], object]] = {
     "drop-monitor-transition": _mutate_drop_monitor_transition,
     "skip-violation-state": _mutate_skip_violation_state,
@@ -1099,6 +1148,7 @@ MUTATIONS: Dict[str, Callable[[], object]] = {
     "reduce-ignore-divergence": _mutate_reduce_ignore_divergence,
     "explain-skip-inert-prefix": _mutate_explain_skip_inert_prefix,
     "step-cache-ignore-read-value": _mutate_step_cache_ignore_read_value,
+    "canonical-memo-ignores-roots": _mutate_canonical_memo_ignores_roots,
 }
 
 

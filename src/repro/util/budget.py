@@ -32,7 +32,10 @@ Budget checks are pay-for-what-you-use like the metrics layer: every
 loop accepts ``budget=None`` and skips the call entirely in that case.
 :meth:`RunBudget.check` reads the clock on every call when a deadline
 is set, so the first check after the deadline passes raises, and
-strides only the costlier RSS probe.
+strides only the costlier RSS probe.  The hottest loops (an
+exploration's safe point, the trace-inclusion queue, the reachability
+frontier) also skip it while :attr:`RunBudget.armed` is false: no
+deadline, no RSS cap and the token not set, so no check could raise.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from __future__ import annotations
 import signal
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .metrics import peak_rss_kb
 
@@ -197,21 +201,43 @@ class BudgetExhausted(Exception):
 # ----------------------------------------------------------------------
 
 class CancellationToken:
-    """A latch the budget polls; setting it cancels at the next check."""
+    """A latch the budget polls; setting it cancels at the next check.
 
-    __slots__ = ("_flag",)
+    Setting it also arms every :class:`RunBudget` that holds it
+    (:attr:`RunBudget.armed`), from any thread: the flag is written
+    first, so a loop that sees the gate open sees the flag too.  The
+    budgets are held weakly, so a token that outlives a run does not
+    keep its budget alive.
+    """
+
+    __slots__ = ("_flag", "_budgets")
 
     def __init__(self) -> None:
         self._flag = False
+        self._budgets: List["weakref.ref[RunBudget]"] = []
 
     def set(self) -> None:
         self._flag = True
+        for ref in self._budgets:
+            budget = ref()
+            if budget is not None:
+                budget.armed = True
 
     def clear(self) -> None:
         self._flag = False
+        for ref in self._budgets:
+            budget = ref()
+            if budget is not None:
+                budget.armed = budget._limited()
 
     def is_set(self) -> bool:
         return self._flag
+
+    def _attach(self, budget: "RunBudget") -> None:
+        """Arm ``budget`` whenever this token is set."""
+        self._budgets.append(weakref.ref(budget))
+        if self._flag:
+            budget.armed = True
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +299,11 @@ class RunBudget:
     The token and the clock are read on every check, the RSS probe on
     the first check and then every :data:`RSS_PROBE_STRIDE`-th one.
 
+    :attr:`armed` is the gate a hot loop reads before it builds a
+    progress snapshot and calls :meth:`check`: true while a deadline or
+    an RSS cap is set or the token is set, the only times a check can
+    raise.
+
     The state cap of an exploration is ``ClientConfig.max_states``,
     enforced by the explorer itself.
     """
@@ -281,8 +312,10 @@ class RunBudget:
         "deadline_seconds",
         "max_rss_kb",
         "token",
+        "armed",
         "_started",
         "_calls",
+        "__weakref__",
     )
 
     def __init__(
@@ -296,6 +329,14 @@ class RunBudget:
         self.token = token
         self._started = time.monotonic()
         self._calls = 0
+        #: Whether :meth:`check` can raise (see the class docstring).
+        self.armed = self._limited()
+        if token is not None:
+            token._attach(self)
+
+    def _limited(self) -> bool:
+        """Whether a deadline or an RSS cap is set."""
+        return self.deadline_seconds is not None or self.max_rss_kb is not None
 
     # ------------------------------------------------------------------
     # clock
@@ -401,6 +442,7 @@ class RunBudget:
         token = self.token
         if token is None:
             token = self.token = CancellationToken()
+            token._attach(self)
         if threading.current_thread() is not threading.main_thread():
             yield token
             return

@@ -298,7 +298,7 @@ def _search(
         )
 
     while frontier:
-        if budget is not None:
+        if budget is not None and budget.armed:
             budget.check(
                 phase,
                 pairs=len(parents),

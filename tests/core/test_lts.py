@@ -197,6 +197,51 @@ def test_add_edges_matches_one_intern_and_add_per_edge():
     )
 
 
+def test_add_edges_accepts_a_revisit_of_the_stored_objects_by_identity(monkeypatch):
+    import repro.core.lts as lts_module
+
+    compared = []
+
+    def counting(a, b):
+        compared.append((a, b))
+        return same_content(a, b)
+
+    same_content = lts_module._same_content
+    monkeypatch.setattr(lts_module, "_same_content", counting)
+
+    def fresh(*parts):
+        # A new tuple object, never a folded constant.
+        return tuple(list(parts))
+
+    # Pair keys, as a specification's explorer builds them, and 3-part
+    # keys (globals, heap, thread records) of an object system.
+    abstract, records = fresh("q", 1), fresh(fresh(0, None), fresh(1, "x"))
+    globals_, heap = fresh(0, False), fresh(fresh(False, 2))
+    pair = fresh(abstract, records)
+    triple = fresh(globals_, heap, records)
+    builder = LTSBuilder()
+    builder.set_init(fresh("init"))
+    assert builder.add_edges(0, [("a", pair, None), ("b", triple, None)]) == [1, 2]
+    # Fresh keys and a fresh records tuple, made of the stored objects:
+    # accepted by identity, even where both parts of a pair are.
+    revisits = [
+        ("a", fresh(abstract, records), None),
+        ("b", fresh(globals_, heap, fresh(*records)), None),
+        ("c", fresh(abstract, fresh(*records)), None),
+    ]
+    assert builder.add_edges(1, revisits) == [1, 2, 1]
+    assert compared == []
+    # A part that differs by object is compared, and a twin interned.
+    equal_heap = fresh(fresh(False, 2))
+    twin_globals = fresh(0, 0)
+    assert builder.add_edges(2, [
+        ("d", fresh(globals_, equal_heap, records), None),
+        ("e", fresh(twin_globals, heap, records), None),
+    ]) == [2, 3]
+    assert len(compared) >= 2
+    assert builder.state_keys[3][0] is twin_globals
+
+
 def test_to_dot_renders_and_caps():
     lts = make_lts(2, 0, [(0, "a", 1), (0, "tau", 1)])
     dot = to_dot(lts)

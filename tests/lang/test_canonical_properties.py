@@ -7,6 +7,7 @@ from repro.lang.state import (
     _same_content,
     canonicalize,
     canonicalize_successor,
+    renumber,
     root_counts,
 )
 from repro.lang.values import Ref
@@ -243,6 +244,90 @@ def test_canonicalize_successor_keeps_bool_and_int_apart():
     assert type(got[2][0][2][0]) is int
     assert _same_content(got, successor)
     assert not _same_content(got, source) and got == source
+
+
+# ----------------------------------------------------------------------
+# renumber: the memoized full renaming an explorer falls back on
+# ----------------------------------------------------------------------
+
+def type_exact_share():
+    """Hash-consing as an explorer does it: the first value of each
+    ``==``-class is its representative, and a type twin stays itself."""
+    reps = {}
+
+    def share(value):
+        rep = reps.setdefault(value, value)
+        return rep if _same_content(rep, value) else value
+
+    return share
+
+
+def flip_flavour(value):
+    """``value`` with every ``False``/``True`` nested in it made ``0``/``1``
+    and back: ``==`` to it, never type-exactly equal when one occurs."""
+    if type(value) is bool:
+        return int(value)
+    if type(value) is int and value in (0, 1):
+        return bool(value)
+    if type(value) is tuple:
+        return tuple(flip_flavour(item) for item in value)
+    return value
+
+
+@COMMON
+@given(successor_strategy())
+def test_memoized_renumbering_matches_canonicalize(case):
+    # The successor; the same heap object under other roots (threads in
+    # reverse order, no globals), which the numbering depends on; and a
+    # twin whose node fields differ only in False/0 flavour: the same
+    # references, so the same numbering, under another heap object.
+    source, successor = case
+    globals_, heap, threads = successor
+    twin_heap = tuple(node[:1] + flip_flavour(node[1:]) for node in heap)
+    states = (
+        successor,
+        (globals_, heap, threads[::-1]),
+        ((), heap, threads),
+        (globals_, twin_heap, threads),
+    )
+    scans, refs, memo = {}, {}, {}
+    share = type_exact_share()
+
+    def full(*state):
+        return renumber(*state, refs, memo, share)
+
+    counts = root_counts(source, scans)
+    for state in states:
+        expected = canonicalize(*state)
+        first = canonicalize_successor(source, counts, *state, scans, full)
+        computed = len(memo)
+        again = canonicalize_successor(source, counts, *state, scans, full)
+        assert len(memo) == computed  # the repeat is served from the memo
+        assert _same_content(first, expected)
+        assert _same_content(again, expected)
+        direct = renumber(*state, refs, memo, share)
+        assert _same_content(direct, expected)
+        assert direct[1] is renumber(*state, refs, memo, share)[1]
+
+
+def test_memoized_renumbering_keeps_false_and_zero_heaps_apart():
+    # Thread 0 reaches node 1 first, so both heaps renumber; they are
+    # == but differ in one field's flavour, and neither is served the
+    # other's renumbered heap.
+    heap_false = ((False, False), (False, Ref(0)))
+    heap_zero = ((False, 0), (False, Ref(0)))
+    threads = ((0, 0, (Ref(1),), 1),)
+    refs, memo = {}, {}
+    share = type_exact_share()
+    for _ in range(2):
+        for heap in (heap_false, heap_zero):
+            got = renumber((), heap, threads, refs, memo, share)
+            assert _same_content(got, canonicalize((), heap, threads))
+    assert len(memo) == 2
+    got_false = renumber((), heap_false, threads, refs, memo, share)
+    got_zero = renumber((), heap_zero, threads, refs, memo, share)
+    assert got_false == got_zero
+    assert type(got_false[1][1][1]) is bool and type(got_zero[1][1][1]) is int
 
 
 def test_same_content_is_type_exact():

@@ -387,3 +387,68 @@ def test_state_table_keeps_bool_int_twins_apart(order):
     assert (lts.num_states, lts.num_transitions) == (71, 128)
     deadlocks = [s for s in range(lts.num_states) if not list(lts.successors(s))]
     assert len(deadlocks) == 6
+
+
+def test_expansion_context_is_freed_when_explore_returns(monkeypatch):
+    # The context's caches hold no reference back to it (no bound method
+    # of it is stored), so it dies with its explorer, before any garbage
+    # collection; a reference cycle would keep every cache alive until
+    # the next one.
+    import gc
+    import weakref
+
+    from repro.lang import client
+    from repro.objects import get
+    from repro.util.metrics import Stats
+
+    contexts = []
+
+    class Tracked(client.ExpansionContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(client, "ExpansionContext", Tracked)
+    bench = get("ms_queue")
+    stats = Stats()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        explore(bench.build(2), ClientConfig(2, 1, bench.default_workload()),
+                stats=stats)
+        assert len(contexts) == 1
+        assert contexts[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    # The run renumbered, so the memo that could hold the cycle was used.
+    assert stats.counters["explore.renumberings"] > 0
+
+
+def test_token_set_mid_stream_stops_at_the_next_safe_point():
+    # With no deadline or RSS cap the safe point skips the budget check
+    # until the token is set (as SIGINT or the daemon's cancel sets it);
+    # then the next pop raises with the snapshot of that safe point.
+    from repro.objects import get
+    from repro.util.budget import BudgetExhausted, CancellationToken, RunBudget
+
+    bench = get("ms_queue")
+    token = CancellationToken()
+    explorer = StreamingExplorer(
+        ExpansionContext(bench.build(2), ClientConfig(2, 1, bench.default_workload())),
+        budget=RunBudget(token=token),
+    )
+    for _ in range(5):
+        assert explorer.expand_next()
+    token.set()
+    snapshot = {
+        "states": explorer.num_states,
+        "transitions": explorer.num_transitions,
+        "frontier": len(explorer.snapshot().frontier),
+    }
+    with pytest.raises(BudgetExhausted) as exc:
+        explorer.expand_next()
+    assert exc.value.reason == "interrupted"
+    assert exc.value.phase == "explore"
+    assert exc.value.progress == snapshot
+    assert explorer.states_expanded == 5

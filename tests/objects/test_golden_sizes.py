@@ -79,11 +79,35 @@ THREAD_STEPS = {
     "treiber_hp_buggy": 3082,
 }
 
+#: Full renumberings an exploration at 2x2 computes
+#: (``explore.renumberings``): a successor whose numbering moves is
+#: renumbered once per heap object and root reference lists.  Once per
+#: successor, ms_queue renumbered 11,552, hm_list 9,929 and
+#: treiber_hp_buggy 6,140.
+RENUMBERINGS = {
+    "ccas": 74,
+    "dglm_queue": 4182,
+    "fine_list": 625,
+    "hm_list": 1127,
+    "hm_list_buggy": 1166,
+    "hsy_stack": 1814,
+    "hw_queue": 0,
+    "lazy_list": 1610,
+    "ms_queue": 4554,
+    "newcas": 0,
+    "optimistic_list": 1480,
+    "rdcss": 102,
+    "treiber": 1814,
+    "treiber_hp": 3002,
+    "treiber_hp_buggy": 2914,
+}
+
 
 def test_golden_tables_cover_the_registry():
     keys = sorted(b.key for b in all_benchmarks())
     assert sorted(GOLDEN_AUT) == keys
     assert sorted(THREAD_STEPS) == keys
+    assert sorted(RENUMBERINGS) == keys
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_AUT))
@@ -94,6 +118,7 @@ def test_golden_exploration_sizes(key):
         bench.build(2), ClientConfig(2, 2, bench.default_workload()), stats=stats
     )
     assert stats.counters["explore.thread_steps"] == THREAD_STEPS[key]
+    assert stats.counters["explore.renumberings"] == RENUMBERINGS[key]
     transitions, digest = GOLDEN_AUT[key]
     assert system.num_transitions == transitions
     assert hashlib.sha256(dumps_aut(system).encode()).hexdigest() == digest

@@ -103,6 +103,60 @@ def test_cancellation_token_fires_every_call():
     budget.check("explore")
 
 
+def test_armed_gate_opens_exactly_when_a_check_can_raise():
+    assert not RunBudget().armed
+    assert RunBudget(deadline_seconds=60.0).armed
+    assert RunBudget(max_rss_kb=10**9).armed
+    token = CancellationToken()
+    budget = RunBudget(token=token)
+    assert not budget.armed
+    token.set()
+    assert budget.armed
+    token.clear()
+    assert not budget.armed
+    # A token set before the budget exists arms it at construction, and
+    # clearing never closes the gate of a budget with a deadline.
+    token.set()
+    limited = RunBudget(deadline_seconds=60.0, token=token)
+    assert RunBudget(token=token).armed and limited.armed
+    token.clear()
+    assert limited.armed
+
+
+def test_token_set_from_another_thread_arms_the_budget():
+    import threading
+
+    token = CancellationToken()
+    budget = RunBudget(token=token)
+    setter = threading.Thread(target=token.set)
+    setter.start()
+    setter.join(timeout=5)
+    assert not setter.is_alive()
+    assert budget.armed
+    with pytest.raises(BudgetExhausted) as exc:
+        budget.check("explore", states=3)
+    assert exc.value.reason == REASON_INTERRUPTED
+    assert exc.value.progress == {"states": 3}
+
+
+def test_token_does_not_keep_its_budgets_alive():
+    import gc
+    import weakref
+
+    token = CancellationToken()
+    budget = RunBudget(token=token)
+    ref = weakref.ref(budget)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del budget  # no cycle: freed without a collection
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    token.set()  # a dead budget is skipped
+
+
 def test_restart_resets_the_clock():
     budget = RunBudget(deadline_seconds=0.05)
     time.sleep(0.06)
@@ -136,6 +190,7 @@ def test_install_sigint_graceful_then_restores(monkeypatch):
         while not budget.token.is_set() and time.monotonic() < deadline:
             time.sleep(0.01)
         assert budget.token.is_set()
+        assert budget.armed
         with pytest.raises(BudgetExhausted) as exc:
             budget.check("explore")
         assert exc.value.reason == REASON_INTERRUPTED
